@@ -1,19 +1,25 @@
 // Ablation sweeps for the design choices DESIGN.md calls out, registered
 // as four separately filterable experiments (--filter=ablation runs all):
-//   ablation_fanout      internal B+ tree fanout (paper Sec 2.2)
+//   ablation_fanout      node slots of a B+ tree over segment first keys
+//                        (the paper's directory, Sec 4.1; the engines
+//                        descend a flat array instead)
 //   ablation_search      in-window search policy (paper Sec 4.1.2)
 //   ablation_feasibility endpoint line vs PGM-style cone
 //   ablation_buffer      buffer sizing policy (generalizes Figure 12)
 
+#include <cstdint>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench/harness/registry.h"
 #include "bench/harness/runner.h"
+#include "btree/btree_map.h"
 #include "common/table_printer.h"
 #include "core/fiting_tree.h"
 #include "core/shrinking_cone.h"
+#include "core/static_fiting_tree.h"
 #include "datasets/datasets.h"
 
 namespace fitree::bench {
@@ -46,26 +52,38 @@ Stats MeasureLookups(Runner& runner, Tree& tree,
   });
 }
 
+// Times the paper's directory on its own: a B+ tree with kSlots-entry
+// nodes mapping each segment's first key to its id, probed with FindFloor.
 template <int kSlots>
-void FanoutPoint(Runner& runner, const AblationData& data) {
-  FitingTreeConfig config;
-  config.error = 256.0;
-  config.buffer_size = 0;
-  auto tree = FitingTree<int64_t, kSlots, kSlots>::Create(*data.keys, config);
-  const Stats stats = MeasureLookups(runner, *tree, *data.probes);
+void FanoutPoint(Runner& runner, const StaticFitingTree<int64_t>& tree,
+                 const std::vector<int64_t>& probes) {
+  std::vector<std::pair<int64_t, uint32_t>> entries;
+  entries.reserve(tree.SegmentCount());
+  for (const auto& seg : tree.segments()) {
+    entries.emplace_back(seg.first_key, static_cast<uint32_t>(entries.size()));
+  }
+  btree::BTreeMap<int64_t, uint32_t, kSlots, kSlots> directory;
+  directory.BulkLoad(std::move(entries));
+  const Stats stats = runner.CollectReps([&] {
+    return TimedLoopNsPerOp(probes.size(), [&](size_t i) {
+      const uint32_t* id = directory.FindFloor(probes[i]);
+      return id == nullptr ? uint64_t{0} : uint64_t{*id};
+    });
+  });
   runner.Report(
       {{"node_slots", std::to_string(kSlots)}}, stats,
-      {{"height", static_cast<double>(tree->TreeHeight())},
-       {"index_KB", static_cast<double>(tree->IndexSizeBytes()) / 1024.0}});
+      {{"height", static_cast<double>(directory.Height())},
+       {"index_KB", static_cast<double>(directory.MemoryBytes()) / 1024.0}});
 }
 
 void RunFanout(Runner& runner) {
   const AblationData data = LoadData();
-  FanoutPoint<8>(runner, data);
-  FanoutPoint<16>(runner, data);
-  FanoutPoint<32>(runner, data);
-  FanoutPoint<64>(runner, data);
-  FanoutPoint<128>(runner, data);
+  const auto tree = StaticFitingTree<int64_t>::Create(*data.keys, 256.0);
+  FanoutPoint<8>(runner, *tree, *data.probes);
+  FanoutPoint<16>(runner, *tree, *data.probes);
+  FanoutPoint<32>(runner, *tree, *data.probes);
+  FanoutPoint<64>(runner, *tree, *data.probes);
+  FanoutPoint<128>(runner, *tree, *data.probes);
 }
 
 void RunSearchPolicy(Runner& runner) {
@@ -147,7 +165,9 @@ void RunBufferPolicy(Runner& runner) {
 
 FITREE_REGISTER_EXPERIMENT(
     "ablation_fanout",
-    "Ablation (a): internal B+ tree node slots (error=256)", RunFanout);
+    "Ablation (a): B+ tree directory node slots, FindFloor over segment "
+    "first keys (error=256)",
+    RunFanout);
 FITREE_REGISTER_EXPERIMENT(
     "ablation_search", "Ablation (b): in-window search policy",
     RunSearchPolicy);

@@ -6,10 +6,15 @@
 // record's ns/op is the summed (tree + page) time per probe, and the
 // tree%/page% split is reported from the last repetition.
 //
-// Expected shape: at small errors the B+ tree dominates both methods, but
-// FITing-Tree's tree is much smaller (fewer entries), so its tree share
-// shrinks faster; at huge errors nearly all time goes to the in-segment
-// search for both.
+// "Tree" time is each method's directory descent. For FITing-Tree that is
+// the flat interpolation array over segment first keys
+// (core/flat_directory.h), not the paper's B+ tree; for Fixed it is the
+// B+ tree over page first keys (baselines/paged_index.h).
+//
+// Expected shape: at small errors descent dominates both methods, but
+// FITing-Tree's directory is much smaller (fewer entries), so its tree
+// share shrinks faster; at huge errors nearly all time goes to the
+// in-segment search for both.
 
 #include <string>
 

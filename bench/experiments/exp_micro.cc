@@ -180,9 +180,9 @@ void RunMicroBtree(Runner& runner) {
 // Ablation of the hot-path microarchitecture pass: (a) the in-window
 // lower-bound policies (binary / linear / exponential / simd) across error
 // window sizes, probed with model-style hints (right answer +/- jitter);
-// (b) segment-directory descent, btree vs flat interpolation+SIMD, over
-// the same key set's shrinking-cone segments. These are the two per-lookup
-// costs the FITREE_SEARCH_POLICY / FITREE_DIRECTORY knobs select between.
+// (b) segment-directory descent over the same key set's shrinking-cone
+// segments: the paper's B+ tree against the flat interpolation+SIMD array
+// every engine now descends.
 void RunMicroSearchPolicy(Runner& runner) {
   const MicroData data = LoadData();
   const auto& keys = *data.keys;

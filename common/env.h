@@ -1,5 +1,6 @@
-// Environment-variable helpers used by the benchmark binaries to scale
-// element counts and thread counts without recompiling.
+// Environment-variable helpers: common/options.h resolves the engine and
+// server knobs through them, and the benchmark binaries scale element
+// counts and thread counts with them without recompiling.
 
 #ifndef FITREE_COMMON_ENV_H_
 #define FITREE_COMMON_ENV_H_
@@ -26,7 +27,7 @@ inline int GetEnvInt(const char* name, int def) {
 }
 
 // Returns the value of `name`, or `def` when unset or empty (used by the
-// FITREE_SEARCH_POLICY / FITREE_DIRECTORY hot-path knobs).
+// enum-valued knobs in common/options.h, e.g. FITREE_IO_BACKEND).
 inline std::string GetEnvString(const char* name, const char* def) {
   const char* value = std::getenv(name);
   if (value == nullptr || *value == '\0') return def;

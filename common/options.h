@@ -7,8 +7,6 @@
 // place.
 //
 // Knobs resolved here:
-//   FITREE_SEARCH_POLICY  binary | linear | exponential | simd  (simd)
-//   FITREE_DIRECTORY      btree | flat                          (flat)
 //   FITREE_TELEM_SAMPLE   latency sampling period, >= 1         (64)
 //   FITREE_TRACE          0 | 1 trace-ring capture              (0)
 //   FITREE_TRACE_RING     per-thread trace ring slots, >= 16    (4096)
@@ -35,8 +33,6 @@
 #include <string_view>
 
 #include "common/env.h"
-#include "core/flat_directory.h"
-#include "core/search_policy.h"
 
 namespace fitree {
 
@@ -85,8 +81,6 @@ inline constexpr const char* FetchStrategyName(FetchStrategy f) {
 }
 
 struct Options {
-  SearchPolicy search_policy = SearchPolicy::kSimd;
-  DirectoryMode directory = DirectoryMode::kFlat;
   uint64_t telemetry_sample = 64;  // 1-in-N latency sampling
   bool trace = false;              // trace-ring capture on/off
   size_t trace_ring = 4096;        // per-thread ring capacity (slots)
@@ -102,11 +96,6 @@ struct Options {
   // Reads every knob from the environment, applying defaults and clamps.
   static Options FromEnvironment() {
     Options o;
-    o.search_policy =
-        ParseSearchPolicy(GetEnvString("FITREE_SEARCH_POLICY", "simd"))
-            .value_or(SearchPolicy::kSimd);
-    o.directory = ParseDirectoryMode(GetEnvString("FITREE_DIRECTORY", "flat"))
-                      .value_or(DirectoryMode::kFlat);
     const int64_t sample = GetEnvInt64("FITREE_TELEM_SAMPLE", 64);
     o.telemetry_sample = sample < 1 ? 1u : static_cast<uint64_t>(sample);
     o.trace = GetEnvInt64("FITREE_TRACE", 0) != 0;
@@ -141,16 +130,6 @@ inline const Options& GlobalOptions() {
   static const Options options = Options::FromEnvironment();
   return options;
 }
-
-// Process-wide defaults for the two hot-path strategy knobs. These used to
-// live next to their enums (core/search_policy.h, core/flat_directory.h)
-// and read the environment themselves; they are now thin views over
-// GlobalOptions() so the resolution story has one home.
-inline SearchPolicy DefaultSearchPolicy() {
-  return GlobalOptions().search_policy;
-}
-
-inline DirectoryMode DefaultDirectoryMode() { return GlobalOptions().directory; }
 
 }  // namespace fitree
 

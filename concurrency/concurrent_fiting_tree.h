@@ -53,7 +53,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/options.h"
 #include "common/prefetch.h"
 #include "concurrency/epoch.h"
 #include "concurrency/merge_worker.h"
@@ -77,11 +76,9 @@ struct ConcurrentFitingTreeConfig {
   // tombstones). With a background worker the budget is soft: buffers keep
   // absorbing writes while their merge is queued.
   size_t buffer_size = kAutoBufferSize;
-  // In-window search strategy; defaults to the FITREE_SEARCH_POLICY knob
-  // (simd unless overridden). The directory here is always the flat COW
-  // snapshot — it is what makes readers lock-free — so there is no
-  // btree/flat choice to make.
-  SearchPolicy search_policy = DefaultSearchPolicy();
+  // The in-window search is always SIMD, and the directory is the flat COW
+  // snapshot every engine uses; republishing it whole is what makes
+  // readers lock-free.
   Feasibility feasibility = Feasibility::kEndpointLine;
   // Off: the mutating thread merges inline. On: overflows are queued to a
   // MergeWorker thread and writes return immediately.
@@ -532,7 +529,7 @@ class ConcurrentFitingTree {
     const auto [begin, end] = ErrorWindow(pred, config_.error, 0, n);
     const size_t hint = static_cast<size_t>(std::max(0.0, pred));
     const size_t i = detail::BoundedLowerBound(
-        seg.keys.data(), begin, end, hint, key, config_.search_policy);
+        seg.keys.data(), begin, end, hint, key, SearchPolicy::kSimd);
     return i < n && seg.keys[i] == key ? i : kNotFound;
   }
 

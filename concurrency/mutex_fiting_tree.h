@@ -24,7 +24,7 @@ class MutexFitingTree {
  public:
   using Key = K;
   using Payload = V;
-  using Tree = FitingTree<K, 16, 16, V>;
+  using Tree = FitingTree<K, V>;
 
   static std::unique_ptr<MutexFitingTree<K, V>> Create(
       const std::vector<K>& keys, const FitingTreeConfig& config) {

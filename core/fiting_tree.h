@@ -11,9 +11,10 @@
 // the data-aware split that distinguishes FITing-Tree from fixed paging; a
 // merge that deletes every key retires the segment outright.
 //
-// The segment directory is a B+ tree keyed by each segment's first key; its
-// node width is a template parameter so bench_ablations can sweep fanout.
-// Read operations are const and safe for concurrent readers.
+// The segment directory is a flat sorted array of each segment's first key
+// with a parallel array of segment pointers (core/flat_directory.h), spliced
+// in place when a merge replaces or retires a segment. Read operations are
+// const and safe for concurrent readers.
 //
 // Buffer invariants (checked by tests/oracle.h's differential driver):
 //   - at most one buffer entry per key;
@@ -35,8 +36,6 @@
 #include <utility>
 #include <vector>
 
-#include "btree/btree_map.h"
-#include "common/options.h"
 #include "common/prefetch.h"
 #include "common/timer.h"
 #include "core/flat_directory.h"
@@ -58,11 +57,9 @@ struct FitingTreeConfig {
   // means merge on every mutation (write-pessimal, read-optimal);
   // kAutoBufferSize means error/2.
   size_t buffer_size = kAutoBufferSize;
-  // In-window search + directory descent strategy for the read path;
-  // defaults follow the FITREE_SEARCH_POLICY / FITREE_DIRECTORY env knobs
-  // (simd + flat unless overridden).
-  SearchPolicy search_policy = DefaultSearchPolicy();
-  DirectoryMode directory = DefaultDirectoryMode();
+  // In-window search of the read path; only the search-policy ablation and
+  // the oracle tests pick anything but SIMD.
+  SearchPolicy search_policy = SearchPolicy::kSimd;
   Feasibility feasibility = Feasibility::kEndpointLine;
 };
 
@@ -110,8 +107,7 @@ struct BufferKeyLess {
 
 }  // namespace detail
 
-template <typename K, int kInnerSlots = 16, int kLeafSlots = kInnerSlots,
-          typename V = uint64_t>
+template <typename K, typename V = uint64_t>
 class FitingTree {
  public:
   using Key = K;
@@ -207,15 +203,10 @@ class FitingTree {
       data->intercept = 0.0;
       data->keys.push_back(key);
       data->values.push_back(value);
-      directory_.Insert(key, data.get());
-      {
-        const K first_key = key;
-        SegmentData* ptr = data.get();
-        flat_dir_.Splice(0, 0, std::span<const K>(&first_key, 1),
-                         std::span<SegmentData* const>(&ptr, 1));
-      }
+      SegmentData* ptr = data.get();
+      directory_.Splice(0, 0, std::span<const K>(&key, 1),
+                        std::span<SegmentData* const>(&ptr, 1));
       segments_.push_back(std::move(data));
-      ++live_segments_;
       ++size_;
       return true;
     }
@@ -291,17 +282,13 @@ class FitingTree {
   size_t ScanRange(const K& lo, const K& hi, Fn fn) const {
     telemetry::ScopedOp telem(telemetry::Engine::kBuffered,
                               telemetry::Op::kScan);
-    if (live_segments_ == 0 || hi < lo) return 0;
-    K start_key{};
-    if (directory_.FindFloor(lo, &start_key) == nullptr) {
-      directory_.First(&start_key);
-    }
+    if (directory_.empty() || hi < lo) return 0;
+    const size_t floor = directory_.FloorIndex(lo);
     size_t emitted = 0;
-    directory_.ScanFrom(start_key, [&](const K& first_key, SegmentData* seg) {
-      if (first_key > hi) return false;
-      emitted += EmitRange(*seg, lo, hi, fn);
-      return true;
-    });
+    for (size_t i = floor == Directory::kNone ? 0 : floor;
+         i < directory_.size() && !(hi < directory_.key_at(i)); ++i) {
+      emitted += EmitRange(*directory_.value_at(i), lo, hi, fn);
+    }
     return emitted;
   }
 
@@ -314,18 +301,13 @@ class FitingTree {
     if (seg != nullptr) PrefetchPredicted(*seg, key);
   }
 
-  // Directory nodes plus per-segment model metadata (the key pages and
-  // buffers are the data, not the index). Charges whichever directory the
-  // read path actually descends.
+  // Directory arrays plus per-segment model metadata (the key pages and
+  // buffers are the data, not the index).
   size_t IndexSizeBytes() const {
-    const size_t dir = config_.directory == DirectoryMode::kFlat
-                           ? flat_dir_.MemoryBytes()
-                           : directory_.MemoryBytes();
-    return dir + live_segments_ * kSegmentMetaBytes;
+    return directory_.MemoryBytes() + directory_.size() * kSegmentMetaBytes;
   }
 
-  size_t SegmentCount() const { return live_segments_; }
-  int TreeHeight() const { return directory_.Height(); }
+  size_t SegmentCount() const { return directory_.size(); }
   const FitingTreeStats& stats() const { return stats_; }
   const FitingTreeConfig& config() const { return config_; }
 
@@ -336,7 +318,7 @@ class FitingTree {
     telemetry::StructuralStats st;
     st.engine = telemetry::EngineName(telemetry::Engine::kBuffered);
     st.Add("keys", static_cast<double>(size_));
-    st.Add("segments", static_cast<double>(live_segments_));
+    st.Add("segments", static_cast<double>(directory_.size()));
     st.Add("error", config_.error);
     st.Add("buffer_capacity", static_cast<double>(effective_buffer_));
     size_t buffered = 0, max_buffer = 0;
@@ -347,10 +329,10 @@ class FitingTree {
     st.Add("buffered_entries", static_cast<double>(buffered));
     st.Add("buffer_max", static_cast<double>(max_buffer));
     st.Add("buffer_occupancy",
-           live_segments_ == 0 || effective_buffer_ == 0
+           directory_.empty() || effective_buffer_ == 0
                ? 0.0
                : static_cast<double>(buffered) /
-                     (static_cast<double>(live_segments_) *
+                     (static_cast<double>(directory_.size()) *
                       static_cast<double>(effective_buffer_)));
     st.Add("merges", static_cast<double>(stats_.segment_merges));
     st.Add("segments_created", static_cast<double>(stats_.segments_created));
@@ -381,16 +363,17 @@ class FitingTree {
   static constexpr size_t kSegmentMetaBytes =
       sizeof(K) + 2 * sizeof(double) + sizeof(void*);
 
-  using Directory = btree::BTreeMap<K, SegmentData*, kLeafSlots, kInnerSlots>;
-  using FlatDir = FlatDirectory<K, SegmentData*>;
+  using Directory = FlatDirectory<K, SegmentData*>;
 
   void BulkLoad(std::span<const K> keys, std::span<const V> values) {
     size_ = keys.size();
     if (keys.empty()) return;
     const auto models =
         SegmentShrinkingCone<K>(keys, config_.error, config_.feasibility);
-    std::vector<std::pair<K, SegmentData*>> entries;
-    entries.reserve(models.size());
+    std::vector<K> first_keys;
+    std::vector<SegmentData*> ptrs;
+    first_keys.reserve(models.size());
+    ptrs.reserve(models.size());
     segments_.reserve(models.size());
     for (const Segment<K>& m : models) {
       auto data = std::make_unique<SegmentData>();
@@ -405,38 +388,20 @@ class FitingTree {
         data->values.assign(values.begin() + m.start,
                             values.begin() + m.start + m.length);
       }
-      entries.emplace_back(m.first_key, data.get());
+      first_keys.push_back(m.first_key);
+      ptrs.push_back(data.get());
       segments_.push_back(std::move(data));
     }
-    // The flat mirror carries the same entries as the btree directory and
-    // is kept in sync by every mutation (bootstrap insert, merge splice),
-    // so the FITREE_DIRECTORY knob only selects the descent, not the state.
-    std::vector<K> flat_keys;
-    std::vector<SegmentData*> flat_ptrs;
-    flat_keys.reserve(entries.size());
-    flat_ptrs.reserve(entries.size());
-    for (const auto& [first_key, ptr] : entries) {
-      flat_keys.push_back(first_key);
-      flat_ptrs.push_back(ptr);
-    }
-    flat_dir_.BulkLoad(std::move(flat_keys), std::move(flat_ptrs));
-    directory_.BulkLoad(std::move(entries));
-    live_segments_ = segments_.size();
+    directory_.BulkLoad(std::move(first_keys), std::move(ptrs));
   }
 
   const SegmentData* LocateSegment(const K& key) const {
     telemetry::ScopedPhase phase(telemetry::Engine::kBuffered,
                                  telemetry::Phase::kDirectoryDescent);
-    if (config_.directory == DirectoryMode::kFlat) {
-      if (flat_dir_.empty()) return nullptr;
-      const size_t i = flat_dir_.FloorIndex(key);
-      // Below-leftmost keys fall to the first segment, matching the btree
-      // path's FindFloor-else-First rule.
-      return flat_dir_.value_at(i == FlatDir::kNone ? 0 : i);
-    }
-    SegmentData* const* seg = directory_.FindFloor(key);
-    if (seg == nullptr) seg = directory_.First();
-    return seg == nullptr ? nullptr : *seg;
+    if (directory_.empty()) return nullptr;
+    const size_t i = directory_.FloorIndex(key);
+    // Below-leftmost keys fall to the first segment.
+    return directory_.value_at(i == Directory::kNone ? 0 : i);
   }
 
   // Prefetch the predicted in-page position (keys and payloads) so the
@@ -568,11 +533,11 @@ class FitingTree {
       }
     }
 
-    // Exact-match floor: the merged segment's slot in the flat mirror,
-    // spliced below once the replacement set is known.
-    const size_t fpos = flat_dir_.FloorIndex(seg->first_key);
-    assert(fpos != FlatDir::kNone && flat_dir_.key_at(fpos) == seg->first_key);
-    directory_.Erase(seg->first_key);
+    // Exact-match floor: the merged segment's directory slot, spliced below
+    // once the replacement set is known.
+    const size_t fpos = directory_.FloorIndex(seg->first_key);
+    assert(fpos != Directory::kNone &&
+           directory_.key_at(fpos) == seg->first_key);
     if (merged.empty()) {
       // Every key of this segment was deleted: retire and free it. Its key
       // range is absorbed by the floor rule (lookups fall to the left
@@ -586,8 +551,7 @@ class FitingTree {
       assert(it != segments_.end());
       std::swap(*it, segments_.back());
       segments_.pop_back();
-      flat_dir_.Splice(fpos, 1, {}, {});
-      --live_segments_;
+      directory_.Splice(fpos, 1, {}, {});
       ++stats_.segments_retired;
       return;
     }
@@ -609,7 +573,6 @@ class FitingTree {
       } else {
         segments_.push_back(std::make_unique<SegmentData>());
         target = segments_.back().get();
-        ++live_segments_;
       }
       const Segment<K>& model = models[m];
       target->first_key = model.first_key;
@@ -621,22 +584,19 @@ class FitingTree {
                             merged_values.begin() + model.start + model.length);
       target->buffer.clear();
       target->buffer.shrink_to_fit();
-      directory_.Insert(model.first_key, target);
       new_keys.push_back(model.first_key);
       new_ptrs.push_back(target);
     }
     // The replacement models span the same key range in order, so the
     // splice is positional; the common one-for-one case is an in-place
     // overwrite with no tail move.
-    flat_dir_.Splice(fpos, 1, new_keys, new_ptrs);
+    directory_.Splice(fpos, 1, new_keys, new_ptrs);
   }
 
   FitingTreeConfig config_;
   size_t effective_buffer_ = 0;
   std::vector<std::unique_ptr<SegmentData>> segments_;
   Directory directory_;
-  FlatDir flat_dir_;  // read-path mirror of directory_ (see BulkLoad)
-  size_t live_segments_ = 0;
   size_t size_ = 0;
   FitingTreeStats stats_;
 };

@@ -1,50 +1,28 @@
-// Flattened two-level segment directory (ROADMAP "hot-path
-// microarchitecture pass"; DILI and FB+-tree in PAPERS.md motivate the
-// shape): instead of descending a B+-tree over segment first-keys, the
-// read path searches one contiguous sorted array — an interpolation guess
-// from a cached linear model of the key range, a geometric expansion to
-// bracket the answer, a conditional-move binary narrowing, and a final
-// SIMD count — no pointer chasing and no data-dependent branches until the
-// last few cache lines. Mutation paths keep using the engines' btree_map;
-// the flat array is rebuilt (bulk) or spliced (single-segment merges)
-// whenever the segment set changes, and is immutable between publishes,
+// The segment directory of every engine (DILI and FB+-tree in PAPERS.md
+// motivate the shape). The paper finds a lookup's segment by descending a
+// B+ tree over segment first keys (Sec 4.1); here that job is one
+// contiguous sorted array searched with an interpolation guess from a
+// cached linear model of the key range, a geometric expansion to bracket
+// the answer, a conditional-move binary narrowing, and a final SIMD count:
+// no pointer chasing and no data-dependent branches until the last few
+// cache lines. Mutations rebuild the array (bulk loads, disk republishes)
+// or splice it (single-segment merges); between those it is immutable,
 // which is what lets the concurrent tree's COW republish hand it to
-// lock-free readers.
+// lock-free readers. The paper's B+ tree survives in baselines/ and in the
+// directory rows of micro_search_policy and ablation_fanout.
 
 #ifndef FITREE_CORE_FLAT_DIRECTORY_H_
 #define FITREE_CORE_FLAT_DIRECTORY_H_
 
 #include <cstddef>
 #include <cstdint>
-#include <optional>
 #include <span>
-#include <string>
 #include <utility>
 #include <vector>
 
-#include "common/env.h"
 #include "core/search_policy.h"
 
 namespace fitree {
-
-enum class DirectoryMode {
-  kBTree,  // descend the engines' btree_map on reads (PR 5 behavior)
-  kFlat,   // interpolation + SIMD floor over the flat first-key array
-};
-
-inline const char* DirectoryModeName(DirectoryMode mode) {
-  return mode == DirectoryMode::kFlat ? "flat" : "btree";
-}
-
-inline std::optional<DirectoryMode> ParseDirectoryMode(
-    const std::string& name) {
-  if (name == "btree") return DirectoryMode::kBTree;
-  if (name == "flat") return DirectoryMode::kFlat;
-  return std::nullopt;
-}
-
-// The process-wide default (FITREE_DIRECTORY) lives in common/options.h:
-// DefaultDirectoryMode() is a view over GlobalOptions().
 
 // Sorted, duplicate-free key array answering floor queries ("index of the
 // last key <= probe"). For the engines whose directory payload is the

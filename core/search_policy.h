@@ -27,11 +27,8 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
-#include <optional>
-#include <string>
 #include <type_traits>
 
-#include "common/env.h"
 #include "common/prefetch.h"
 
 #if !defined(FITREE_NO_SIMD) && defined(__x86_64__) && \
@@ -61,17 +58,6 @@ inline const char* SearchPolicyName(SearchPolicy policy) {
   }
   return "?";
 }
-
-inline std::optional<SearchPolicy> ParseSearchPolicy(const std::string& name) {
-  if (name == "binary") return SearchPolicy::kBinary;
-  if (name == "linear") return SearchPolicy::kLinear;
-  if (name == "exponential") return SearchPolicy::kExponential;
-  if (name == "simd") return SearchPolicy::kSimd;
-  return std::nullopt;
-}
-
-// The process-wide default (FITREE_SEARCH_POLICY) lives in
-// common/options.h: DefaultSearchPolicy() is a view over GlobalOptions().
 
 namespace simd {
 

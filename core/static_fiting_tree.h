@@ -1,9 +1,10 @@
 // Read-only FITing-Tree (paper Sec 4.1): a bulk-loaded array of
-// error-bounded linear segments with a B+ tree over the segment boundary
-// keys. Lookups descend the directory, evaluate the segment's line and
-// finish with a bounded search in the +/- error window. Because the data
-// stays in one flat sorted array, ranks are exact, which gives O(log)
-// RangeCount via rank subtraction (used by bench_range).
+// error-bounded linear segments with a flat directory over the segment
+// boundary keys (core/flat_directory.h). Lookups find the floor segment,
+// evaluate its line and finish with a bounded search in the +/- error
+// window. Because the data stays in one flat sorted array, ranks are
+// exact, which gives O(log) RangeCount via rank subtraction (used by
+// bench_range).
 //
 // The key set is immutable, but each key can carry a 64-bit payload
 // (values()); payloads default to the key's rank — the convention the
@@ -23,8 +24,6 @@
 #include <type_traits>
 #include <vector>
 
-#include "btree/btree_map.h"
-#include "common/options.h"
 #include "common/prefetch.h"
 #include "core/flat_directory.h"
 #include "core/search_policy.h"
@@ -41,27 +40,23 @@ class StaticFitingTree {
   using Key = K;
   using Payload = uint64_t;
 
-  // Policy/directory defaults come from the FITREE_SEARCH_POLICY /
-  // FITREE_DIRECTORY knobs (simd + flat unless overridden), so benches and
-  // differential suites exercise the fast path by default.
+  // `policy` picks the in-window search; only the search-policy ablation
+  // and the oracle tests pass anything but the SIMD default.
   static std::unique_ptr<StaticFitingTree<K>> Create(
       const std::vector<K>& keys, double error,
-      SearchPolicy policy = DefaultSearchPolicy(),
-      Feasibility feasibility = Feasibility::kEndpointLine,
-      DirectoryMode directory = DefaultDirectoryMode()) {
-    return Create(keys, {}, error, policy, feasibility, directory);
+      SearchPolicy policy = SearchPolicy::kSimd,
+      Feasibility feasibility = Feasibility::kEndpointLine) {
+    return Create(keys, {}, error, policy, feasibility);
   }
 
   // Bulk-loads `keys` with explicit rank->payload values (empty = payload
   // is the rank itself, the serializer's default).
   static std::unique_ptr<StaticFitingTree<K>> Create(
       const std::vector<K>& keys, const std::vector<uint64_t>& values,
-      double error, SearchPolicy policy = DefaultSearchPolicy(),
-      Feasibility feasibility = Feasibility::kEndpointLine,
-      DirectoryMode directory = DefaultDirectoryMode()) {
+      double error, SearchPolicy policy = SearchPolicy::kSimd,
+      Feasibility feasibility = Feasibility::kEndpointLine) {
     auto tree = std::make_unique<StaticFitingTree<K>>();
     tree->policy_ = policy;
-    tree->directory_mode_ = directory;
     tree->feasibility_ = feasibility;
     tree->BulkLoad(std::span<const K>(keys), std::span<const uint64_t>(values),
                    error);
@@ -80,19 +75,12 @@ class StaticFitingTree {
     data_.assign(keys.begin(), keys.end());
     values_.assign(values.begin(), values.end());
     segments_ = SegmentShrinkingCone<K>(data_, error, feasibility_);
-    std::vector<std::pair<K, uint32_t>> entries;
-    entries.reserve(segments_.size());
     std::vector<K> first_keys;
     first_keys.reserve(segments_.size());
-    for (size_t i = 0; i < segments_.size(); ++i) {
-      entries.emplace_back(segments_[i].first_key, static_cast<uint32_t>(i));
-      first_keys.push_back(segments_[i].first_key);
-    }
-    directory_.BulkLoad(std::move(entries));
-    // Segment ids are 0..n-1 in first-key order, so the flat floor index is
-    // itself the id; both directories are kept loaded so the
-    // FITREE_DIRECTORY knob can ablate descent cost on the same tree.
-    flat_index_.Reset(std::move(first_keys));
+    for (const auto& s : segments_) first_keys.push_back(s.first_key);
+    // Segment ids are 0..n-1 in first-key order, so the floor index is
+    // itself the id.
+    directory_.Reset(std::move(first_keys));
   }
 
   size_t size() const { return data_.size(); }
@@ -170,14 +158,8 @@ class StaticFitingTree {
   // group-prefetch dispatch). Untimed and uncounted on purpose.
   void PrefetchLookup(const K& key) const {
     if (data_.empty()) return;
-    size_t id;
-    if (directory_mode_ == DirectoryMode::kFlat) {
-      id = flat_index_.FloorIndex(key);
-      if (id == FlatKeyIndex<K>::kNone) id = 0;
-    } else {
-      const uint32_t* found = directory_.FindFloor(key);
-      id = found == nullptr ? 0 : *found;
-    }
+    size_t id = directory_.FloorIndex(key);
+    if (id == FlatKeyIndex<K>::kNone) id = 0;
     const Segment<K>& seg = segments_[id];
     const double pred = seg.Predict(key);
     const size_t hint =
@@ -186,13 +168,9 @@ class StaticFitingTree {
   }
 
   // Directory plus per-segment model metadata; the data array itself is the
-  // indexed table, not the index (paper's accounting in Fig 6/9). Charges
-  // whichever directory the read path actually descends.
+  // indexed table, not the index (paper's accounting in Fig 6/9).
   size_t IndexSizeBytes() const {
-    const size_t dir = directory_mode_ == DirectoryMode::kFlat
-                           ? flat_index_.MemoryBytes()
-                           : directory_.MemoryBytes();
-    return dir + segments_.size() * kSegmentMetaBytes;
+    return directory_.MemoryBytes() + segments_.size() * kSegmentMetaBytes;
   }
 
   // The segment table in the fixed-width form the storage/ serializer
@@ -205,8 +183,8 @@ class StaticFitingTree {
   }
 
   // Structural snapshot (telemetry tentpole): the shape of the bulk-loaded
-  // structure — segment count and length distribution, directory mode and
-  // footprint — as one uniform record (see telemetry/structural.h).
+  // structure — segment count, length distribution and footprint — as one
+  // uniform record (see telemetry/structural.h).
   telemetry::StructuralStats Stats() const {
     telemetry::StructuralStats st;
     st.engine = telemetry::EngineName(telemetry::Engine::kStatic);
@@ -228,13 +206,10 @@ class StaticFitingTree {
                                    static_cast<double>(segments_.size()));
     st.Add("segment_len_max", static_cast<double>(max_len));
     st.Add("index_bytes", static_cast<double>(IndexSizeBytes()));
-    st.Add("directory_flat",
-           directory_mode_ == DirectoryMode::kFlat ? 1.0 : 0.0);
     return st;
   }
 
   size_t SegmentCount() const { return segments_.size(); }
-  int TreeHeight() const { return directory_.Height(); }
   double error() const { return error_; }
   const std::vector<K>& data() const { return data_; }
   // Explicit payloads; empty means the implicit rank convention.
@@ -256,16 +231,8 @@ class StaticFitingTree {
     {
       telemetry::ScopedPhase descent(telemetry::Engine::kStatic,
                                      telemetry::Phase::kDirectoryDescent);
-      if (directory_mode_ == DirectoryMode::kFlat) {
-        id = flat_index_.FloorIndex(key);
-        if (id == FlatKeyIndex<K>::kNone) {
-          return 0;  // before every indexed key
-        }
-      } else {
-        const uint32_t* found = directory_.FindFloor(key);
-        if (found == nullptr) return 0;  // key sorts before every indexed key
-        id = *found;
-      }
+      id = directory_.FloorIndex(key);
+      if (id == FlatKeyIndex<K>::kNone) return 0;  // before every indexed key
     }
     telemetry::ScopedPhase search(telemetry::Engine::kStatic,
                                   telemetry::Phase::kWindowSearch);
@@ -286,13 +253,11 @@ class StaticFitingTree {
 
   double error_ = 0.0;
   SearchPolicy policy_ = SearchPolicy::kBinary;
-  DirectoryMode directory_mode_ = DirectoryMode::kFlat;
   Feasibility feasibility_ = Feasibility::kEndpointLine;
   std::vector<K> data_;
   std::vector<uint64_t> values_;  // empty = payload is the rank
   std::vector<Segment<K>> segments_;
-  btree::BTreeMap<K, uint32_t, 16, 16> directory_;
-  FlatKeyIndex<K> flat_index_;  // same entries, read-path descent form
+  FlatKeyIndex<K> directory_;  // segment first keys; floor index = id
 };
 
 }  // namespace fitree

@@ -1,7 +1,7 @@
 // Disk-resident FITing-Tree: the paper's segment-predict-then-bounded-
 // search lookup (Sec 4.1) run against an index file, with every leaf
 // access going through the buffer pool, plus a write path. The directory
-// (B+ tree over segment first-keys) and segment table stay in memory —
+// (flat array of segment first keys) and segment table stay in memory —
 // they are the "index" the paper sizes in Fig 6 — while the sorted
 // key/payload pages stay on disk and are cached page-granularly, which is
 // exactly the regime the Sec 5 cost model charges in pages.
@@ -62,7 +62,6 @@
 #include <type_traits>
 #include <vector>
 
-#include "btree/btree_map.h"
 #include "common/io_stats.h"
 #include "common/options.h"
 #include "common/prefetch.h"
@@ -108,11 +107,6 @@ class DiskFitingTree {
     // Buffer-pool capacity in pages; 1.0 * leaf pages means the whole
     // data file fits (plus the handful of non-leaf pages never cached).
     size_t cache_pages = 64;
-    // In-page bounded-search strategy and directory descent form; defaults
-    // follow the FITREE_SEARCH_POLICY / FITREE_DIRECTORY knobs (simd +
-    // flat unless overridden).
-    SearchPolicy search_policy = DefaultSearchPolicy();
-    DirectoryMode directory = DefaultDirectoryMode();
     // Speculative fetch: kWindow stages every page the error window spans
     // in one batched read before searching; kSingle faults serially
     // (FITREE_FETCH_STRATEGY; the exp_disk ablation sweeps both).
@@ -167,7 +161,6 @@ class DiskFitingTree {
   uint64_t FileBytes() const {
     return reader_.page_count() * reader_.page_bytes();
   }
-  int TreeHeight() const { return directory_.Height(); }
   const std::string& path() const { return path_; }
 
   // Pending overlay entries (live + tombstones) and completed compactions.
@@ -777,36 +770,22 @@ class DiskFitingTree {
     return true;
   }
 
-  // Rebuilds both directory descent forms from segments_ (Load and every
-  // incremental republish — the table is small, this is off the hot path).
+  // Rebuilds the directory from segments_ (Load and every incremental
+  // republish — the table is small, this is off the hot path). Segment ids
+  // are 0..n-1 in first-key order, so the floor index is itself the id.
   void RebuildDirectory() {
-    directory_ = btree::BTreeMap<K, uint32_t, 16, 16>();
-    std::vector<std::pair<K, uint32_t>> entries;
-    entries.reserve(segments_.size());
     std::vector<K> first_keys;
     first_keys.reserve(segments_.size());
-    for (size_t i = 0; i < segments_.size(); ++i) {
-      entries.emplace_back(segments_[i].seg.first_key,
-                           static_cast<uint32_t>(i));
-      first_keys.push_back(segments_[i].seg.first_key);
-    }
-    directory_.BulkLoad(std::move(entries));
-    // Segment ids are 0..n-1 in first-key order, so the flat floor index
-    // is itself the id. The directory only changes on Load and on
-    // republish, so the flat form can serve every descent when selected.
-    flat_index_.Reset(std::move(first_keys));
+    for (const auto& rec : segments_) first_keys.push_back(rec.seg.first_key);
+    directory_.Reset(std::move(first_keys));
   }
 
-  // Directory floor of `key` in whichever descent form options_ selects,
-  // or kNoSlot when `key` sorts before every indexed first key.
+  // Directory floor of `key`, or kNoSlot when `key` sorts before every
+  // indexed first key.
   size_t FloorSlot(const K& key) const {
     telemetry::ScopedPhase phase(telemetry::Engine::kDisk,
                                  telemetry::Phase::kDirectoryDescent);
-    if (options_.directory == DirectoryMode::kFlat) {
-      return flat_index_.FloorIndex(key);  // FlatKeyIndex::kNone == kNoSlot
-    }
-    const uint32_t* id = directory_.FindFloor(key);
-    return id == nullptr ? kNoSlot : static_cast<size_t>(*id);
+    return directory_.FloorIndex(key);  // FlatKeyIndex::kNone == kNoSlot
   }
 
   // Segment owning base rank `rank` (starts are contiguous from 0).
@@ -1083,33 +1062,20 @@ class DiskFitingTree {
                          ((rank - seg_start) % cap) * sizeof(LeafEntry<K>));
       };
       if (key_at(slice_end - 1) < key) continue;  // answer is further right
-      if (options_.search_policy == SearchPolicy::kSimd) {
-        // Branchless narrow over in-page ranks, then a strided vector
-        // count over the packed {key, payload} records. The slice never
-        // crosses the page, so the offset of b plus m entries stays within
-        // the pinned frame.
-        size_t b = slice_begin;
-        size_t m = slice_end - slice_begin;
-        while (m > simd::kSimdWindowKeys) {
-          const size_t half = m / 2;
-          b = key_at(b + half - 1) < key ? b + half : b;
-          m -= half;
-        }
-        const std::byte* base =
-            pin.data() + kPageHeaderBytes +
-            ((b - seg_start) % cap) * sizeof(LeafEntry<K>);
-        return b + simd::CountLessStrided(base, sizeof(LeafEntry<K>), m, key);
+      // Branchless narrow over in-page ranks, then a strided vector count
+      // over the packed {key, payload} records. The slice never crosses the
+      // page, so the offset of b plus m entries stays within the pinned
+      // frame.
+      size_t b = slice_begin;
+      size_t m = slice_end - slice_begin;
+      while (m > simd::kSimdWindowKeys) {
+        const size_t half = m / 2;
+        b = key_at(b + half - 1) < key ? b + half : b;
+        m -= half;
       }
-      size_t lo = slice_begin, hi = slice_end;
-      while (lo < hi) {
-        const size_t mid = lo + (hi - lo) / 2;
-        if (key_at(mid) < key) {
-          lo = mid + 1;
-        } else {
-          hi = mid;
-        }
-      }
-      return lo;
+      const std::byte* base = pin.data() + kPageHeaderBytes +
+                              ((b - seg_start) % cap) * sizeof(LeafEntry<K>);
+      return b + simd::CountLessStrided(base, sizeof(LeafEntry<K>), m, key);
     }
     return end;
   }
@@ -1119,8 +1085,7 @@ class DiskFitingTree {
   SegmentFileReader<K> reader_;
   std::unique_ptr<BufferPool> pool_;
   std::vector<SegmentRecord<K>> segments_;
-  btree::BTreeMap<K, uint32_t, 16, 16> directory_;
-  FlatKeyIndex<K> flat_index_;  // same entries, read-path descent form
+  FlatKeyIndex<K> directory_;  // segment first keys; floor index = id
   std::vector<DeltaMap> deltas_;  // parallel to segments_ (>= 1 slot)
   std::set<K> compact_pending_;   // first keys of queued segments (dedup)
   size_t delta_entries_ = 0;      // live + tombstone entries across slots

@@ -166,6 +166,19 @@ TEST(DiskFitingTree, IoStatsDeltaGivesPerPhaseCounts) {
   EXPECT_EQ(fx.disk->io(), IoStats{});
 }
 
+// The index charges what a lookup reads: one first key per segment in the
+// flat directory plus the segment table (the overlay is empty after Open).
+TEST(DiskFitingTree, IndexSizeChargesFlatDirectoryAndSegmentTable) {
+  Fixture fx(3000, 8.0, /*cache_pages=*/8, "index_size");
+  ASSERT_NE(fx.disk, nullptr);
+  ASSERT_GT(fx.disk->SegmentCount(), 1u);
+  EXPECT_EQ(fx.disk->DeltaEntries(), 0u);
+  EXPECT_EQ(fx.disk->IndexSizeBytes(),
+            fx.disk->SegmentCount() *
+                (sizeof(int64_t) +
+                 sizeof(fitree::storage::SegmentRecord<int64_t>)));
+}
+
 TEST(DiskFitingTree, FixedPagingLayoutMatchesOracle) {
   const auto keys = TestKeys(2000);
   const auto oracle = StaticFitingTree<int64_t>::Create(keys, 16.0);

@@ -173,21 +173,6 @@ TEST(FitingTree, ConeFeasibilityNeedsNoMoreSegments) {
   }
 }
 
-TEST(FitingTree, TemplateFanoutsWork) {
-  const auto keys = fitree::datasets::Weblogs(20000, 19);
-  FitingTreeConfig config;
-  config.error = 32.0;
-  config.buffer_size = 0;
-  auto narrow = FitingTree<int64_t, 8, 8>::Create(keys, config);
-  auto wide = FitingTree<int64_t, 128, 128>::Create(keys, config);
-  EXPECT_EQ(narrow->SegmentCount(), wide->SegmentCount());
-  EXPECT_GE(narrow->TreeHeight(), wide->TreeHeight());
-  for (size_t i = 0; i < keys.size(); i += 97) {
-    ASSERT_TRUE(narrow->Contains(keys[i]));
-    ASSERT_TRUE(wide->Contains(keys[i]));
-  }
-}
-
 TEST(FitingTree, BreakdownCountsAllProbes) {
   const auto keys = fitree::datasets::Weblogs(5000, 21);
   FitingTreeConfig config;
@@ -357,25 +342,6 @@ TEST(FitingTreeCrudProperty, DifferentialVsMapOracle) {
   auto tree = FitingTree<int64_t>::Create(keys, values, config);
   ASSERT_NO_FATAL_FAILURE(RunCrudDifferential(*tree, oracle, opt));
   EXPECT_GT(tree->stats().segment_merges, 0u);
-}
-
-// Same differential churn with the btree directory descent selected, so
-// both forms of LocateSegment stay covered (the flat mirror is maintained
-// either way; only the read path differs).
-TEST(FitingTreeCrudProperty, DifferentialBTreeDirectory) {
-  CrudOptions opt;
-  opt.seed = 0xD1CE;
-  opt.ops = PropertyOps(30000);
-  std::map<int64_t, uint64_t> oracle;
-  std::vector<int64_t> keys;
-  std::vector<uint64_t> values;
-  MakeInitialLoad(opt, /*load_every=*/2, &keys, &values, &oracle);
-  FitingTreeConfig config;
-  config.error = 32.0;
-  config.buffer_size = 8;
-  config.directory = fitree::DirectoryMode::kBTree;
-  auto tree = FitingTree<int64_t>::Create(keys, values, config);
-  ASSERT_NO_FATAL_FAILURE(RunCrudDifferential(*tree, oracle, opt));
 }
 
 TEST(FitingTreeCrudProperty, DifferentialFromEmptyTree) {

@@ -19,7 +19,6 @@
 
 namespace {
 
-using fitree::DirectoryMode;
 using fitree::FlatDirectory;
 using fitree::FlatKeyIndex;
 using fitree::SearchPolicy;
@@ -279,21 +278,6 @@ TEST(FlatDirectory, SpliceMaintainsFloorAndValues) {
   empty.Splice(0, 0, k7, v7);
   EXPECT_EQ(empty.FindFloor(6), nullptr);
   EXPECT_EQ(*empty.FindFloor(7), 70);
-}
-
-TEST(SearchPolicy, KnobParsing) {
-  EXPECT_EQ(fitree::ParseSearchPolicy("simd"), SearchPolicy::kSimd);
-  EXPECT_EQ(fitree::ParseSearchPolicy("binary"), SearchPolicy::kBinary);
-  EXPECT_EQ(fitree::ParseSearchPolicy("linear"), SearchPolicy::kLinear);
-  EXPECT_EQ(fitree::ParseSearchPolicy("exponential"),
-            SearchPolicy::kExponential);
-  EXPECT_FALSE(fitree::ParseSearchPolicy("avx512").has_value());
-  for (const SearchPolicy p : kAllPolicies) {
-    EXPECT_EQ(fitree::ParseSearchPolicy(fitree::SearchPolicyName(p)), p);
-  }
-  EXPECT_EQ(fitree::ParseDirectoryMode("flat"), DirectoryMode::kFlat);
-  EXPECT_EQ(fitree::ParseDirectoryMode("btree"), DirectoryMode::kBTree);
-  EXPECT_FALSE(fitree::ParseDirectoryMode("hash").has_value());
 }
 
 }  // namespace
