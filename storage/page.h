@@ -1,7 +1,11 @@
 // Fixed-size page format for the disk-resident FITing-Tree (paper Sec 5's
 // page-granular cost model made literal): every on-disk page carries a
-// 16-byte typed header whose CRC32 covers the rest of the page, so torn
+// 16-byte typed header whose CRC32C covers the rest of the page, so torn
 // writes and bit rot are detected at read time rather than silently served.
+// Every pool miss verifies a whole page, so the checksum runs on the SSE4.2
+// `crc32` instruction where the CPU has it (picked at runtime via
+// __builtin_cpu_supports, as core/search_policy.h picks AVX2) and on a
+// byte-wise table everywhere else, including -DFITREE_NO_SIMD builds.
 
 #ifndef FITREE_STORAGE_PAGE_H_
 #define FITREE_STORAGE_PAGE_H_
@@ -13,16 +17,23 @@
 #include <cstdint>
 #include <cstring>
 
+#if !defined(FITREE_NO_SIMD) && defined(__x86_64__) && \
+    (defined(__GNUC__) || defined(__clang__))
+#define FITREE_CRC32C_SSE42 1
+#include <nmmintrin.h>
+#endif
+
 namespace fitree::storage {
 
 inline constexpr size_t kDefaultPageBytes = 4096;
 // Small enough that tests can force multi-page files from tiny datasets,
 // large enough that every page type fits its header plus one record.
 inline constexpr size_t kMinPageBytes = 128;
-// Version 2 (ISSUE 10): ping-pong meta slots in pages 0-1 and per-segment
+// Version 2: ping-pong meta slots in pages 0-1 and per-segment
 // leaf-page addressing, enabling crash-safe append-and-republish
-// compaction. Version-1 files are rejected at Open.
-inline constexpr uint16_t kPageFormatVersion = 2;
+// compaction. Version 3: page checksums are CRC32C instead of the IEEE
+// CRC32. Files of any other version are rejected at Open.
+inline constexpr uint16_t kPageFormatVersion = 3;
 
 // O_DIRECT requires the destination buffer, the file offset, and the
 // transfer size to be multiples of the device's logical block size.
@@ -36,7 +47,7 @@ enum class PageType : uint16_t {
 };
 
 struct PageHeader {
-  uint32_t checksum;  // CRC32 of bytes [4, page_bytes)
+  uint32_t checksum;  // CRC32C of bytes [4, page_bytes)
   uint16_t type;      // PageType
   uint16_t version;   // kPageFormatVersion
   uint32_t page_id;   // file-global page number, guards misdirected reads
@@ -47,29 +58,160 @@ inline constexpr size_t kPageHeaderBytes = sizeof(PageHeader);
 
 namespace detail {
 
-constexpr std::array<uint32_t, 256> MakeCrc32Table() {
+// CRC32C (Castagnoli) generator, bit-reflected: the polynomial the SSE4.2
+// `crc32` instruction implements.
+inline constexpr uint32_t kCrc32cPoly = 0x82F63B78u;
+
+constexpr std::array<uint32_t, 256> MakeCrc32cTable() {
   std::array<uint32_t, 256> table{};
   for (uint32_t i = 0; i < 256; ++i) {
     uint32_t crc = i;
     for (int k = 0; k < 8; ++k) {
-      crc = (crc >> 1) ^ ((crc & 1u) ? 0xEDB88320u : 0u);
+      crc = (crc >> 1) ^ ((crc & 1u) ? kCrc32cPoly : 0u);
     }
     table[i] = crc;
   }
   return table;
 }
 
-inline constexpr std::array<uint32_t, 256> kCrc32Table = MakeCrc32Table();
+inline constexpr std::array<uint32_t, 256> kCrc32cTable = MakeCrc32cTable();
 
-}  // namespace detail
-
-inline uint32_t Crc32(const void* data, size_t n) {
+// Portable kernel: one table lookup per byte. Used on CPUs without SSE4.2,
+// on non-x86 targets and under FITREE_NO_SIMD.
+inline uint32_t Crc32cSoftware(const void* data, size_t n) {
   const auto* p = static_cast<const unsigned char*>(data);
   uint32_t crc = 0xFFFFFFFFu;
   for (size_t i = 0; i < n; ++i) {
-    crc = (crc >> 8) ^ detail::kCrc32Table[(crc ^ p[i]) & 0xFFu];
+    crc = (crc >> 8) ^ kCrc32cTable[(crc ^ p[i]) & 0xFFu];
   }
   return crc ^ 0xFFFFFFFFu;
+}
+
+#if defined(FITREE_CRC32C_SSE42)
+
+inline bool HaveSse42() {
+  static const bool have = __builtin_cpu_supports("sse4.2") != 0;
+  return have;
+}
+
+// Multiplication by a fixed c(x) modulo P(x) over GF(2), bit-reflected, as
+// a matrix: column i is c * x^i, the image of the multiplicand's x^i
+// coefficient (bit 31 - i). Building the columns once per constant takes
+// zlib multmodp's serial x^i chain off the per-call path.
+struct ShiftMatrix {
+  std::array<uint32_t, 32> column{};
+
+  void Build(uint32_t c) {
+    for (uint32_t& col : column) {
+      col = c;
+      c = (c >> 1) ^ (kCrc32cPoly & (0u - (c & 1u)));
+    }
+  }
+
+  uint32_t Apply(uint32_t a) const {
+    uint32_t p = 0;
+    for (const uint32_t col : column) {
+      p ^= col & (0u - (a >> 31));
+      a <<= 1;
+    }
+    return p;
+  }
+};
+
+// a(x) * b(x) mod P(x) (zlib's multmodp).
+inline uint32_t MultModP(uint32_t a, uint32_t b) {
+  ShiftMatrix m;
+  m.Build(b);
+  return m.Apply(a);
+}
+
+// x^(8n) mod P: multiplying a raw CRC register by it advances the register
+// over n zero bytes.
+inline uint32_t ZeroBytesOperator(size_t n) {
+  uint32_t result = 1u << 31;  // x^0
+  uint32_t square = 1u << 23;  // x^8
+  for (; n != 0; n >>= 1) {
+    if ((n & 1u) != 0) result = MultModP(result, square);
+    square = MultModP(square, square);
+  }
+  return result;
+}
+
+// Every file uses one page size, so the shift matrices of the last block
+// length are kept per thread and rebuilt only when the length changes.
+struct StreamShift {
+  size_t block_bytes = 0;
+  ShiftMatrix one_block;   // times x^(8 * block_bytes) mod P
+  ShiftMatrix two_blocks;  // times x^(16 * block_bytes) mod P
+};
+
+inline const StreamShift& ShiftFor(size_t block_bytes) {
+  thread_local StreamShift shift;
+  if (shift.block_bytes != block_bytes) {
+    const uint32_t one = ZeroBytesOperator(block_bytes);
+    shift.one_block.Build(one);
+    shift.two_blocks.Build(MultModP(one, one));
+    shift.block_bytes = block_bytes;
+  }
+  return shift;
+}
+
+// Below this length the two shifts cost more than the three streams save
+// over one.
+inline constexpr size_t kThreeStreamMinBytes = 512;
+
+// SSE4.2 kernel. The `crc32` instruction has a 3-cycle latency but issues
+// every cycle, so the bulk of the buffer runs as three independent 8-byte
+// streams over consecutive equal blocks. The CRC register is linear over
+// GF(2): crc(s, A|B|C) = s_A * x^(16L) ^ s_B * x^(8L) ^ s_C, where each
+// block after the first starts from a zero register. Words are loaded with
+// memcpy, so any alignment is legal.
+__attribute__((target("sse4.2"))) inline uint32_t Crc32cHardware(
+    const void* data, size_t n) {
+  const auto* p = static_cast<const unsigned char*>(data);
+  uint64_t crc = 0xFFFFFFFFu;
+  if (n >= kThreeStreamMinBytes) {
+    const size_t block = n / 24 * 8;
+    const StreamShift& shift = ShiftFor(block);
+    uint64_t crc1 = 0;
+    uint64_t crc2 = 0;
+    for (size_t i = 0; i < block; i += 8) {
+      uint64_t w0;
+      uint64_t w1;
+      uint64_t w2;
+      std::memcpy(&w0, p + i, 8);
+      std::memcpy(&w1, p + block + i, 8);
+      std::memcpy(&w2, p + 2 * block + i, 8);
+      crc = _mm_crc32_u64(crc, w0);
+      crc1 = _mm_crc32_u64(crc1, w1);
+      crc2 = _mm_crc32_u64(crc2, w2);
+    }
+    crc = shift.two_blocks.Apply(static_cast<uint32_t>(crc)) ^
+          shift.one_block.Apply(static_cast<uint32_t>(crc1)) ^ crc2;
+    p += 3 * block;
+    n -= 3 * block;
+  }
+  for (; n >= 8; n -= 8, p += 8) {
+    uint64_t w;
+    std::memcpy(&w, p, 8);
+    crc = _mm_crc32_u64(crc, w);
+  }
+  uint32_t crc32 = static_cast<uint32_t>(crc);
+  for (; n != 0; --n, ++p) crc32 = _mm_crc32_u8(crc32, *p);
+  return crc32 ^ 0xFFFFFFFFu;
+}
+
+#endif  // FITREE_CRC32C_SSE42
+
+}  // namespace detail
+
+// CRC32C of `n` bytes (standard form: all-ones initial value, inverted
+// result). The SSE4.2 kernel and the table kernel give identical results.
+inline uint32_t Crc32c(const void* data, size_t n) {
+#if defined(FITREE_CRC32C_SSE42)
+  if (detail::HaveSse42()) return detail::Crc32cHardware(data, n);
+#endif
+  return detail::Crc32cSoftware(data, n);
 }
 
 // Unaligned-safe record access inside raw page buffers.
@@ -97,7 +239,7 @@ inline void SealPage(std::byte* page, size_t page_bytes, PageType type,
   h.page_id = page_id;
   h.count = count;
   StoreAs(page, h);
-  StoreAs(page, Crc32(page + sizeof(uint32_t), page_bytes - sizeof(uint32_t)));
+  StoreAs(page, Crc32c(page + sizeof(uint32_t), page_bytes - sizeof(uint32_t)));
 }
 
 // Returns false when the checksum, version, type, or page id disagree with
@@ -107,7 +249,7 @@ inline bool VerifyPage(const std::byte* page, size_t page_bytes,
                        PageHeader* out = nullptr) {
   const PageHeader h = LoadAs<PageHeader>(page);
   if (h.checksum !=
-      Crc32(page + sizeof(uint32_t), page_bytes - sizeof(uint32_t))) {
+      Crc32c(page + sizeof(uint32_t), page_bytes - sizeof(uint32_t))) {
     return false;
   }
   if (h.version != kPageFormatVersion) return false;

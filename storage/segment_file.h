@@ -1,4 +1,5 @@
-// Single-file on-disk layout for a bulk-loaded FITing-Tree, format v2:
+// Single-file on-disk layout for a bulk-loaded FITing-Tree, format v3 (the
+// v2 layout below with CRC32C page checksums, storage/page.h):
 //
 //   page 0                      meta slot A (SegmentFileMeta)
 //   page 1                      meta slot B (ping-pong twin of slot A)
@@ -45,6 +46,7 @@
 #include <memory>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/options.h"
@@ -403,7 +405,17 @@ class SegmentFileReader final : public PageSource {
           break;
         }
       }
-      if (page_bytes == 0) return Fail("bad magic");
+      if (page_bytes == 0) {
+        // A right-magic slot A that failed only its version is a file of
+        // another format, not a foreign file: say which.
+        if (meta_a.magic == kSegmentFileMagic &&
+            meta_a.format_version != kPageFormatVersion) {
+          return Fail("unsupported format version " +
+                      std::to_string(meta_a.format_version) + " (expected " +
+                      std::to_string(kPageFormatVersion) + ")");
+        }
+        return Fail("bad magic");
+      }
     }
 
     // Newest slot whose page passes full verification wins.
@@ -609,8 +621,8 @@ class SegmentFileReader final : public PageSource {
     return PageType::kLeaf;
   }
 
-  bool Fail(const char* why) {
-    error_ = why;
+  bool Fail(std::string why) {
+    error_ = std::move(why);
     if (fd_ >= 0) ::close(fd_);
     fd_ = -1;
     return false;

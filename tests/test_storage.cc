@@ -1,12 +1,15 @@
-// storage/ unit tests: page seal/verify + checksum rejection, buffer-pool
-// hit/miss/eviction/pinning semantics, and segment-file write/reopen
-// round-trips down to the raw page level.
+// storage/ unit tests: CRC32C known answers and kernel equivalence, page
+// seal/verify + checksum rejection, buffer-pool hit/miss/eviction/pinning
+// semantics, and segment-file write/reopen round-trips down to the raw
+// page level.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <cstdio>
+#include <random>
 #include <set>
 #include <span>
 #include <string>
@@ -15,6 +18,7 @@
 #include "common/io_stats.h"
 #include "core/static_fiting_tree.h"
 #include "storage/buffer_pool.h"
+#include "storage/disk_fiting_tree.h"
 #include "storage/page.h"
 #include "storage/segment_file.h"
 
@@ -24,6 +28,8 @@ using fitree::IoStats;
 using fitree::PackedSegment;
 using fitree::StaticFitingTree;
 using fitree::storage::BufferPool;
+using fitree::storage::Crc32c;
+using fitree::storage::DiskFitingTree;
 using fitree::storage::kPageHeaderBytes;
 using fitree::storage::LeafCapacity;
 using fitree::storage::LeafEntry;
@@ -34,9 +40,11 @@ using fitree::storage::PageSource;
 using fitree::storage::PageType;
 using fitree::storage::PinnedPage;
 using fitree::storage::SealPage;
+using fitree::storage::SegmentFileMeta;
 using fitree::storage::SegmentFileOptions;
 using fitree::storage::SegmentFileReader;
 using fitree::storage::SegmentRecord;
+using fitree::storage::StoreAs;
 using fitree::storage::VerifyPage;
 
 constexpr size_t kPageBytes = 256;  // small pages force multi-page files
@@ -49,6 +57,72 @@ std::vector<int64_t> EveryThird(size_t n) {
   std::vector<int64_t> keys;
   for (size_t i = 0; i < n; ++i) keys.push_back(static_cast<int64_t>(3 * i));
   return keys;
+}
+
+// RFC 3720 (iSCSI) Appendix B.4 CRC32C examples, plus the customary
+// check value of "123456789".
+TEST(Crc32c, KnownAnswers) {
+  std::array<unsigned char, 32> zeros{};
+  std::array<unsigned char, 32> ones{};
+  std::array<unsigned char, 32> ascending{};
+  std::array<unsigned char, 32> descending{};
+  for (size_t i = 0; i < 32; ++i) {
+    ones[i] = 0xFF;
+    ascending[i] = static_cast<unsigned char>(i);
+    descending[i] = static_cast<unsigned char>(31 - i);
+  }
+  const std::string check = "123456789";
+  const auto expect_all = [](const void* data, size_t n, uint32_t want) {
+    EXPECT_EQ(Crc32c(data, n), want);
+    EXPECT_EQ(fitree::storage::detail::Crc32cSoftware(data, n), want);
+#if defined(FITREE_CRC32C_SSE42)
+    if (fitree::storage::detail::HaveSse42()) {
+      EXPECT_EQ(fitree::storage::detail::Crc32cHardware(data, n), want);
+    }
+#endif
+  };
+  expect_all(zeros.data(), zeros.size(), 0x8A9136AAu);
+  expect_all(ones.data(), ones.size(), 0x62A8AB43u);
+  expect_all(ascending.data(), ascending.size(), 0x46DD794Eu);
+  expect_all(descending.data(), descending.size(), 0x113FDB5Cu);
+  expect_all(check.data(), check.size(), 0xE3069283u);
+  expect_all(nullptr, 0, 0u);
+}
+
+// Every buffer is its own exact-size heap allocation so a kernel that reads
+// one byte past the end trips ASan.
+TEST(Crc32c, HardwareAndSoftwareKernelsAgree) {
+#if defined(FITREE_CRC32C_SSE42)
+  const bool have_hardware = fitree::storage::detail::HaveSse42();
+#else
+  const bool have_hardware = false;
+#endif
+  if (!have_hardware) {
+    std::printf("no SSE4.2 kernel on this CPU/build: checking dispatch only\n");
+  }
+  std::mt19937_64 rng(20260101);
+  const auto check = [&](size_t n, size_t misalign) {
+    std::vector<unsigned char> buf(misalign + n);
+    for (auto& b : buf) b = static_cast<unsigned char>(rng());
+    const unsigned char* data = buf.data() + misalign;
+    const uint32_t soft = fitree::storage::detail::Crc32cSoftware(data, n);
+    EXPECT_EQ(Crc32c(data, n), soft) << "n=" << n << " misalign=" << misalign;
+#if defined(FITREE_CRC32C_SSE42)
+    if (have_hardware) {
+      EXPECT_EQ(fitree::storage::detail::Crc32cHardware(data, n), soft)
+          << "n=" << n << " misalign=" << misalign;
+    }
+#endif
+  };
+  for (size_t n = 0; n <= 1024; ++n) {
+    for (size_t misalign = 0; misalign < 8; ++misalign) check(n, misalign);
+  }
+  // Page checksums cover bytes [4, page_bytes): check both the whole page
+  // and the checksummed span of every power-of-two page size.
+  for (size_t page = 128; page <= 65536; page *= 2) {
+    check(page, 0);
+    check(page - sizeof(uint32_t), sizeof(uint32_t));
+  }
 }
 
 TEST(Page, SealThenVerifyRoundTrips) {
@@ -84,6 +158,40 @@ TEST(Page, WrongTypeOrIdIsRejected) {
   EXPECT_TRUE(VerifyPage(page.data(), kPageBytes, PageType::kSegmentTable, 4));
   EXPECT_FALSE(VerifyPage(page.data(), kPageBytes, PageType::kLeaf, 4));
   EXPECT_FALSE(VerifyPage(page.data(), kPageBytes, PageType::kSegmentTable, 5));
+}
+
+// Format v2's page checksum: the IEEE CRC32 (reflected 0xEDB88320), kept
+// here only to prove such pages no longer verify.
+constexpr std::array<uint32_t, 256> MakeIeeeTable() {
+  std::array<uint32_t, 256> table{};
+  for (uint32_t i = 0; i < 256; ++i) {
+    uint32_t crc = i;
+    for (int k = 0; k < 8; ++k) {
+      crc = (crc >> 1) ^ ((crc & 1u) ? 0xEDB88320u : 0u);
+    }
+    table[i] = crc;
+  }
+  return table;
+}
+constexpr std::array<uint32_t, 256> kCrc32Table = MakeIeeeTable();
+
+uint32_t IeeeCrc32(const std::byte* p, size_t n) {
+  uint32_t crc = 0xFFFFFFFFu;
+  for (size_t i = 0; i < n; ++i) {
+    crc = (crc >> 8) ^
+          kCrc32Table[(crc ^ static_cast<unsigned char>(p[i])) & 0xFFu];
+  }
+  return crc ^ 0xFFFFFFFFu;
+}
+
+TEST(Page, OldIeeeChecksumIsRejected) {
+  std::vector<std::byte> page(kPageBytes, std::byte{0});
+  page[kPageHeaderBytes] = std::byte{42};
+  SealPage(page.data(), kPageBytes, PageType::kLeaf, 7, 1);
+  ASSERT_TRUE(VerifyPage(page.data(), kPageBytes, PageType::kLeaf, 7));
+  StoreAs(page.data(), IeeeCrc32(page.data() + sizeof(uint32_t),
+                                 kPageBytes - sizeof(uint32_t)));
+  EXPECT_FALSE(VerifyPage(page.data(), kPageBytes, PageType::kLeaf, 7));
 }
 
 // In-memory page source: page i is a sealed leaf page whose first record
@@ -439,6 +547,42 @@ TEST(SegmentFile, CorruptedMetaFailsOpenOnlyWhenBothSlotsDie) {
   // Both slots torn: nothing left to trust.
   corrupt_slot(1);
   EXPECT_FALSE(reader.Open(path));
+  std::remove(path.c_str());
+}
+
+// A file whose meta slots are intact apart from an older format version
+// is named as such, not as a foreign file.
+TEST(SegmentFile, OldFormatVersionIsNamedAtOpen) {
+  const auto keys = EveryThird(100);
+  const auto tree = StaticFitingTree<int64_t>::Create(keys, 8.0);
+  const std::string path = TempPath("oldversion.fit");
+  ASSERT_TRUE(fitree::storage::WriteIndexFile(path, *tree,
+                                              SegmentFileOptions{kPageBytes}));
+  std::FILE* f = std::fopen(path.c_str(), "r+b");
+  ASSERT_NE(f, nullptr);
+  for (uint32_t slot = 0; slot < fitree::storage::kNumMetaSlots; ++slot) {
+    std::vector<std::byte> page(kPageBytes);
+    const long offset = static_cast<long>(slot) * kPageBytes;
+    ASSERT_EQ(std::fseek(f, offset, SEEK_SET), 0);
+    ASSERT_EQ(std::fread(page.data(), 1, kPageBytes, f), kPageBytes);
+    const auto header = LoadAs<PageHeader>(page.data());
+    auto meta = LoadAs<SegmentFileMeta>(page.data() + kPageHeaderBytes);
+    meta.format_version = 2;
+    StoreAs(page.data() + kPageHeaderBytes, meta);
+    SealPage(page.data(), kPageBytes, PageType::kMeta, slot, header.count);
+    ASSERT_EQ(std::fseek(f, offset, SEEK_SET), 0);
+    ASSERT_EQ(std::fwrite(page.data(), 1, kPageBytes, f), kPageBytes);
+  }
+  std::fclose(f);
+
+  SegmentFileReader<int64_t> reader;
+  EXPECT_FALSE(reader.Open(path));
+  EXPECT_NE(reader.error_message().find("unsupported format version 2"),
+            std::string::npos)
+      << reader.error_message();
+  EXPECT_NE(reader.error_message().find("expected 3"), std::string::npos)
+      << reader.error_message();
+  EXPECT_EQ(DiskFitingTree<int64_t>::Open(path), nullptr);
   std::remove(path.c_str());
 }
 
