@@ -41,11 +41,6 @@ class FlatKeyIndex {
     Recalibrate();
   }
 
-  void Clear() {
-    keys_.clear();
-    Recalibrate();
-  }
-
   // Replaces keys_[pos, pos + erase_count) with `add`. The common merge
   // case (one segment resegmented into one) overwrites a slot in place
   // with no tail move.
@@ -150,11 +145,6 @@ class FlatDirectory {
     values_ = std::move(values);
   }
 
-  void Clear() {
-    index_.Clear();
-    values_.clear();
-  }
-
   void Splice(size_t pos, size_t erase_count, std::span<const K> keys,
               std::span<const V> values) {
     index_.Splice(pos, erase_count, keys);
@@ -168,13 +158,6 @@ class FlatDirectory {
   }
 
   size_t FloorIndex(const K& key) const { return index_.FloorIndex(key); }
-
-  // Payload of the last entry whose key is <= `key`, or nullptr when `key`
-  // sorts before every entry (same contract as BTreeMap::FindFloor).
-  const V* FindFloor(const K& key) const {
-    const size_t i = index_.FloorIndex(key);
-    return i == kNone ? nullptr : &values_[i];
-  }
 
   size_t size() const { return index_.size(); }
   bool empty() const { return index_.empty(); }

@@ -10,18 +10,26 @@
 // amortizes wakeup, telemetry, and prefetch work over the whole batch).
 //
 // Blocking is layered on top, not inside: the ring itself is lock-free.
-// The consumer parks on a condvar only after the queue goes empty
-// (WaitNonEmpty), and producers take the mutex only when the consumer has
-// declared itself sleeping. The handshake is the classic Dekker
-// store/load pattern, which requires seq_cst *fences* between each side's
-// store and subsequent load (a release store followed by a seq_cst load
-// does not forbid StoreLoad reordering): the producer fences between
-// publishing its cell and reading sleeping_, the consumer fences between
-// setting sleeping_ and re-checking Empty(). Either the producer observes
-// sleeping_==true and notifies under the mutex, or the consumer's Empty()
-// check observes the published cell and skips the park. The consumer
-// additionally bounds every park (~500us), so even a defect in the
-// handshake could only cost a bounded stall, never liveness.
+// A consumer that finds the queue empty first *polls* (WaitNonEmpty): for
+// up to kPollBudget it re-checks Empty() and the stop flag, yielding the
+// CPU between checks. Only then does it park on a condvar. Polling keeps
+// the futex wake-up off the latency of a request that arrives soon after
+// the last one, and because sleeping_ stays false while the consumer
+// polls, producers skip the mutex and the notify too. Yielding rather
+// than spinning on `pause` lets a producer that shares the consumer's CPU
+// run, so polling does not starve an oversubscribed host.
+//
+// Producers take the mutex only when the consumer has declared itself
+// sleeping. The handshake is the classic Dekker store/load pattern, which
+// requires seq_cst *fences* between each side's store and subsequent load
+// (a release store followed by a seq_cst load does not forbid StoreLoad
+// reordering): the producer fences between publishing its cell and
+// reading sleeping_, the consumer fences between setting sleeping_ and
+// re-checking Empty(). Either the producer observes sleeping_==true and
+// notifies under the mutex, or the consumer's Empty() check observes the
+// published cell and skips the park. The consumer additionally bounds
+// every park (~500us), so even a defect in the handshake could only cost
+// a bounded stall, never liveness.
 //
 // Capacity is rounded up to a power of two; Push spins on a full ring
 // (backpressure) and reports the number of full-ring stalls so the server
@@ -50,9 +58,23 @@
 
 namespace fitree::server {
 
+// How a WaitNonEmpty call ended.
+enum class Wake : uint8_t {
+  kPolled,  // an item or stop turned up without blocking on the condvar
+  kParked,  // the consumer blocked on the condvar first
+};
+
 template <typename T>
 class OpQueue {
  public:
+  // How long an idle consumer polls before it parks. On serve_disk_mixed
+  // (2 shards, 100 kops/s open loop) 50us kept most of the p50 gain but
+  // not the p90 gain, and 200us was no better than 100us (EXPERIMENTS.md).
+  static constexpr std::chrono::microseconds kPollBudget{100};
+  // Bound on each condvar wait of a parked consumer: the most a missed
+  // notify can cost.
+  static constexpr std::chrono::microseconds kParkBound{500};
+
   explicit OpQueue(size_t capacity) {
     size_t cap = 2;
     while (cap < capacity) cap <<= 1;
@@ -138,20 +160,36 @@ class OpQueue {
     return static_cast<intptr_t>(seq) - static_cast<intptr_t>(pos + 1) < 0;
   }
 
-  // Consumer: park until an item is (probably) available or `stop` turns
-  // true. The seq_cst fence pairs with WakeConsumer's: it keeps the
-  // Empty() load from moving before the sleeping_ store, the consumer
-  // half of the Dekker handshake (see file comment). The bounded wait is
-  // belt-and-suspenders on top: a missed notify costs at most ~500us of
-  // latency, never liveness.
-  void WaitNonEmpty(const std::atomic<bool>& stop) {
+  // Consumer: wait until an item is available or `stop` turns true. First
+  // poll for `poll_budget`, yielding between checks; then park until a
+  // producer notifies. The seq_cst fence pairs with WakeConsumer's: it
+  // keeps the Empty() loads from moving before the sleeping_ store, the
+  // consumer half of the Dekker handshake (see file comment). Each wait
+  // on the condvar lasts at most `park_bound`, so a missed notify costs
+  // latency, never liveness. The park re-checks on every bound without
+  // polling again, so an idle consumer spends one poll per idle stretch.
+  // Only tests pass budgets other than the defaults.
+  Wake WaitNonEmpty(const std::atomic<bool>& stop,
+                    std::chrono::nanoseconds poll_budget = kPollBudget,
+                    std::chrono::nanoseconds park_bound = kParkBound) {
+    const auto deadline = std::chrono::steady_clock::now() + poll_budget;
+    do {
+      if (!Empty() || stop.load(std::memory_order_acquire)) {
+        return Wake::kPolled;
+      }
+      std::this_thread::yield();
+    } while (std::chrono::steady_clock::now() < deadline);
+
+    Wake wake = Wake::kPolled;
     std::unique_lock<std::mutex> lock(mu_);
     sleeping_.store(true, std::memory_order_relaxed);
     SeqCstBarrier();
-    if (Empty() && !stop.load(std::memory_order_acquire)) {
-      cv_.wait_for(lock, std::chrono::microseconds(500));
+    while (Empty() && !stop.load(std::memory_order_acquire)) {
+      wake = Wake::kParked;
+      cv_.wait_for(lock, park_bound);
     }
     sleeping_.store(false, std::memory_order_relaxed);
+    return wake;
   }
 
   // Producer: wake the consumer iff it declared itself parked. The seq_cst

@@ -15,9 +15,13 @@
 // Each shard owns a contiguous key range and a private engine instance —
 // shards never share index state, so the engines need no cross-shard
 // synchronization and even the single-threaded FitingTree becomes safely
-// multi-client behind its worker. The batch drain is where the design
-// earns its throughput: one wakeup, one batch of queue loads, and one
-// telemetry update cover up to `batch` requests, and the *group prefetch*
+// multi-client behind its worker. An idle worker polls its queue for a
+// bounded time before it parks (server/op_queue.h), so a request that
+// arrives while traffic flows finds it awake and pays no futex wake-up;
+// Stats() reports how the idle waits ended (`poll_wakeups` vs `parks`).
+// The batch drain is where the design earns its throughput: one pass
+// through the wait, one batch of queue loads, and one telemetry update
+// cover up to `batch` requests, and the *group prefetch*
 // pass issues the predicted-leaf prefetch (each engine's PrefetchLookup
 // hook, paired with common/prefetch.h) for every request in the batch
 // before resolving any of them — by the time the resolve pass reaches
@@ -71,6 +75,7 @@
 
 #if defined(__linux__)
 #include <pthread.h>
+#include <sched.h>
 #endif
 
 namespace fitree::server {
@@ -99,6 +104,32 @@ inline void RecordServerPhase(telemetry::Phase phase, uint64_t ns) {
   reg.phase_latency(telemetry::Engine::kServer, phase).Record(ns);
 }
 
+// Pins the calling thread to the index-th CPU (mod the count) of its own
+// affinity mask, so a server started under taskset or inside a cpuset
+// keeps its workers within the CPUs it was given. On an unrestricted host
+// that is CPU index % cores. False when the pin did not take.
+inline bool PinToAllowedCpu(size_t index) {
+#if defined(__linux__)
+  cpu_set_t allowed;
+  CPU_ZERO(&allowed);
+  if (sched_getaffinity(0, sizeof(allowed), &allowed) != 0) return false;
+  const int count = CPU_COUNT(&allowed);
+  if (count == 0) return false;
+  int nth = static_cast<int>(index % static_cast<size_t>(count));
+  for (int cpu = 0; cpu < CPU_SETSIZE; ++cpu) {
+    if (!CPU_ISSET(cpu, &allowed) || nth-- != 0) continue;
+    cpu_set_t one;
+    CPU_ZERO(&one);
+    CPU_SET(cpu, &one);
+    return pthread_setaffinity_np(pthread_self(), sizeof(one), &one) == 0;
+  }
+  return false;
+#else
+  (void)index;
+  return false;
+#endif
+}
+
 }  // namespace detail
 
 template <typename Engine>
@@ -121,7 +152,7 @@ class ShardedIndex {
     size_t shards = GlobalOptions().shards;  // FITREE_SHARDS
     size_t batch = GlobalOptions().batch;    // FITREE_BATCH (>= 1)
     size_t queue_capacity = 4096;            // per-shard ring, rounded to 2^k
-    bool pin_threads = false;                // pthread affinity, Linux only
+    bool pin_threads = false;  // worker i -> i-th allowed CPU, Linux only
   };
 
   // `keys` sorted ascending; `values` parallel to `keys` or empty (engines
@@ -287,11 +318,15 @@ class ShardedIndex {
     stats.engine = "server";
     uint64_t batches = 0;
     uint64_t batched_ops = 0;
+    uint64_t parks = 0;
+    uint64_t poll_wakeups = 0;
     size_t min_keys = static_cast<size_t>(-1);
     size_t max_keys = 0;
     for (size_t i = 0; i < shard_count_; ++i) {
       batches += shards_[i].batches.load(std::memory_order_relaxed);
       batched_ops += shards_[i].batched_ops.load(std::memory_order_relaxed);
+      parks += shards_[i].parks.load(std::memory_order_relaxed);
+      poll_wakeups += shards_[i].poll_wakeups.load(std::memory_order_relaxed);
       const size_t keys = shards_[i].engine->size();
       if (keys < min_keys) min_keys = keys;
       if (keys > max_keys) max_keys = keys;
@@ -306,6 +341,11 @@ class ShardedIndex {
                                ? 0.0
                                : static_cast<double>(batched_ops) /
                                      static_cast<double>(batches));
+    stats.Add("parks", static_cast<double>(parks));
+    stats.Add("poll_wakeups", static_cast<double>(poll_wakeups));
+    const uint64_t pin_failures =
+        pin_failures_.load(std::memory_order_relaxed);
+    stats.Add("pin_failures", static_cast<double>(pin_failures));
     stats.Add("keys", static_cast<double>(size()));
     stats.Add("min_shard_keys",
               static_cast<double>(min_keys == static_cast<size_t>(-1)
@@ -322,6 +362,8 @@ class ShardedIndex {
     std::thread worker;
     std::atomic<uint64_t> batches{0};
     std::atomic<uint64_t> batched_ops{0};
+    std::atomic<uint64_t> parks{0};         // idle waits that blocked
+    std::atomic<uint64_t> poll_wakeups{0};  // idle waits ended by polling
   };
 
   ShardedIndex() = default;
@@ -374,17 +416,9 @@ class ShardedIndex {
   }
 
   void WorkerLoop(Shard& shard, size_t index) {
-#if defined(__linux__)
-    const unsigned cores = std::thread::hardware_concurrency();
-    if (config_.pin_threads && cores != 0) {
-      cpu_set_t set;
-      CPU_ZERO(&set);
-      CPU_SET(index % cores, &set);
-      pthread_setaffinity_np(pthread_self(), sizeof(set), &set);
+    if (config_.pin_threads && !detail::PinToAllowedCpu(index)) {
+      pin_failures_.fetch_add(1, std::memory_order_relaxed);
     }
-#else
-    (void)index;
-#endif
     Engine& engine = *shard.engine;
     std::vector<Req> batch(config_.batch);
     // Scratch for the batched group prefetch (point-op keys of one drain).
@@ -396,7 +430,12 @@ class ShardedIndex {
         if (stop_.load(std::memory_order_acquire) && shard.queue->Empty()) {
           return;
         }
-        shard.queue->WaitNonEmpty(stop_);
+        if (shard.queue->WaitNonEmpty(stop_) == Wake::kPolled) {
+          shard.poll_wakeups.fetch_add(1, std::memory_order_relaxed);
+        } else {
+          shard.parks.fetch_add(1, std::memory_order_relaxed);
+          telemetry::CounterAdd(telemetry::CounterId::kServerParks);
+        }
         continue;
       }
       // Bounded linger (batched mode only): an under-full drain yields one
@@ -503,6 +542,7 @@ class ShardedIndex {
   size_t shard_count_ = 0;
   std::atomic<size_t> size_{0};
   std::atomic<bool> stop_{false};
+  std::atomic<uint64_t> pin_failures_{0};
 };
 
 }  // namespace fitree::server

@@ -99,8 +99,9 @@ enum class CounterId : uint8_t {
   kServerBatchOps,       // ops inside those batches (avg fill = ops/batches)
   kServerEnqueueStalls,  // failed enqueue attempts (queue-full backpressure)
   kIoBatches,            // batched page-read submissions (FetchBatch misses)
+  kServerParks,          // idle shard waits that outlasted the poll and parked
 };
-inline constexpr size_t kNumCounters = 13;
+inline constexpr size_t kNumCounters = 14;
 
 inline constexpr const char* CounterName(CounterId id) {
   switch (id) {
@@ -117,6 +118,7 @@ inline constexpr const char* CounterName(CounterId id) {
     case CounterId::kServerBatchOps: return "server.batch_ops";
     case CounterId::kServerEnqueueStalls: return "server.enqueue_stalls";
     case CounterId::kIoBatches: return "io.batches";
+    case CounterId::kServerParks: return "server.parks";
   }
   return "?";
 }

@@ -23,6 +23,8 @@ using fitree::FlatDirectory;
 using fitree::FlatKeyIndex;
 using fitree::SearchPolicy;
 
+constexpr size_t kNoFloor = FlatDirectory<int64_t, int>::kNone;
+
 constexpr SearchPolicy kAllPolicies[] = {
     SearchPolicy::kBinary, SearchPolicy::kLinear, SearchPolicy::kExponential,
     SearchPolicy::kSimd};
@@ -239,45 +241,53 @@ TEST(FlatDirectory, FloorMatchesOracle) {
   }
 }
 
+// Payload of the floor entry for `key` through FloorIndex + value_at;
+// records a failure (and returns -1) when `key` has no floor.
+int FloorValue(const FlatDirectory<int64_t, int>& dir, int64_t key) {
+  const size_t i = dir.FloorIndex(key);
+  EXPECT_NE(i, kNoFloor) << "key " << key;
+  return i == kNoFloor ? -1 : dir.value_at(i);
+}
+
 // Splice keeps the keys, payloads, and interpolation model consistent
 // through the mutation patterns the buffered tree's merges produce.
 TEST(FlatDirectory, SpliceMaintainsFloorAndValues) {
   FlatDirectory<int64_t, int> dir;
   dir.BulkLoad({10, 20, 30, 40}, {1, 2, 3, 4});
   ASSERT_EQ(dir.size(), 4u);
-  EXPECT_EQ(dir.FindFloor(5), nullptr);
-  EXPECT_EQ(*dir.FindFloor(25), 2);
+  EXPECT_EQ(dir.FloorIndex(5), kNoFloor);
+  EXPECT_EQ(FloorValue(dir, 25), 2);
 
   // One-for-one replacement (common merge): in-place overwrite.
   const int64_t k21[] = {21};
   const int v21[] = {20};
   dir.Splice(1, 1, k21, v21);
-  EXPECT_EQ(*dir.FindFloor(25), 20);
-  EXPECT_EQ(*dir.FindFloor(20), 1);  // floor moved left of the new key
+  EXPECT_EQ(FloorValue(dir, 25), 20);
+  EXPECT_EQ(FloorValue(dir, 20), 1);  // floor moved left of the new key
 
   // One-to-many (merge split the segment).
   const int64_t grow[] = {22, 25, 28};
   const int grow_v[] = {50, 51, 52};
   dir.Splice(1, 1, grow, grow_v);
   ASSERT_EQ(dir.size(), 6u);
-  EXPECT_EQ(*dir.FindFloor(24), 50);
-  EXPECT_EQ(*dir.FindFloor(27), 51);
-  EXPECT_EQ(*dir.FindFloor(100), 4);
+  EXPECT_EQ(FloorValue(dir, 24), 50);
+  EXPECT_EQ(FloorValue(dir, 27), 51);
+  EXPECT_EQ(FloorValue(dir, 100), 4);
 
   // Retire (merge deleted every key).
   dir.Splice(1, 3, {}, {});
   ASSERT_EQ(dir.size(), 3u);
-  EXPECT_EQ(*dir.FindFloor(29), 1);
-  EXPECT_EQ(*dir.FindFloor(35), 3);
+  EXPECT_EQ(FloorValue(dir, 29), 1);
+  EXPECT_EQ(FloorValue(dir, 35), 3);
 
   // Bootstrap insert into an empty directory.
   FlatDirectory<int64_t, int> empty;
-  EXPECT_EQ(empty.FindFloor(0), nullptr);
+  EXPECT_EQ(empty.FloorIndex(0), kNoFloor);
   const int64_t k7[] = {7};
   const int v7[] = {70};
   empty.Splice(0, 0, k7, v7);
-  EXPECT_EQ(empty.FindFloor(6), nullptr);
-  EXPECT_EQ(*empty.FindFloor(7), 70);
+  EXPECT_EQ(empty.FloorIndex(6), kNoFloor);
+  EXPECT_EQ(FloorValue(empty, 7), 70);
 }
 
 }  // namespace

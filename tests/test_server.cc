@@ -1,20 +1,30 @@
 // ShardedIndex server tests: router boundary correctness, batched
-// dispatch semantics, the shared differential oracle (batch=1 vs batched
-// — same answers), multi-client stress under the partitioned oracle, and
-// the post-quiescence shard introspection surface.
+// dispatch semantics, the op queue's three idle-wait endings (poll,
+// notify, stop), worker pinning, the shared differential oracle (batch=1
+// vs batched — same answers), multi-client stress under the partitioned
+// oracle, and the post-quiescence shard introspection surface.
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <map>
 #include <memory>
 #include <optional>
+#include <thread>
 #include <utility>
 #include <vector>
+
+#if defined(__linux__)
+#include <pthread.h>
+#include <sched.h>
+#endif
 
 #include "core/fiting_tree.h"
 #include "server/shard_router.h"
 #include "server/sharded_index.h"
+#include "telemetry/registry.h"
 #include "tests/oracle.h"
 
 namespace {
@@ -24,6 +34,7 @@ using fitree::FitingTreeConfig;
 using fitree::server::OpQueue;
 using fitree::server::ShardedIndex;
 using fitree::server::ShardRouter;
+using fitree::server::Wake;
 using fitree::testing::CrudOptions;
 using fitree::testing::MakeInitialLoad;
 using fitree::testing::MakePartitionedLoad;
@@ -159,6 +170,76 @@ TEST(OpQueueTest, FifoBatchDrain) {
   EXPECT_EQ(out[4], 107);
 }
 
+// The three ways an idle consumer's wait ends: a push while it polls, a
+// push after it parked, and stop while it polls. A poll budget far past
+// the test's run time pins the consumer in the poll phase; a zero budget
+// makes it park at once.
+constexpr std::chrono::seconds kForever{60};
+
+TEST(OpQueueTest, PushWhilePollingIsDrainedWithoutPark) {
+  OpQueue<int> queue(/*capacity=*/8);
+  std::atomic<bool> stop{false};
+  std::atomic<bool> waiting{false};
+  Wake wake = Wake::kParked;
+  std::thread consumer([&] {
+    waiting.store(true);
+    wake = queue.WaitNonEmpty(stop, kForever);
+  });
+  while (!waiting.load()) std::this_thread::yield();
+  EXPECT_EQ(queue.Push(7), 0u);
+  consumer.join();
+  EXPECT_EQ(wake, Wake::kPolled);
+  int out[8];
+  ASSERT_EQ(queue.PopBatch(out, 8), 1u);
+  EXPECT_EQ(out[0], 7);
+}
+
+TEST(OpQueueTest, PushAfterParkWakesThroughNotify) {
+  OpQueue<int> queue(/*capacity=*/8);
+  std::atomic<bool> stop{false};
+  // Zero poll budget: the consumer parks at once. A park bound far past
+  // the test's run time leaves the producer's notify as the only way out
+  // of the park. A consumer the scheduler had not yet run when the push
+  // came finds the item without parking; retry those trials, each giving
+  // the consumer longer to park.
+  bool parked = false;
+  for (int trial = 0; trial < 20 && !parked; ++trial) {
+    Wake wake = Wake::kPolled;
+    std::thread consumer([&] {
+      wake = queue.WaitNonEmpty(stop, std::chrono::nanoseconds(0), kForever);
+    });
+    std::this_thread::sleep_for(std::chrono::milliseconds(2 << (trial / 2)));
+    const auto t0 = std::chrono::steady_clock::now();
+    EXPECT_EQ(queue.Push(trial), 0u);
+    consumer.join();
+    // Returning well inside the park bound: the notify ended the park.
+    ASSERT_LT(std::chrono::steady_clock::now() - t0, kForever / 2);
+    int out[8];
+    ASSERT_EQ(queue.PopBatch(out, 8), 1u);
+    EXPECT_EQ(out[0], trial);
+    parked = wake == Wake::kParked;
+  }
+  EXPECT_TRUE(parked);
+}
+
+TEST(OpQueueTest, StopWhilePollingEndsTheWait) {
+  OpQueue<int> queue(/*capacity=*/8);
+  std::atomic<bool> stop{false};
+  std::atomic<bool> waiting{false};
+  Wake wake = Wake::kParked;
+  std::thread consumer([&] {
+    waiting.store(true);
+    wake = queue.WaitNonEmpty(stop, kForever);
+  });
+  while (!waiting.load()) std::this_thread::yield();
+  const auto t0 = std::chrono::steady_clock::now();
+  stop.store(true, std::memory_order_release);  // no WakeAll: polling sees it
+  consumer.join();
+  EXPECT_EQ(wake, Wake::kPolled);
+  EXPECT_LT(std::chrono::steady_clock::now() - t0, kForever / 2);
+  EXPECT_TRUE(queue.Empty());
+}
+
 // --- server basics --------------------------------------------------------
 
 TEST(ShardedIndexTest, PointOpsAndShardOwnership) {
@@ -269,6 +350,122 @@ TEST(ShardedIndexTest, FactoryFailureTearsDownCleanly) {
   EXPECT_EQ(calls, 2u);
 }
 
+// Tearing the server down joins its workers at once, whether they are
+// still polling after traffic or already parked after an idle stretch.
+TEST(ShardedIndexTest, DestructorJoinsPollingAndParkedWorkersPromptly) {
+  std::vector<int64_t> keys;
+  for (int64_t i = 0; i < 1024; ++i) keys.push_back(i);
+  for (int round = 0; round < 10; ++round) {
+    auto server = MakeServer(keys, {}, /*shards=*/4, /*batch=*/8);
+    ASSERT_NE(server, nullptr);
+    for (int64_t key = 0; key < 1024; key += 256) {
+      EXPECT_TRUE(server->Contains(key));
+    }
+    if (round % 2 == 1) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    }
+    const auto t0 = std::chrono::steady_clock::now();
+    server.reset();
+    EXPECT_LT(std::chrono::steady_clock::now() - t0, std::chrono::seconds(1))
+        << "round " << round;
+  }
+}
+
+// An idle worker outlasts its poll budget and parks, once per idle
+// stretch however long (it does not poll again on each ~500us re-check);
+// Stats() and the server.parks counter both see the park.
+TEST(ShardedIndexTest, IdleWorkersParkAndCountIt) {
+  namespace tm = fitree::telemetry;
+  const uint64_t parks_before =
+      tm::Registry::Get().Snapshot().counter(tm::CounterId::kServerParks);
+  std::vector<int64_t> keys;
+  for (int64_t i = 0; i < 256; ++i) keys.push_back(i);
+  auto server = MakeServer(keys, {}, /*shards=*/1, /*batch=*/1);
+  ASSERT_NE(server, nullptr);
+  // A park is counted when it ends, and the request's publish edge makes
+  // every park before it visible; retry in case the worker was not yet
+  // parked when the request came.
+  double parks = 0;
+  for (int i = 0; i < 50 && parks == 0; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    EXPECT_TRUE(server->Contains(1));
+    parks = server->Stats().Get("parks");
+  }
+  EXPECT_EQ(parks, 1.0);
+  EXPECT_EQ(server->Stats().Get("pin_failures"), 0.0);
+  if (tm::kEnabled) {
+    EXPECT_GT(
+        tm::Registry::Get().Snapshot().counter(tm::CounterId::kServerParks),
+        parks_before);
+  }
+}
+
+#if defined(__linux__)
+// Records the affinity mask of the thread that serves each lookup.
+class AffinityProbeEngine : public MapEngine {
+ public:
+  static std::unique_ptr<AffinityProbeEngine> Create(
+      const std::vector<int64_t>& keys, const std::vector<uint64_t>&) {
+    auto engine = std::make_unique<AffinityProbeEngine>();
+    for (const int64_t key : keys) engine->Insert(key, 0);
+    return engine;
+  }
+
+  std::optional<uint64_t> Lookup(const int64_t& key) const {
+    CPU_ZERO(&worker_mask);
+    sched_getaffinity(0, sizeof(worker_mask), &worker_mask);
+    return MapEngine::Lookup(key);
+  }
+
+  mutable cpu_set_t worker_mask;
+};
+
+// Regression: workers pinned to `index % hardware_concurrency()`, which
+// under taskset or a cpuset can name a CPU outside the allowed mask. A
+// server created from a thread whose mask excludes CPU 0 must pin worker i
+// to the i-th CPU of that mask.
+TEST(ShardedIndexTest, PinsWorkersInsideTheAllowedMask) {
+  cpu_set_t allowed;
+  CPU_ZERO(&allowed);
+  ASSERT_EQ(sched_getaffinity(0, sizeof(allowed), &allowed), 0);
+  CPU_CLR(0, &allowed);
+  const int count = CPU_COUNT(&allowed);
+  if (count == 0) GTEST_SKIP() << "no allowed CPU besides CPU 0";
+  std::vector<int> cpus;
+  for (int cpu = 0; cpu < CPU_SETSIZE; ++cpu) {
+    if (CPU_ISSET(cpu, &allowed)) cpus.push_back(cpu);
+  }
+
+  std::thread client([&] {
+    ASSERT_EQ(pthread_setaffinity_np(pthread_self(), sizeof(allowed),
+                                     &allowed),
+              0);
+    std::vector<int64_t> keys;
+    for (int64_t i = 0; i < 300; ++i) keys.push_back(i);
+    ShardedIndex<AffinityProbeEngine>::Config config;
+    config.shards = 3;
+    config.pin_threads = true;
+    auto server = ShardedIndex<AffinityProbeEngine>::Create(
+        keys, {},
+        [](const std::vector<int64_t>& k, const std::vector<uint64_t>& v) {
+          return AffinityProbeEngine::Create(k, v);
+        },
+        config);
+    ASSERT_NE(server, nullptr);
+    ASSERT_EQ(server->shard_count(), 3u);
+    for (size_t s = 0; s < 3; ++s) {
+      EXPECT_TRUE(server->Lookup(server->router().boundary(s)).has_value());
+      const cpu_set_t& mask = server->shard_engine(s).worker_mask;
+      EXPECT_EQ(CPU_COUNT(&mask), 1) << "shard " << s;
+      EXPECT_TRUE(CPU_ISSET(cpus[s % cpus.size()], &mask)) << "shard " << s;
+      EXPECT_FALSE(CPU_ISSET(0, &mask)) << "shard " << s;
+    }
+    EXPECT_EQ(server->Stats().Get("pin_failures"), 0.0);
+  });
+  client.join();
+}
+#endif  // __linux__
+
 // --- differential oracle: batched and unbatched give the same answers -----
 
 CrudOptions ServerOpts(uint64_t seed) {
@@ -328,6 +525,9 @@ TEST(ShardedIndexTest, CrudPropertyMultiClient) {
   EXPECT_GE(stats.Get("avg_batch"), 1.0);
   EXPECT_EQ(stats.Get("shards"), 4.0);
   EXPECT_EQ(static_cast<size_t>(stats.Get("keys")), server->size());
+  // Every idle wait ended one way or the other; none pinned, none failed.
+  EXPECT_GT(stats.Get("parks") + stats.Get("poll_wakeups"), 0.0);
+  EXPECT_EQ(stats.Get("pin_failures"), 0.0);
 }
 
 }  // namespace
