@@ -167,14 +167,12 @@ void BenchConfig(Runner& runner, const std::string& method,
   }
 }
 
-// The ISSUE 10 async-read cells, run at cache fractions far below 1 where
-// nearly every probe faults: (a) a fetch-strategy ablation — kSingle
-// faults the predicted page serially, kWindow stages every page the error
-// window spans through one batched read — and (b) multiget served two
-// ways over identical 64-key batches, a serial Lookup loop vs LookupBatch
-// (which overlaps all of a batch's misses in one submission). IOPS here is
-// data pages actually read per second of wall time, so a strategy that
-// reads MORE pages but stalls less shows up honestly on both axes.
+// Multiget cells, run at cache fractions far below 1 where nearly every
+// probe faults: identical 64-key batches served two ways, a serial Lookup
+// loop (one predicted-page fault at a time) vs LookupBatch (which
+// overlaps all of a batch's misses in one submission). IOPS here is data
+// pages actually read per second of wall time, so a mode that reads MORE
+// pages but stalls less shows up honestly on both axes.
 void BenchAsyncReads(Runner& runner, const std::string& method,
                      const std::string& param, const std::string& path,
                      const StaticFitingTree<int64_t>& oracle,
@@ -187,52 +185,11 @@ void BenchAsyncReads(Runner& runner, const std::string& method,
         4, static_cast<uint64_t>(fraction * static_cast<double>(leaf_pages)));
     const std::string frac_cell = TablePrinter::Fmt(fraction, 2);
 
-    // Both families attempt O_DIRECT: on a freshly written file every
+    // Both modes attempt O_DIRECT: on a freshly written file every
     // buffered read is a warm page-cache hit, which measures syscall +
     // checksum CPU rather than I/O — the axis the async path exists for.
     // Falls back to buffered (and says so in io_mode) where the
     // filesystem or page size refuses direct reads.
-    // (a) fetch-strategy ablation on the plain serial lookup path.
-    for (const FetchStrategy strategy :
-         {FetchStrategy::kSingle, FetchStrategy::kWindow}) {
-      DiskFitingTree<int64_t>::Options options;
-      options.cache_pages = cache_pages;
-      options.fetch_strategy = strategy;
-      options.io_direct = true;
-      auto disk = DiskFitingTree<int64_t>::Open(path, options);
-      if (disk == nullptr) Die("disk: cannot open " + path);
-      const std::string label =
-          method + " " + param + " fetch=" + FetchStrategyName(strategy);
-      ValidateOrDie(*disk, oracle, *set.probes, label);
-      const size_t ops = set.probes->size();
-      IoStats io{};
-      const Stats stats = runner.CollectReps([&] {
-        disk->ResetIoStats();
-        const double ns = TimedLoopNsPerOp(ops, [&](size_t i) {
-          return disk->Lookup((*set.probes)[i]).value_or(0);
-        });
-        io = disk->io();
-        return ns;
-      }, /*warmup=*/false);
-      const double pages_per_op =
-          static_cast<double>(io.pages_read) / static_cast<double>(ops);
-      runner.Report({{"op", "fetch_ablation"},
-                     {"method", method},
-                     {"param", param},
-                     {"access", set.name},
-                     {"cache_frac", frac_cell},
-                     {"fetch", FetchStrategyName(strategy)},
-                     {"io_mode", disk->DirectIo() ? "direct" : "buffered"}},
-                    stats,
-                    {{"pages_read_per_op", pages_per_op},
-                     {"hit_rate", io.HitRate()},
-                     {"io_per_sec", stats.mean > 0.0
-                                        ? pages_per_op / stats.mean * 1e9
-                                        : 0.0}});
-      if (disk->io_error()) Die("disk: I/O error in " + label);
-    }
-
-    // (b) multiget: sync loop vs batched submission, same key batches.
     for (const bool batched : {false, true}) {
       DiskFitingTree<int64_t>::Options options;
       options.cache_pages = cache_pages;

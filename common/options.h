@@ -16,7 +16,6 @@
 //   FITREE_IO_BACKEND     auto | uring | threads | sync         (auto)
 //   FITREE_IO_DEPTH       batched-read queue depth, [1, 1024]   (64)
 //   FITREE_IO_DIRECT      0 | 1 attempt O_DIRECT reads          (0)
-//   FITREE_FETCH_STRATEGY single | window                       (single)
 //   FITREE_COMPACT_THRESHOLD  per-segment delta occupancy (%)
 //                         that triggers incremental compaction;
 //                         0 disables the automatic trigger      (0)
@@ -60,26 +59,6 @@ inline constexpr const char* IoBackendName(IoBackend b) {
   return "?";
 }
 
-// Disk-lookup paging policy: kSingle demand-faults pages one at a time as
-// the window search walks them; kWindow speculatively batch-fetches every
-// page the error window can touch before searching, so a window that
-// straddles page boundaries overlaps its faults.
-enum class FetchStrategy : uint8_t { kSingle, kWindow };
-
-inline std::optional<FetchStrategy> ParseFetchStrategy(std::string_view s) {
-  if (s == "single") return FetchStrategy::kSingle;
-  if (s == "window") return FetchStrategy::kWindow;
-  return std::nullopt;
-}
-
-inline constexpr const char* FetchStrategyName(FetchStrategy f) {
-  switch (f) {
-    case FetchStrategy::kSingle: return "single";
-    case FetchStrategy::kWindow: return "window";
-  }
-  return "?";
-}
-
 struct Options {
   uint64_t telemetry_sample = 64;  // 1-in-N latency sampling
   bool trace = false;              // trace-ring capture on/off
@@ -90,7 +69,6 @@ struct Options {
   IoBackend io_backend = IoBackend::kAuto;  // batched page-read backend
   size_t io_depth = 64;            // batched-read queue depth
   bool io_direct = false;          // attempt O_DIRECT page reads
-  FetchStrategy fetch_strategy = FetchStrategy::kSingle;
   size_t compact_threshold_pct = 0;  // 0 = no automatic incremental compact
 
   // Reads every knob from the environment, applying defaults and clamps.
@@ -112,9 +90,6 @@ struct Options {
     o.io_depth = depth < 1 ? 1u
                            : depth > 1024 ? 1024u : static_cast<size_t>(depth);
     o.io_direct = GetEnvInt64("FITREE_IO_DIRECT", 0) != 0;
-    o.fetch_strategy =
-        ParseFetchStrategy(GetEnvString("FITREE_FETCH_STRATEGY", "single"))
-            .value_or(FetchStrategy::kSingle);
     const int64_t compact = GetEnvInt64("FITREE_COMPACT_THRESHOLD", 0);
     o.compact_threshold_pct =
         compact < 0 ? 0u

@@ -42,7 +42,11 @@
 //
 // The lookup shares core::ErrorWindow with StaticFitingTree::Bound, so a
 // serialized tree answers every query identically to its in-memory
-// counterpart (tested in tests/test_disk_fiting_tree.cc).
+// counterpart (tested in tests/test_disk_fiting_tree.cc). The paged search
+// starts at the page holding the predicted rank and pins a neighbour page
+// only when the answer lies past that page's slice of the error window, so
+// a lookup whose window fits the predicted page faults exactly one page,
+// and the payload is read from that same pin.
 
 #ifndef FITREE_STORAGE_DISK_FITING_TREE_H_
 #define FITREE_STORAGE_DISK_FITING_TREE_H_
@@ -105,12 +109,11 @@ class DiskFitingTree {
 
   struct Options {
     // Buffer-pool capacity in pages; 1.0 * leaf pages means the whole
-    // data file fits (plus the handful of non-leaf pages never cached).
+    // data file fits (plus the handful of non-leaf pages never cached). A
+    // point lookup pins one frame at a time: the predicted page, then a
+    // neighbour only when the answer lies past that page's slice of the
+    // error window.
     size_t cache_pages = 64;
-    // Speculative fetch: kWindow stages every page the error window spans
-    // in one batched read before searching; kSingle faults serially
-    // (FITREE_FETCH_STRATEGY; the exp_disk ablation sweeps both).
-    FetchStrategy fetch_strategy = GlobalOptions().fetch_strategy;
     // Incremental compaction trigger, percent of segment length; a
     // segment whose overlay reaches max(8, length * pct / 100) entries is
     // queued and drained one-per-mutation. 0 disables the automatic path
@@ -198,9 +201,9 @@ class DiskFitingTree {
 
   // Rank of the first key >= `key` in the BASE FILE (insertion point over
   // the paged keys; the delta overlay has no ranks until a compaction
-  // folds it in). Every candidate page is faulted through the buffer pool.
+  // folds it in). Pages are faulted through the buffer pool.
   size_t LowerBound(const K& key) const {
-    return LowerBoundAt(FloorSlot(key), key);
+    return SearchBase(FloorSlot(key), key).rank;
   }
 
   // Payload stored for `key`, or nullopt when absent. The delta overlay
@@ -222,7 +225,7 @@ class DiskFitingTree {
         return it->second.value;
       }
     }
-    return BaseLookupAt(floor, key);
+    return SearchBase(floor, key).value;
   }
 
   bool Contains(const K& key) const { return Lookup(key).has_value(); }
@@ -235,10 +238,10 @@ class DiskFitingTree {
     PrefetchPredictedFrame(FloorSlot(key), key);
   }
 
-  // Group prefetch for a drained batch: stages every key's candidate
-  // pages through batched reads (chunked to half the pool) and releases
-  // the pins — the pages stay resident, so the serial execution that
-  // follows hits instead of faulting one page at a time.
+  // Group prefetch for a drained batch: stages every key's predicted page
+  // through batched reads (chunked to half the pool) and releases the
+  // pins — the pages stay resident, so the serial execution that follows
+  // hits instead of faulting one page at a time.
   void PrefetchBatch(const K* keys, size_t n) const {
     if (base_size() == 0) return;
     std::vector<uint32_t> staged;
@@ -715,6 +718,14 @@ class DiskFitingTree {
     st.Add("io_misses", static_cast<double>(io_stats.cache_misses));
     st.Add("io_pages_read", static_cast<double>(io_stats.pages_read));
     st.Add("io_hit_rate", io_stats.HitRate());
+    // Paged searches whose answer lay past the predicted page's slice of
+    // the error window: the model's page-level miss rate (Sec 5 sizes the
+    // window in pages).
+    st.Add("second_page_lookups", static_cast<double>(second_page_lookups_));
+    st.Add("second_page_share",
+           paged_lookups_ == 0 ? 0.0
+                               : static_cast<double>(second_page_lookups_) /
+                                     static_cast<double>(paged_lookups_));
     st.Add("compactions", static_cast<double>(compactions_));
     st.Add("incremental_compactions",
            static_cast<double>(incremental_compactions_));
@@ -802,6 +813,15 @@ class DiskFitingTree {
     return lo;
   }
 
+  // The segment's prediction for `key`, clamped into the segment's ranks:
+  // the rank whose page a lookup pins first.
+  static size_t PredictedRank(const SegmentRecord<K>& rec, const K& key) {
+    const double pred = rec.seg.Predict(key);
+    return pred <= static_cast<double>(SegStart(rec))
+               ? SegStart(rec)
+               : std::min(SegEnd(rec) - 1, static_cast<size_t>(pred));
+  }
+
   // File-global leaf page holding base rank `rank` (v2 addressing).
   uint32_t PageForRank(const SegmentRecord<K>& rec, size_t rank) const {
     return static_cast<uint32_t>(
@@ -848,45 +868,27 @@ class DiskFitingTree {
   void PrefetchPredictedFrame(size_t floor, const K& key) const {
     if (floor == kNoSlot || base_size() == 0) return;
     const SegmentRecord<K>& rec = segments_[floor];
-    const size_t seg_start = SegStart(rec);
-    const size_t seg_end = SegEnd(rec);
-    const double pred = rec.seg.Predict(key);
-    const size_t rank =
-        pred <= static_cast<double>(seg_start)
-            ? seg_start
-            : std::min(seg_end - 1, static_cast<size_t>(pred));
+    const size_t rank = PredictedRank(rec, key);
     const size_t cap = reader_.meta().leaf_capacity;
     if (const std::byte* frame = pool_->Peek(PageForRank(rec, rank))) {
       PrefetchRead(frame + kPageHeaderBytes +
-                   ((rank - seg_start) % cap) * sizeof(LeafEntry<K>));
+                   ((rank - SegStart(rec)) % cap) * sizeof(LeafEntry<K>));
     }
   }
 
-  // Appends the candidate page ids a Lookup(key) would fault: the whole
-  // error window under kWindow, just the clamped predicted page under
-  // kSingle.
-  void AppendLookupPages(const K& key, std::vector<uint32_t>* ids) const {
+  // Appends the page a Lookup(key) pins first — the predicted page — when
+  // the search would pin any page at all.
+  void AppendPredictedPage(const K& key, std::vector<uint32_t>* ids) const {
     const size_t floor = FloorSlot(key);
     if (floor == kNoSlot) return;
     const SegmentRecord<K>& rec = segments_[floor];
-    const size_t seg_start = SegStart(rec);
     const auto [begin, end] = fitree::ErrorWindow(
-        rec.seg.Predict(key), reader_.meta().error, seg_start, SegEnd(rec));
+        rec.seg.Predict(key), reader_.meta().error, SegStart(rec), SegEnd(rec));
     if (begin >= end) return;
-    if (options_.fetch_strategy == FetchStrategy::kWindow) {
-      const uint32_t first = PageForRank(rec, begin);
-      const uint32_t last = PageForRank(rec, end - 1);
-      for (uint32_t id = first; id <= last; ++id) ids->push_back(id);
-      return;
-    }
-    const double pred = rec.seg.Predict(key);
-    const size_t rank = pred <= static_cast<double>(begin)
-                            ? begin
-                            : std::min(end - 1, static_cast<size_t>(pred));
-    ids->push_back(PageForRank(rec, rank));
+    ids->push_back(PageForRank(rec, PredictedRank(rec, key)));
   }
 
-  // Stages the candidate pages of keys [i, ...) — capped at half the pool
+  // Stages the predicted pages of keys [i, ...) — capped at half the pool
   // so the staged pins never starve the resolution's own fetches — in one
   // batched read. Returns the index of the first unstaged key; `staged`
   // receives the successfully pinned ids (caller unpins).
@@ -896,7 +898,7 @@ class DiskFitingTree {
     staged->clear();
     size_t j = i;
     while (j < n && (j == i || staged->size() < budget)) {
-      AppendLookupPages(keys[j], staged);
+      AppendPredictedPage(keys[j], staged);
       ++j;
     }
     std::sort(staged->begin(), staged->end());
@@ -969,115 +971,84 @@ class DiskFitingTree {
     return emitted;
   }
 
-  // Lower bound of `key` over the base file, descending from an
-  // already-resolved directory floor.
-  size_t LowerBoundAt(size_t floor, const K& key) const {
-    if (base_size() == 0) return 0;
-    if (floor == kNoSlot) return 0;  // key sorts before every indexed key
-    const SegmentRecord<K>& rec = segments_[floor];
-    const auto [begin, end] =
-        fitree::ErrorWindow(rec.seg.Predict(key), reader_.meta().error,
-                            SegStart(rec), SegEnd(rec));
-    StageWindow(rec, begin, end);
-    return WindowLowerBound(rec, begin, end, key);
-  }
-
-  // Speculative multi-page fetch (kWindow): when the error window
-  // straddles page boundaries, stage every page it spans in one batched
-  // read before the search, so the straddle costs one overlapped batch
-  // instead of serial faults. Pins are dropped immediately — the pages
-  // stay resident for WindowLowerBound's own (now hitting) fetches.
-  void StageWindow(const SegmentRecord<K>& rec, size_t begin,
-                   size_t end) const {
-    if (options_.fetch_strategy != FetchStrategy::kWindow || begin >= end) {
-      return;
-    }
-    const uint32_t first = PageForRank(rec, begin);
-    const uint32_t last = PageForRank(rec, end - 1);
-    if (first == last) return;  // no straddle, the serial fault is one read
-    std::vector<uint32_t> ids;
-    ids.reserve(last - first + 1);
-    for (uint32_t id = first; id <= last; ++id) ids.push_back(id);
-    std::vector<const std::byte*> outs(ids.size());
-    pool_->FetchBatch(ids.data(), ids.size(), outs.data());
-    for (size_t i = 0; i < ids.size(); ++i) {
-      if (outs[i] != nullptr) (void)pool_->Unpin(ids[i]);
-    }
-  }
+  // Outcome of one paged search: the lower-bound rank over the base file,
+  // and the payload when the entry at that rank is the probed key itself.
+  struct BaseHit {
+    size_t rank = 0;
+    std::optional<uint64_t> value;
+  };
 
   // Paged lookup, delta overlay excluded.
   std::optional<uint64_t> BaseLookup(const K& key) const {
-    return BaseLookupAt(FloorSlot(key), key);
+    return SearchBase(FloorSlot(key), key).value;
   }
 
-  std::optional<uint64_t> BaseLookupAt(size_t floor, const K& key) const {
-    if (base_size() == 0) return std::nullopt;
-    const size_t rank = LowerBoundAt(floor, key);
-    if (rank >= base_size()) return std::nullopt;
-    const auto entry = EntryAt(rank);
-    if (!entry.has_value() || entry->key != key) return std::nullopt;
-    return entry->value;
-  }
-
-  std::optional<LeafEntry<K>> EntryAt(size_t rank) const {
-    const SegmentRecord<K>& rec = segments_[SegmentForRank(rank)];
-    const size_t cap = reader_.meta().leaf_capacity;
-    PinnedPage pin(pool_.get(), PageForRank(rec, rank));
-    if (!pin) {
-      io_error_ = true;
-      return std::nullopt;
-    }
-    return LoadAs<LeafEntry<K>>(
-        pin.data() + kPageHeaderBytes +
-        ((rank - SegStart(rec)) % cap) * sizeof(LeafEntry<K>));
-  }
-
-  // Lower bound of `key` over ranks [begin, end) — always within one
-  // segment, because ErrorWindow clamps to the segment — searching page by
-  // page: a window of w ranks touches at most w / leaf_capacity + 1 pages,
-  // and pages before the answer are dismissed by one key comparison each.
-  size_t WindowLowerBound(const SegmentRecord<K>& rec, size_t begin,
-                          size_t end, const K& key) const {
-    // Self time here is pure compute: the page faults this search triggers
-    // are nested page_io spans (buffer_pool.h) and subtract out.
+  // The one paged search behind Lookup, LowerBound and BaseLookup, from an
+  // already-resolved directory floor. The window [begin, end) stays within
+  // one segment, because ErrorWindow clamps to it. The search starts at
+  // the page holding the predicted rank and narrows that page's slice of
+  // the window; it pins a neighbour page only when the in-page bound lands
+  // on a slice edge the window continues past (the slice's first rank with
+  // `key` below it, or one past its last rank), and keeps walking in that
+  // one direction. The payload comes from the pin the bound was found
+  // under. Self time here is pure compute: the page faults the search
+  // triggers are nested page_io spans (buffer_pool.h) and subtract out.
+  BaseHit SearchBase(size_t floor, const K& key) const {
+    if (base_size() == 0 || floor == kNoSlot) return {};
     telemetry::ScopedPhase phase(telemetry::Engine::kDisk,
                                  telemetry::Phase::kWindowSearch);
-    if (begin >= end) return begin;
-    const size_t cap = reader_.meta().leaf_capacity;
+    const SegmentRecord<K>& rec = segments_[floor];
     const size_t seg_start = SegStart(rec);
-    for (uint64_t leaf = (begin - seg_start) / cap;
-         leaf <= (end - 1 - seg_start) / cap; ++leaf) {
-      const size_t slice_begin =
-          std::max(begin, seg_start + static_cast<size_t>(leaf) * cap);
-      const size_t slice_end =
-          std::min(end, seg_start + (static_cast<size_t>(leaf) + 1) * cap);
+    const auto [begin, end] = fitree::ErrorWindow(
+        rec.seg.Predict(key), reader_.meta().error, seg_start, SegEnd(rec));
+    if (begin >= end) return {begin, std::nullopt};
+    ++paged_lookups_;
+    const size_t cap = reader_.meta().leaf_capacity;
+    size_t leaf = (PredictedRank(rec, key) - seg_start) / cap;
+    int step = 0;  // direction of the walk once it leaves the first page
+    for (;;) {
+      const size_t page_first = seg_start + leaf * cap;
+      const size_t slice_begin = std::max(begin, page_first);
+      const size_t slice_end = std::min(end, page_first + cap);
       PinnedPage pin(pool_.get(),
                      static_cast<uint32_t>(rec.first_leaf_page + leaf));
       if (!pin) {
         io_error_ = true;
-        return end;
+        return {end, std::nullopt};
       }
-      const auto key_at = [&](size_t rank) {
-        return LoadAs<K>(pin.data() + kPageHeaderBytes +
-                         ((rank - seg_start) % cap) * sizeof(LeafEntry<K>));
-      };
-      if (key_at(slice_end - 1) < key) continue;  // answer is further right
-      // Branchless narrow over in-page ranks, then a strided vector count
-      // over the packed {key, payload} records. The slice never crosses the
-      // page, so the offset of b plus m entries stays within the pinned
-      // frame.
-      size_t b = slice_begin;
+      // Branchless narrow over the slice, then a strided vector count over
+      // the packed {key, payload} records. The slice never crosses the
+      // page, so every offset below stays within the pinned frame.
+      const std::byte* slice =
+          pin.data() + kPageHeaderBytes +
+          (slice_begin - page_first) * sizeof(LeafEntry<K>);
+      size_t b = 0;
       size_t m = slice_end - slice_begin;
       while (m > simd::kSimdWindowKeys) {
         const size_t half = m / 2;
-        b = key_at(b + half - 1) < key ? b + half : b;
+        b = LoadAs<K>(slice + (b + half - 1) * sizeof(LeafEntry<K>)) < key
+                ? b + half
+                : b;
         m -= half;
       }
-      const std::byte* base = pin.data() + kPageHeaderBytes +
-                              ((b - seg_start) % cap) * sizeof(LeafEntry<K>);
-      return b + simd::CountLessStrided(base, sizeof(LeafEntry<K>), m, key);
+      const size_t i = b + simd::CountLessStrided(
+                               slice + b * sizeof(LeafEntry<K>),
+                               sizeof(LeafEntry<K>), m, key);
+      const size_t rank = slice_begin + i;
+      int next = 0;
+      if (rank == slice_end) {
+        if (step >= 0 && slice_end < end) next = 1;
+      } else {
+        const auto entry =
+            LoadAs<LeafEntry<K>>(slice + i * sizeof(LeafEntry<K>));
+        if (entry.key == key) return {rank, entry.value};
+        if (i == 0 && step <= 0 && slice_begin > begin) next = -1;
+      }
+      if (next == 0) return {rank, std::nullopt};
+      if (step == 0) ++second_page_lookups_;
+      step = next;
+      leaf = next > 0 ? leaf + 1 : leaf - 1;
     }
-    return end;
   }
 
   std::string path_;
@@ -1094,6 +1065,9 @@ class DiskFitingTree {
   uint64_t incremental_compactions_ = 0;
   uint64_t last_compact_ns_ = 0;          // most recent Compact() duration
   uint64_t compact_pages_rewritten_ = 0;  // cumulative across compactions
+  // Paged searches that pinned a page, and those that needed a second one.
+  mutable uint64_t paged_lookups_ = 0;
+  mutable uint64_t second_page_lookups_ = 0;
   mutable bool io_error_ = false;  // set by const reads on failed faults
 };
 

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <map>
@@ -19,6 +20,7 @@
 #include <vector>
 
 #include "common/io_stats.h"
+#include "core/shrinking_cone.h"
 #include "core/static_fiting_tree.h"
 #include "datasets/datasets.h"
 #include "storage/disk_fiting_tree.h"
@@ -60,12 +62,12 @@ struct Fixture {
   std::string path;
 
   Fixture(size_t n, double error, size_t cache_pages,
-          const std::string& name) {
+          const std::string& name, size_t page_bytes = kPageBytes) {
     keys = TestKeys(n);
     oracle = StaticFitingTree<int64_t>::Create(keys, error);
     path = TempPath(name + ".fit");
     EXPECT_TRUE(fitree::storage::WriteIndexFile(
-        path, *oracle, SegmentFileOptions{kPageBytes}));
+        path, *oracle, SegmentFileOptions{page_bytes}));
     DiskFitingTree<int64_t>::Options options;
     options.cache_pages = cache_pages;
     disk = DiskFitingTree<int64_t>::Open(path, options);
@@ -197,10 +199,10 @@ TEST(DiskFitingTree, FixedPagingLayoutMatchesOracle) {
   for (size_t i = 0; i < keys.size(); ++i) {
     ASSERT_EQ(disk->Lookup(keys[i]).value_or(UINT64_MAX), i);
   }
-  // One segment == one leaf page, so each lookup touches exactly one page
-  // (fetched twice: window search, then payload read — the second is a
-  // guaranteed cache hit). Rank-ordered probing faults each page once.
-  EXPECT_EQ(disk->io().accesses(), 2 * keys.size());
+  // One segment == one leaf page, so each lookup pins exactly one page,
+  // once: the payload is read from the pin the window search holds.
+  // Rank-ordered probing faults each page once.
+  EXPECT_EQ(disk->io().accesses(), keys.size());
   EXPECT_EQ(disk->io().pages_read, disk->LeafPageCount());
   std::mt19937_64 rng(3);
   for (int t = 0; t < 500; ++t) {
@@ -208,6 +210,139 @@ TEST(DiskFitingTree, FixedPagingLayoutMatchesOracle) {
     EXPECT_EQ(disk->LowerBound(probe), oracle->LowerBound(probe));
   }
   std::remove(path.c_str());
+}
+
+// A one-frame pool, so io() deltas count every pin, over pages small
+// enough that error windows straddle page edges (the window, at most
+// 2 * error + 4 ranks, must fit one page). The paged search must agree
+// with the oracle at every page and segment edge while pinning the
+// predicted page first: a present key in its predicted page costs exactly
+// one pin, a lookup never pins more than the two pages its window spans,
+// and a key past its segment's end never touches the next segment's pages.
+void CheckPageEdgeProbes(size_t page_bytes, size_t n, double error) {
+  const size_t cap = LeafCapacity<int64_t>(page_bytes);
+  ASSERT_LE(2.0 * error + 4.0, static_cast<double>(cap));
+  Fixture fx(n, error, /*cache_pages=*/1,
+             "page_edges_" + std::to_string(page_bytes), page_bytes);
+  ASSERT_NE(fx.disk, nullptr);
+  const std::vector<int64_t>& keys = fx.keys;
+  const auto segs = fx.oracle->ExportSegmentTable();
+  ASSERT_GT(segs.size(), 1u);
+
+  // Every present key, and each key's absent neighbours: these include
+  // the gaps between the last key of page p and the first key of page
+  // p+1, the gaps past each segment's last key, and the key below all.
+  std::vector<int64_t> probes = keys;
+  for (const int64_t k : keys) {
+    for (const int64_t p : {k - 1, k + 1}) {
+      if (!std::binary_search(keys.begin(), keys.end(), p)) {
+        probes.push_back(p);
+      }
+    }
+  }
+
+  size_t in_predicted = 0, neighbour = 0, between_pages = 0, below_slice = 0,
+         past_end = 0;
+  for (const int64_t probe : probes) {
+    const size_t rank = fx.oracle->LowerBound(probe);
+    const std::optional<size_t> want = fx.oracle->Find(probe);
+    const IoStats before = fx.disk->io();
+    const std::optional<uint64_t> got = fx.disk->Lookup(probe);
+    const uint64_t pins = (fx.disk->io() - before).accesses();
+    ASSERT_EQ(got.has_value(), want.has_value()) << probe;
+    if (want.has_value()) {
+      ASSERT_EQ(*got, *want) << probe;
+    }
+    ASSERT_EQ(fx.disk->LowerBound(probe), rank) << probe;
+    ASSERT_LE(pins, 2u) << probe;
+
+    // The probe's directory floor, the clamped predicted rank's page, and
+    // the first rank of that page's slice of the error window.
+    const auto upper = std::upper_bound(
+        segs.begin(), segs.end(), probe,
+        [](int64_t k, const auto& seg) { return k < seg.first_key; });
+    if (upper == segs.begin()) {
+      EXPECT_EQ(pins, 0u) << probe;  // sorts before every key: no window
+      continue;
+    }
+    const auto& seg = *std::prev(upper);
+    const size_t start = seg.start;
+    const size_t end = seg.start + seg.length;
+    const double pred = seg.Predict(probe);
+    const size_t predicted =
+        pred <= static_cast<double>(start)
+            ? start
+            : std::min(end - 1, static_cast<size_t>(pred));
+    const size_t page_first = start + (predicted - start) / cap * cap;
+    const size_t window_begin =
+        fitree::ErrorWindow(pred, error, start, end).first;
+    const size_t slice_begin = std::max(window_begin, page_first);
+
+    if (want.has_value()) {
+      if (rank >= page_first && rank < page_first + cap) {
+        EXPECT_EQ(pins, 1u) << probe;
+        ++in_predicted;
+      } else {
+        EXPECT_EQ(pins, 2u) << probe;
+        ++neighbour;
+      }
+      continue;
+    }
+    if (rank > start && rank < end && (rank - start) % cap == 0) {
+      ++between_pages;
+    }
+    if (rank <= slice_begin && slice_begin > window_begin) {
+      EXPECT_EQ(pins, 2u) << probe;  // had to walk into the page below
+      ++below_slice;
+    }
+    if (rank == end && end < keys.size() && pins > 0) {
+      // The last page pinned was one of this segment's, so with one frame
+      // looking up the next segment's first key has to fault its page.
+      // (A window predicted wholly past the segment pins nothing.)
+      const IoStats pre = fx.disk->io();
+      ASSERT_TRUE(fx.disk->Lookup(keys[end]).has_value());
+      const IoStats next = fx.disk->io() - pre;
+      EXPECT_EQ(next.accesses(), 1u) << probe;
+      EXPECT_EQ(next.cache_misses, 1u) << probe;
+      ++past_end;
+    }
+  }
+  EXPECT_GT(in_predicted, 0u);
+  EXPECT_GT(neighbour, 0u);
+  EXPECT_GT(between_pages, 0u);
+  EXPECT_GT(below_slice, 0u);
+  EXPECT_GT(past_end, 0u);
+  EXPECT_FALSE(fx.disk->io_error());
+}
+
+TEST(DiskFitingTree, PageEdgeProbesMatchOracleAndPinThePredictedPageFirst) {
+  // 15 entries a page: the in-page search is the vector count alone.
+  CheckPageEdgeProbes(kPageBytes, 3000, 4.0);
+  // 255 entries a page: slices wider than the vector window take the
+  // branchless narrow first, and FITREE_IO_DIRECT=1 reads these pages
+  // with O_DIRECT.
+  CheckPageEdgeProbes(fitree::storage::kDefaultPageBytes, 20000, 64.0);
+}
+
+// The share of paged searches that needed a second page is the model's
+// page-level miss rate against the error window; with the error well under
+// a page, most present keys resolve in their predicted page.
+TEST(DiskFitingTree, SecondPageShareStaysLowWhenTheWindowFitsAPage) {
+  const size_t cap = LeafCapacity<int64_t>(kPageBytes);
+  const double error = 3.0;
+  ASSERT_LT(error, static_cast<double>(cap) / 4.0);
+  Fixture fx(3000, error, /*cache_pages=*/8, "second_page");
+  ASSERT_NE(fx.disk, nullptr);
+  const auto probes = fitree::workloads::MakeLookupProbes<int64_t>(
+      fx.keys, 5000, fitree::workloads::Access::kUniform,
+      /*absent_fraction=*/0.0, 11);
+  for (const int64_t p : probes) ASSERT_TRUE(fx.disk->Lookup(p).has_value());
+  const auto stats = fx.disk->Stats();
+  const double second = stats.Get("second_page_lookups", -1.0);
+  EXPECT_GT(second, 0.0);
+  EXPECT_DOUBLE_EQ(stats.Get("second_page_share", -1.0),
+                   second / static_cast<double>(probes.size()));
+  EXPECT_LT(stats.Get("second_page_share", 1.0), 0.5);
 }
 
 TEST(DiskFitingTree, TinyTreesRoundTrip) {
