@@ -1,20 +1,23 @@
 // FITing-Tree with per-segment insert buffers (paper Sec 4.2), grown into a
 // full key-value store: each linear segment owns its sorted key page with a
-// parallel payload array, plus a small sorted delta buffer of
-// {key, payload, tombstone} entries for incoming mutations. Inserts of new
-// keys land in the buffer; deletes of paged keys leave a tombstone there;
-// updates of paged keys rewrite the payload in place (the page's keys are
-// what the models predict, payloads are free to change). When a buffer
-// exceeds its budget the segment merges buffer and page — dropping
-// tombstoned keys — and re-runs the shrinking cone over the surviving keys,
-// replacing itself with however many segments the data now needs. This is
-// the data-aware split that distinguishes FITing-Tree from fixed paging; a
-// merge that deletes every key retires the segment outright.
+// parallel payload array — one block of the tree's huge-page segment arena
+// (core/segment_arena.h), n keys then n payloads — plus a small sorted
+// delta buffer of {key, payload, tombstone} entries for incoming
+// mutations. Inserts of new keys land in the buffer; deletes of paged keys
+// leave a tombstone there; updates of paged keys rewrite the payload in
+// place (the page's keys are what the models predict, payloads are free to
+// change). When a buffer exceeds its budget the segment merges buffer and
+// page — dropping tombstoned keys — and re-runs the shrinking cone over the
+// surviving keys, replacing itself with however many segments the data now
+// needs. This is the data-aware split that distinguishes FITing-Tree from
+// fixed paging; a merge that deletes every key retires the segment
+// outright.
 //
 // The segment directory is a flat sorted array of each segment's first key
 // with a parallel array of segment pointers (core/flat_directory.h), spliced
 // in place when a merge replaces or retires a segment. Read operations are
-// const and safe for concurrent readers.
+// const and safe for concurrent readers; writers need exclusive access (the
+// arena's chunk free list is the only state shared between trees).
 //
 // Buffer invariants (checked by tests/oracle.h's differential driver):
 //   - at most one buffer entry per key;
@@ -29,6 +32,7 @@
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <memory>
 #include <optional>
 #include <span>
@@ -40,6 +44,7 @@
 #include "common/timer.h"
 #include "core/flat_directory.h"
 #include "core/search_policy.h"
+#include "core/segment_arena.h"
 #include "core/shrinking_cone.h"
 #include "telemetry/phase.h"
 #include "telemetry/registry.h"
@@ -109,6 +114,10 @@ struct BufferKeyLess {
 
 template <typename K, typename V = uint64_t>
 class FitingTree {
+  // Pages live as raw arena bytes: copied with memcpy, never destroyed.
+  static_assert(std::is_trivially_copyable_v<K> &&
+                std::is_trivially_copyable_v<V>);
+
  public:
   using Key = K;
   using Payload = V;
@@ -154,7 +163,7 @@ class FitingTree {
     }
     const size_t i = SearchSegment(*seg, key);
     if (i == kNotFound) return std::nullopt;
-    return seg->values[i];
+    return seg->values()[i];
   }
 
   // Returns the stored key equal to `key` when present.
@@ -197,16 +206,12 @@ class FitingTree {
     SegmentData* seg = LocateSegmentMutable(key);
     if (seg == nullptr) {
       // First key of an empty tree.
-      auto data = std::make_unique<SegmentData>();
-      data->first_key = key;
-      data->slope = 0.0;
-      data->intercept = 0.0;
-      data->keys.push_back(key);
-      data->values.push_back(value);
-      SegmentData* ptr = data.get();
+      SegmentData* ptr = NewSegment();
+      ptr->first_key = key;
+      StoreBlock(*ptr, std::span<const K>(&key, 1),
+                 std::span<const V>(&value, 1));
       directory_.Splice(0, 0, std::span<const K>(&key, 1),
                         std::span<SegmentData* const>(&ptr, 1));
-      segments_.push_back(std::move(data));
       ++size_;
       return true;
     }
@@ -217,7 +222,7 @@ class FitingTree {
       // tombstone and refresh the paged payload in place.
       const size_t i = SearchSegment(*seg, key);
       assert(i != kNotFound);
-      seg->values[i] = value;
+      seg->values()[i] = value;
       seg->buffer.erase(pos);
       ++size_;
       return true;
@@ -244,7 +249,7 @@ class FitingTree {
     }
     const size_t i = SearchSegment(*seg, key);
     if (i == kNotFound) return false;
-    seg->values[i] = value;
+    seg->values()[i] = value;
     ++stats_.updates;
     return true;
   }
@@ -252,7 +257,9 @@ class FitingTree {
   // Removes `key`. Returns false when absent. A paged key gets a tombstone
   // in the buffer (resolved by the next merge); a buffered key is dropped
   // outright. Tombstones count against the buffer budget, so delete-heavy
-  // traffic triggers merges just like insert-heavy traffic.
+  // traffic triggers merges just like insert-heavy traffic; a segment
+  // whose every key is tombstoned merges (and retires) at once, so its
+  // page goes back to the arena.
   bool Delete(const K& key) {
     telemetry::ScopedOp telem(telemetry::Engine::kBuffered,
                               telemetry::Op::kDelete);
@@ -270,7 +277,13 @@ class FitingTree {
     seg->buffer.insert(pos, BufferEntry{key, V{}, true});
     --size_;
     ++stats_.deletes;
-    if (seg->buffer.size() > effective_buffer_) MergeSegment(seg);
+    // Each tombstone hides a distinct paged key, so n all-tombstone
+    // entries mean the segment is empty.
+    const bool emptied =
+        seg->buffer.size() == seg->n &&
+        std::all_of(seg->buffer.begin(), seg->buffer.end(),
+                    [](const BufferEntry& e) { return e.tombstone; });
+    if (seg->buffer.size() > effective_buffer_ || emptied) MergeSegment(seg);
     return true;
   }
 
@@ -308,12 +321,19 @@ class FitingTree {
   }
 
   size_t SegmentCount() const { return directory_.size(); }
+
+  // The sorted page of the segment at directory position `i` (< the
+  // segment count); its buffered mutations are not included.
+  std::span<const K> PageKeys(size_t i) const {
+    const SegmentData& seg = *directory_.value_at(i);
+    return {seg.keys, seg.n};
+  }
   const FitingTreeStats& stats() const { return stats_; }
   const FitingTreeConfig& config() const { return config_; }
 
   // Structural snapshot (telemetry tentpole): segment shape plus pending
-  // delta-buffer occupancy against the per-segment budget, and the
-  // lifetime merge counters this instance has accrued.
+  // delta-buffer occupancy against the per-segment budget, the lifetime
+  // merge counters this instance has accrued, and its segment arena.
   telemetry::StructuralStats Stats() const {
     telemetry::StructuralStats st;
     st.engine = telemetry::EngineName(telemetry::Engine::kBuffered);
@@ -338,6 +358,12 @@ class FitingTree {
     st.Add("segments_created", static_cast<double>(stats_.segments_created));
     st.Add("segments_retired", static_cast<double>(stats_.segments_retired));
     st.Add("index_bytes", static_cast<double>(IndexSizeBytes()));
+    st.Add("arena_chunks", static_cast<double>(arena_.chunks()));
+    st.Add("arena_mapped_bytes", static_cast<double>(arena_.mapped_bytes()));
+    st.Add("arena_live_bytes", static_cast<double>(arena_.live_bytes()));
+    st.Add("arena_relocations", static_cast<double>(arena_.relocations()));
+    st.Add("arena_free_chunks",
+           static_cast<double>(SegmentArena::FreeChunks()));  // process-wide
     return st;
   }
 
@@ -346,19 +372,35 @@ class FitingTree {
 
   using BufferEntry = detail::BufferEntry<K, V>;
 
-  struct SegmentData {
+  // Where a page's payloads start in its block: after its n keys and, in
+  // ASan builds, a poisoned gap, so reading keys[n] reports.
+  static size_t ValuesOffset(size_t n) {
+    return arena_detail::RoundUp(n * sizeof(K), alignof(V)) +
+           SegmentArena::kRedzoneBytes;
+  }
+  static size_t BlockBytes(size_t n) { return ValuesOffset(n) + n * sizeof(V); }
+
+  // One cache line for 8-byte keys: the model, the page block and the
+  // delta buffer.
+  struct alignas(64) SegmentData {
     K first_key{};
     double slope = 0.0;
     double intercept = 0.0;  // predicted index into `keys` at first_key
-    std::vector<K> keys;     // sorted page
-    std::vector<V> values;   // payloads, parallel to `keys`
+    K* keys = nullptr;       // arena block: n sorted keys, then n payloads
+    uint32_t n = 0;
+    uint32_t slot = 0;       // index in segments_
     std::vector<BufferEntry> buffer;  // sorted delta buffer
 
+    V* values() const {
+      return reinterpret_cast<V*>(reinterpret_cast<char*>(keys) +
+                                  ValuesOffset(n));
+    }
     double Predict(const K& key) const {
       return intercept + slope * (static_cast<double>(key) -
                                   static_cast<double>(first_key));
     }
   };
+  static_assert(sizeof(K) > 8 || sizeof(SegmentData) == 64);
 
   static constexpr size_t kSegmentMetaBytes =
       sizeof(K) + 2 * sizeof(double) + sizeof(void*);
@@ -375,24 +417,61 @@ class FitingTree {
     first_keys.reserve(models.size());
     ptrs.reserve(models.size());
     segments_.reserve(models.size());
+    size_t total = 0;
     for (const Segment<K>& m : models) {
-      auto data = std::make_unique<SegmentData>();
+      total += SegmentArena::SpanOf(BlockBytes(m.length));
+    }
+    arena_.ExpectBytes(total);
+    for (const Segment<K>& m : models) {
+      SegmentData* data = NewSegment();
       data->first_key = m.first_key;
       data->slope = m.slope;
       data->intercept = m.intercept - static_cast<double>(m.start);
-      data->keys.assign(keys.begin() + m.start,
-                        keys.begin() + m.start + m.length);
-      if (values.empty()) {
-        data->values.assign(m.length, V{});
-      } else {
-        data->values.assign(values.begin() + m.start,
-                            values.begin() + m.start + m.length);
-      }
+      StoreBlock(*data, keys.subspan(m.start, m.length),
+                 values.empty() ? values : values.subspan(m.start, m.length));
       first_keys.push_back(m.first_key);
-      ptrs.push_back(data.get());
-      segments_.push_back(std::move(data));
+      ptrs.push_back(data);
     }
     directory_.BulkLoad(std::move(first_keys), std::move(ptrs));
+  }
+
+  SegmentData* NewSegment() {
+    segments_.push_back(std::make_unique<SegmentData>());
+    segments_.back()->slot = static_cast<uint32_t>(segments_.size() - 1);
+    return segments_.back().get();
+  }
+
+  // Gives `seg` a fresh arena block holding `keys` and their payloads
+  // (`values` empty = value-initialized), then frees the block it had. The
+  // sources may be that old block: it is freed only after the copy.
+  void StoreBlock(SegmentData& seg, std::span<const K> keys,
+                  std::span<const V> values) {
+    const size_t n = keys.size();
+    assert(n > 0 && n <= UINT32_MAX);
+    auto* block = static_cast<char*>(arena_.Allocate(BlockBytes(n), &seg));
+    SegmentArena::PoisonGap(block + n * sizeof(K),
+                            ValuesOffset(n) - n * sizeof(K));
+    std::memcpy(block, keys.data(), n * sizeof(K));
+    V* dst = reinterpret_cast<V*>(block + ValuesOffset(n));
+    if (values.empty()) {
+      std::fill_n(dst, n, V{});
+    } else {
+      std::memcpy(dst, values.data(), n * sizeof(V));
+    }
+    if (seg.keys != nullptr) arena_.Free(seg.keys);
+    seg.keys = reinterpret_cast<K*>(block);
+    seg.n = static_cast<uint32_t>(n);
+  }
+
+  // Keeps merge churn from growing the arena without bound (see
+  // SegmentArena::Compact): moved pages are copied to fresh blocks.
+  void CompactArena() {
+    const size_t moved = arena_.Compact([this](void* owner) {
+      SegmentData& seg = *static_cast<SegmentData*>(owner);
+      StoreBlock(seg, std::span<const K>(seg.keys, seg.n),
+                 std::span<const V>(seg.values(), seg.n));
+    });
+    telemetry::CounterAdd(telemetry::CounterId::kArenaRelocations, moved);
   }
 
   const SegmentData* LocateSegment(const K& key) const {
@@ -408,13 +487,12 @@ class FitingTree {
   // lines arrive while the buffer probe between descent and page search is
   // still executing.
   void PrefetchPredicted(const SegmentData& seg, const K& key) const {
-    const size_t n = seg.keys.size();
-    if (n == 0) return;
+    const size_t n = seg.n;
     const double pred = seg.Predict(key);
     const size_t hint =
         pred <= 0.0 ? 0 : std::min(n - 1, static_cast<size_t>(pred));
-    PrefetchRead(seg.keys.data() + hint);
-    PrefetchRead(seg.values.data() + hint);
+    PrefetchRead(seg.keys + hint);
+    PrefetchRead(seg.values() + hint);
   }
 
   SegmentData* LocateSegmentMutable(const K& key) {
@@ -427,8 +505,7 @@ class FitingTree {
   size_t SearchSegment(const SegmentData& seg, const K& key) const {
     telemetry::ScopedPhase phase(telemetry::Engine::kBuffered,
                                  telemetry::Phase::kWindowSearch);
-    const size_t n = seg.keys.size();
-    if (n == 0) return kNotFound;
+    const size_t n = seg.n;
     const double pred = seg.Predict(key);
     // A key below the leftmost segment (floor fallback) predicts far
     // negative; a present key always predicts a window overlapping [0, n).
@@ -436,7 +513,7 @@ class FitingTree {
     const auto [begin, end] = ErrorWindow(pred, config_.error, 0, n);
     const size_t hint = static_cast<size_t>(std::max(0.0, pred));
     const size_t i = detail::BoundedLowerBound(
-        seg.keys.data(), begin, end, hint, key, config_.search_policy);
+        seg.keys, begin, end, hint, key, config_.search_policy);
     return i < n && seg.keys[i] == key ? i : kNotFound;
   }
 
@@ -460,22 +537,23 @@ class FitingTree {
   size_t EmitRange(const SegmentData& seg, const K& lo, const K& hi,
                    Fn& fn) const {
     size_t emitted = 0;
-    auto k = std::lower_bound(seg.keys.begin(), seg.keys.end(), lo);
+    const K* const keys = seg.keys;
+    const K* const keys_end = keys + seg.n;
+    const K* k = std::lower_bound(keys, keys_end, lo);
     auto b = std::lower_bound(seg.buffer.begin(), seg.buffer.end(), lo,
                               detail::BufferKeyLess{});
-    while (k != seg.keys.end() || b != seg.buffer.end()) {
+    while (k != keys_end || b != seg.buffer.end()) {
       const bool page_first =
-          b == seg.buffer.end() || (k != seg.keys.end() && *k < b->key);
+          b == seg.buffer.end() || (k != keys_end && *k < b->key);
       if (page_first) {
         if (*k > hi) return emitted;
-        detail::EmitEntry(fn, *k,
-                          seg.values[static_cast<size_t>(k - seg.keys.begin())]);
+        detail::EmitEntry(fn, *k, seg.values()[k - keys]);
         ++emitted;
         ++k;
         continue;
       }
       if (b->key > hi) return emitted;
-      if (k != seg.keys.end() && *k == b->key) {
+      if (k != keys_end && *k == b->key) {
         // Equal keys: the buffer entry shadows the page. By the buffer
         // invariants this is a tombstone (live entries are never paged).
         assert(b->tombstone);
@@ -506,20 +584,21 @@ class FitingTree {
     ++stats_.segment_merges;
     std::vector<K> merged;
     std::vector<V> merged_values;
-    merged.reserve(seg->keys.size() + seg->buffer.size());
+    merged.reserve(seg->n + seg->buffer.size());
     merged_values.reserve(merged.capacity());
     {
+      const V* values = seg->values();
       size_t k = 0;
       size_t b = 0;
-      while (k < seg->keys.size() || b < seg->buffer.size()) {
+      while (k < seg->n || b < seg->buffer.size()) {
         const bool page_first =
             b == seg->buffer.size() ||
-            (k < seg->keys.size() && seg->keys[k] < seg->buffer[b].key);
+            (k < seg->n && seg->keys[k] < seg->buffer[b].key);
         if (page_first) {
           merged.push_back(seg->keys[k]);
-          merged_values.push_back(seg->values[k]);
+          merged_values.push_back(values[k]);
           ++k;
-        } else if (k < seg->keys.size() && seg->keys[k] == seg->buffer[b].key) {
+        } else if (k < seg->n && seg->keys[k] == seg->buffer[b].key) {
           assert(seg->buffer[b].tombstone);
           ++stats_.tombstones_cleared;
           ++k;
@@ -543,16 +622,14 @@ class FitingTree {
       // range is absorbed by the floor rule (lookups fall to the left
       // neighbor). Swap-and-pop keeps sustained delete/reinsert churn from
       // growing segments_ without bound.
-      auto it = std::find_if(
-          segments_.begin(), segments_.end(),
-          [seg](const std::unique_ptr<SegmentData>& p) {
-            return p.get() == seg;
-          });
-      assert(it != segments_.end());
-      std::swap(*it, segments_.back());
+      arena_.Free(seg->keys);
+      const size_t slot = seg->slot;
+      std::swap(segments_[slot], segments_.back());
+      segments_[slot]->slot = static_cast<uint32_t>(slot);
       segments_.pop_back();
       directory_.Splice(fpos, 1, {}, {});
       ++stats_.segments_retired;
+      CompactArena();
       return;
     }
 
@@ -567,21 +644,15 @@ class FitingTree {
     new_keys.reserve(models.size());
     new_ptrs.reserve(models.size());
     for (size_t m = 0; m < models.size(); ++m) {
-      SegmentData* target;
-      if (m == 0) {
-        target = seg;
-      } else {
-        segments_.push_back(std::make_unique<SegmentData>());
-        target = segments_.back().get();
-      }
+      SegmentData* target = m == 0 ? seg : NewSegment();
       const Segment<K>& model = models[m];
       target->first_key = model.first_key;
       target->slope = model.slope;
       target->intercept = model.intercept - static_cast<double>(model.start);
-      target->keys.assign(merged.begin() + model.start,
-                          merged.begin() + model.start + model.length);
-      target->values.assign(merged_values.begin() + model.start,
-                            merged_values.begin() + model.start + model.length);
+      StoreBlock(*target,
+                 std::span<const K>(merged).subspan(model.start, model.length),
+                 std::span<const V>(merged_values)
+                     .subspan(model.start, model.length));
       target->buffer.clear();
       target->buffer.shrink_to_fit();
       new_keys.push_back(model.first_key);
@@ -591,10 +662,12 @@ class FitingTree {
     // splice is positional; the common one-for-one case is an in-place
     // overwrite with no tail move.
     directory_.Splice(fpos, 1, new_keys, new_ptrs);
+    CompactArena();
   }
 
   FitingTreeConfig config_;
   size_t effective_buffer_ = 0;
+  SegmentArena arena_;  // every segment's page block
   std::vector<std::unique_ptr<SegmentData>> segments_;
   Directory directory_;
   size_t size_ = 0;

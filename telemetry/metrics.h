@@ -100,8 +100,9 @@ enum class CounterId : uint8_t {
   kServerEnqueueStalls,  // failed enqueue attempts (queue-full backpressure)
   kIoBatches,            // batched page-read submissions (FetchBatch misses)
   kServerParks,          // idle shard waits that outlasted the poll and parked
+  kArenaRelocations,     // sparse segment-arena chunks emptied by moving blocks
 };
-inline constexpr size_t kNumCounters = 14;
+inline constexpr size_t kNumCounters = 15;
 
 inline constexpr const char* CounterName(CounterId id) {
   switch (id) {
@@ -119,6 +120,7 @@ inline constexpr const char* CounterName(CounterId id) {
     case CounterId::kServerEnqueueStalls: return "server.enqueue_stalls";
     case CounterId::kIoBatches: return "io.batches";
     case CounterId::kServerParks: return "server.parks";
+    case CounterId::kArenaRelocations: return "arena.relocations";
   }
   return "?";
 }

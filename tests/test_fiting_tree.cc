@@ -6,6 +6,8 @@
 #include <optional>
 #include <random>
 #include <set>
+#include <span>
+#include <thread>
 #include <vector>
 
 #include "core/fiting_tree.h"
@@ -19,6 +21,7 @@ using fitree::Feasibility;
 using fitree::FitingTree;
 using fitree::FitingTreeConfig;
 using fitree::SearchPolicy;
+using fitree::SegmentArena;
 using fitree::testing::CrudOptions;
 using fitree::testing::MakeInitialLoad;
 using fitree::testing::PropertyOps;
@@ -375,5 +378,180 @@ TEST(FitingTree, EmptyAndSingleton) {
   tree->ScanRange(0, 100, [&](int64_t key) { scanned.push_back(key); });
   EXPECT_EQ(scanned, (std::vector<int64_t>{3, 5, 9}));
 }
+
+// ---- Segment arena (core/segment_arena.h) ---------------------------------
+// Registered again under the `property` ctest label (SegmentArena*), so the
+// ASan and TSan legs run them too.
+
+double ArenaStat(const FitingTree<int64_t>& tree, const char* name) {
+  return tree.Stats().Get(name);
+}
+
+// Holds the arena's bound: mapped <= 2 x live + slack.
+void ExpectArenaBounded(const FitingTree<int64_t>& tree, size_t op) {
+  const double mapped = ArenaStat(tree, "arena_mapped_bytes");
+  const double live = ArenaStat(tree, "arena_live_bytes");
+  EXPECT_LE(mapped, 2.0 * live +
+                        static_cast<double>(SegmentArena::kSlackBytes))
+      << "after op " << op << ": live " << live;
+}
+
+// Zipf-skewed insert/update/delete churn over a universe twice the loaded
+// key set, 20x the key count in ops: merges keep rewriting the hot
+// segments' pages, and the arena must stay bounded by relocating the
+// blocks of sparse chunks.
+TEST(SegmentArena, MemoryStaysBoundedUnderZipfChurn) {
+  const auto universe = fitree::datasets::Weblogs(200000, 21);
+  std::vector<int64_t> keys;
+  for (size_t i = 0; i < universe.size(); i += 2) keys.push_back(universe[i]);
+  FitingTreeConfig config;
+  config.error = 32.0;
+  auto tree = FitingTree<int64_t>::Create(keys, config);
+  std::map<int64_t, uint64_t> oracle;
+  for (const int64_t k : keys) oracle.emplace(k, 0);
+
+  fitree::workloads::detail::ZipfianRanks zipf(universe.size());
+  std::mt19937_64 rng(7);
+  const size_t ops = 20 * keys.size();
+  for (size_t op = 0; op < ops; ++op) {
+    const int64_t key = universe[zipf.Next(rng)];
+    const uint64_t draw = rng() % 10;
+    if (draw < 4) {
+      ASSERT_EQ(tree->Insert(key, op), oracle.emplace(key, op).second);
+    } else if (draw < 6) {
+      const auto it = oracle.find(key);
+      ASSERT_EQ(tree->Update(key, op), it != oracle.end());
+      if (it != oracle.end()) it->second = op;
+    } else {
+      ASSERT_EQ(tree->Delete(key), oracle.erase(key) > 0);
+    }
+    if (op % 50000 == 0) ExpectArenaBounded(*tree, op);
+  }
+  ExpectArenaBounded(*tree, ops);
+  EXPECT_GT(ArenaStat(*tree, "arena_relocations"), 0.0);
+  EXPECT_EQ(tree->size(), oracle.size());
+  auto expect = oracle.begin();
+  tree->ScanRange(universe.front(), universe.back(),
+                  [&](int64_t k, uint64_t v) {
+                    ASSERT_NE(expect, oracle.end());
+                    EXPECT_EQ(k, expect->first);
+                    EXPECT_EQ(v, expect->second);
+                    ++expect;
+                  });
+  EXPECT_EQ(expect, oracle.end());
+}
+
+TEST(SegmentArena, DeletingEveryKeyLeavesAtMostOneChunk) {
+  const auto keys = fitree::datasets::Weblogs(300000, 22);
+  FitingTreeConfig config;
+  config.error = 32.0;
+  auto tree = FitingTree<int64_t>::Create(keys, config);
+  ASSERT_GT(ArenaStat(*tree, "arena_chunks"), 1.0);
+  std::vector<int64_t> order(keys);
+  std::shuffle(order.begin(), order.end(), std::mt19937_64(3));
+  for (const int64_t k : order) ASSERT_TRUE(tree->Delete(k));
+  EXPECT_EQ(tree->size(), 0u);
+  EXPECT_EQ(tree->SegmentCount(), 0u);
+  EXPECT_LE(ArenaStat(*tree, "arena_chunks"), 1.0);
+  EXPECT_EQ(ArenaStat(*tree, "arena_live_bytes"), 0.0);
+}
+
+TEST(SegmentArena, RebuildTakesChunksFromFreeList) {
+  const auto keys = fitree::datasets::Weblogs(1000000, 23);  // ~8 chunks
+  FitingTreeConfig config;
+  config.error = 64.0;
+  auto first = FitingTree<int64_t>::Create(keys, config);
+  const double chunks = ArenaStat(*first, "arena_chunks");
+  ASSERT_GT(chunks, 4.0);
+  first.reset();
+  const size_t free_after_drop = SegmentArena::FreeChunks();
+  EXPECT_GE(free_after_drop, static_cast<size_t>(chunks) - 2);
+  auto second = FitingTree<int64_t>::Create(keys, config);
+  EXPECT_EQ(ArenaStat(*second, "arena_chunks"), chunks);
+  EXPECT_LE(SegmentArena::FreeChunks() + static_cast<size_t>(chunks) - 2,
+            free_after_drop);
+  for (size_t i = 0; i < keys.size(); i += 997) {
+    ASSERT_TRUE(second->Contains(keys[i])) << keys[i];
+  }
+}
+
+// A perfectly linear 1M-key set is one segment whose 16 MB page needs a
+// block larger than a chunk: it gets a chunk of its own.
+TEST(SegmentArena, LinearMillionKeysUseOneOversizeBlock) {
+  std::vector<int64_t> keys(1000000);
+  for (size_t i = 0; i < keys.size(); ++i) {
+    keys[i] = static_cast<int64_t>(3 * i);
+  }
+  std::vector<uint64_t> values(keys.size());
+  for (size_t i = 0; i < values.size(); ++i) values[i] = i * 11;
+  FitingTreeConfig config;
+  config.error = 32.0;
+  auto tree = FitingTree<int64_t>::Create(keys, values, config);
+  ASSERT_EQ(tree->SegmentCount(), 1u);
+  EXPECT_EQ(tree->PageKeys(0).size(), keys.size());
+  EXPECT_EQ(ArenaStat(*tree, "arena_chunks"), 1.0);
+  EXPECT_GT(ArenaStat(*tree, "arena_mapped_bytes"),
+            static_cast<double>(SegmentArena::kChunkBytes));
+  for (size_t i = 0; i < keys.size(); i += 101) {
+    ASSERT_EQ(tree->Lookup(keys[i]), std::optional<uint64_t>(values[i]));
+    ASSERT_FALSE(tree->Contains(keys[i] + 1));
+  }
+  // A merge rewrites the whole page into a fresh oversize block.
+  for (int64_t k = 1; k < 200; k += 3) ASSERT_TRUE(tree->Insert(k, 5));
+  EXPECT_GT(tree->stats().segment_merges, 0u);
+  EXPECT_EQ(tree->Lookup(1), std::optional<uint64_t>(5));
+  EXPECT_EQ(tree->Lookup(keys.back()), std::optional<uint64_t>(values.back()));
+  EXPECT_EQ(tree->size(), keys.size() + 67);
+}
+
+// Trees on separate threads share only the process-wide chunk free list;
+// each keeps building, churning and dropping its own (the shards of a
+// ShardedIndex do the same).
+TEST(SegmentArena, TreesOnSeparateThreadsShareFreeList) {
+  std::vector<std::thread> threads;
+  for (uint64_t t = 0; t < 4; ++t) {
+    threads.emplace_back([t] {
+      const auto keys = fitree::datasets::Weblogs(150000, 30 + t);
+      FitingTreeConfig config;
+      config.error = 32.0;
+      for (int round = 0; round < 3; ++round) {
+        auto tree = FitingTree<int64_t>::Create(keys, config);
+        std::mt19937_64 rng(t * 10 + static_cast<uint64_t>(round));
+        for (int i = 0; i < 20000; ++i) {
+          const int64_t k = keys[rng() % keys.size()];
+          if (i % 2 == 0) {
+            tree->Delete(k);
+          } else {
+            tree->Insert(k, 1);
+          }
+        }
+        for (size_t i = 0; i < keys.size(); i += 101) {
+          tree->Insert(keys[i], 2);
+          EXPECT_TRUE(tree->Contains(keys[i]));
+        }
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+}
+
+#if defined(FITREE_ASAN)
+// The SIMD window kernels promise never to read past data + 8n
+// (core/search_policy.h); the arena's poisoned gaps keep ASan able to
+// catch a page over-read.
+TEST(SegmentArenaDeathTest, ReadingPastAPageReports) {
+  const auto keys = fitree::datasets::Weblogs(20000, 24);
+  FitingTreeConfig config;
+  config.error = 32.0;
+  auto tree = FitingTree<int64_t>::Create(keys, config);
+  const std::span<const int64_t> page = tree->PageKeys(0);
+  EXPECT_DEATH(
+      {
+        const volatile int64_t past = page.data()[page.size()];
+        (void)past;
+      },
+      "AddressSanitizer");
+}
+#endif
 
 }  // namespace

@@ -23,23 +23,14 @@ p50/mean/p99.
 """
 
 import argparse
-import json
 import sys
 
-
-def die(message):
-    """Malformed input / usage error: exit 2 (1 is reserved for regressions)."""
-    print(f"bench_diff: {message}", file=sys.stderr)
-    sys.exit(2)
+from fitree_results import die, load_json
 
 
 def load_results(path):
     """Returns {(experiment, params-tuple): record} for one results file."""
-    try:
-        with open(path, "r", encoding="utf-8") as f:
-            doc = json.load(f)
-    except (OSError, json.JSONDecodeError) as e:
-        die(f"cannot read {path}: {e}")
+    doc = load_json(path)
     if not isinstance(doc, dict) or "results" not in doc:
         die(f"{path} is not a BENCH_results.json document")
     records = {}

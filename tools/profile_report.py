@@ -32,23 +32,14 @@ Typical use:
 """
 
 import argparse
-import json
 import sys
 
-
-def die(message):
-    print(f"profile_report: {message}", file=sys.stderr)
-    sys.exit(2)
+from fitree_results import (PHASE_HEADER, die, load_object, phase_rows,
+                            render_table)
 
 
 def load_doc(path):
-    try:
-        with open(path, "r", encoding="utf-8") as f:
-            doc = json.load(f)
-    except (OSError, json.JSONDecodeError) as e:
-        die(f"cannot read {path}: {e}")
-    if not isinstance(doc, dict):
-        die(f"{path}: top-level JSON value is not an object")
+    doc = load_object(path)
     if doc.get("schema_version") != 1:
         die(f"{path}: unsupported schema_version "
             f"{doc.get('schema_version')!r} (this tool understands 1)")
@@ -59,20 +50,6 @@ def load_doc(path):
     return doc
 
 
-def render_table(rows, header):
-    """Column-aligned plain-text table (same style as stats_dump.py)."""
-    widths = [len(h) for h in header]
-    for row in rows:
-        for i, cell in enumerate(row):
-            widths[i] = max(widths[i], len(cell))
-    lines = ["  ".join(h.ljust(w) for h, w in zip(header, widths)).rstrip()]
-    lines.append("  ".join("-" * w for w in widths))
-    for row in rows:
-        lines.append(
-            "  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip())
-    return "\n".join(lines)
-
-
 def fmt_params(params):
     if not isinstance(params, dict) or not params:
         return "-"
@@ -81,32 +58,11 @@ def fmt_params(params):
 
 def print_phase_grid(telemetry):
     print("== per-(engine, phase) span grid (self time, sampled) ==")
-    phases = telemetry.get("phases", [])
-    if not isinstance(phases, list):
-        die('"phases" is not an array')
-    if not phases:
+    rows = phase_rows(telemetry.get("phases", []))
+    if not rows:
         print("(no phase spans recorded)")
         return
-    rows = []
-    for cell in phases:
-        if not isinstance(cell, dict):
-            die('"phases" entry is not an object')
-        for key in ("engine", "phase", "samples"):
-            if key not in cell:
-                die(f'"phases" entry missing "{key}"')
-        timed = "mean_ns" in cell
-        rows.append([
-            str(cell["engine"]),
-            str(cell["phase"]),
-            f"{cell['samples']:,}",
-            f"{cell['p50_ns']:,}" if timed else "-",
-            f"{cell['p95_ns']:,}" if timed else "-",
-            f"{cell['p99_ns']:,}" if timed else "-",
-            f"{cell['max_ns']:,}" if timed else "-",
-            f"{cell['mean_ns']:.1f}" if timed else "-",
-        ])
-    print(render_table(rows, ["engine", "phase", "samples", "p50_ns",
-                              "p95_ns", "p99_ns", "max_ns", "mean_ns"]))
+    print(render_table(rows, PHASE_HEADER))
 
 
 def print_pmu(results):

@@ -26,46 +26,18 @@ Typical use:
 """
 
 import argparse
-import json
 import sys
 
-
-def die(message):
-    print(f"stats_dump: {message}", file=sys.stderr)
-    sys.exit(2)
+from fitree_results import (PHASE_HEADER, die, fmt_count, load_object,
+                            phase_rows, render_table)
 
 
 def load_telemetry(path):
-    try:
-        with open(path, "r", encoding="utf-8") as f:
-            doc = json.load(f)
-    except (OSError, json.JSONDecodeError) as e:
-        die(f"cannot read {path}: {e}")
-    if not isinstance(doc, dict):
-        die(f"{path}: top-level JSON value is not an object")
-    telemetry = doc.get("telemetry")
+    telemetry = load_object(path).get("telemetry")
     if not isinstance(telemetry, dict) or "enabled" not in telemetry:
         die(f"{path}: no telemetry section (document predates the "
             "telemetry exporter, or the schema changed)")
     return telemetry
-
-
-def fmt_count(n):
-    return f"{n:,}"
-
-
-def render_table(rows, header):
-    """Column-aligned plain-text table (same style as fitree_bench)."""
-    widths = [len(h) for h in header]
-    for row in rows:
-        for i, cell in enumerate(row):
-            widths[i] = max(widths[i], len(cell))
-    lines = ["  ".join(h.ljust(w) for h, w in zip(header, widths)).rstrip()]
-    lines.append("  ".join("-" * w for w in widths))
-    for row in rows:
-        lines.append(
-            "  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip())
-    return "\n".join(lines)
 
 
 def print_ops(telemetry):
@@ -104,32 +76,12 @@ def print_phases(telemetry):
     phases = telemetry.get("phases")
     if phases is None:
         return  # document predates phase spans
-    if not isinstance(phases, list):
-        die('"phases" is not an array')
+    rows = phase_rows(phases)
     print("\n== per-(engine, phase) span grid (self time, sampled) ==")
-    if not phases:
+    if not rows:
         print("(no phase spans recorded)")
         return
-    rows = []
-    for cell in phases:
-        if not isinstance(cell, dict):
-            die('"phases" entry is not an object')
-        for key in ("engine", "phase", "samples"):
-            if key not in cell:
-                die(f'"phases" entry missing "{key}"')
-        timed = "mean_ns" in cell
-        rows.append([
-            str(cell["engine"]),
-            str(cell["phase"]),
-            fmt_count(cell["samples"]),
-            fmt_count(cell["p50_ns"]) if timed else "-",
-            fmt_count(cell["p95_ns"]) if timed else "-",
-            fmt_count(cell["p99_ns"]) if timed else "-",
-            fmt_count(cell["max_ns"]) if timed else "-",
-            f"{cell['mean_ns']:.1f}" if timed else "-",
-        ])
-    print(render_table(rows, ["engine", "phase", "samples", "p50_ns",
-                              "p95_ns", "p99_ns", "max_ns", "mean_ns"]))
+    print(render_table(rows, PHASE_HEADER))
 
 
 def print_scalars(telemetry):
