@@ -695,35 +695,20 @@ class ConcurrentFitingTree {
         return;
       }
       seg->retired.store(true, std::memory_order_release);
-      merged.reserve(seg->keys.size() + seg->buffer.size());
-      merged_values.reserve(merged.capacity());
-      size_t k = 0;
-      size_t b = 0;
-      while (k < seg->keys.size() || b < seg->buffer.size()) {
-        const bool page_first =
-            b == seg->buffer.size() ||
-            (k < seg->keys.size() && seg->keys[k] < seg->buffer[b].key);
-        if (page_first) {
-          merged.push_back(seg->keys[k]);
-          merged_values.push_back(seg->values[k]);
-          ++k;
-        } else if (k < seg->keys.size() &&
-                   seg->keys[k] == seg->buffer[b].key) {
-          // Buffer shadows page: override replaces the payload, tombstone
-          // drops the key.
-          if (!seg->buffer[b].tombstone) {
-            merged.push_back(seg->buffer[b].key);
-            merged_values.push_back(seg->buffer[b].value);
-          }
-          ++k;
-          ++b;
-        } else {
-          assert(!seg->buffer[b].tombstone);
-          merged.push_back(seg->buffer[b].key);
-          merged_values.push_back(seg->buffer[b].value);
-          ++b;
-        }
-      }
+      // Room for every page key and live entry less the tombstoned keys;
+      // each override then leaves one slot unused.
+      const size_t tombstones = static_cast<size_t>(
+          std::count_if(seg->buffer.begin(), seg->buffer.end(),
+                        [](const BufferEntry& e) { return e.tombstone; }));
+      const size_t bound =
+          seg->keys.size() + seg->buffer.size() - 2 * tombstones;
+      merged.resize(bound);
+      merged_values.resize(bound);
+      const size_t n = detail::MergePageWithBuffer<K, V>(
+          seg->keys.data(), seg->values.data(), seg->keys.size(), seg->buffer,
+          merged.data(), merged_values.data());
+      merged.resize(n);
+      merged_values.resize(n);
     }
     stats_merges_.fetch_add(1, std::memory_order_relaxed);
 

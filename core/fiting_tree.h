@@ -110,6 +110,42 @@ struct BufferKeyLess {
   }
 };
 
+// The merge kernel of both engines: writes the sorted page (keys, values,
+// n entries) with its sorted delta buffer applied to out_keys/out_values
+// and returns the entry count. A tombstone drops its page key, a live
+// entry equal to a page key replaces that key's payload, and any other
+// live entry is inserted. The outputs need room for n + (live entries) -
+// (tombstones) entries, the exact count when no live entry is paged, and
+// must not overlap the inputs. The page between two buffer entries is
+// copied as one run.
+template <typename K, typename V>
+size_t MergePageWithBuffer(const K* keys, const V* values, size_t n,
+                           std::span<const BufferEntry<K, V>> buffer,
+                           K* out_keys, V* out_values) {
+  size_t k = 0;
+  size_t out = 0;
+  const auto copy_run = [&](size_t end) {
+    // std::copy_n, unlike memcpy, takes the null pointers of an empty
+    // vector; for trivially copyable types it is one memmove.
+    std::copy_n(keys + k, end - k, out_keys + out);
+    std::copy_n(values + k, end - k, out_values + out);
+    out += end - k;
+    k = end;
+  };
+  for (const BufferEntry<K, V>& e : buffer) {
+    const K* pos = std::lower_bound(keys + k, keys + n, e.key);
+    copy_run(static_cast<size_t>(pos - keys));
+    if (k < n && keys[k] == e.key) ++k;  // shadowed: dropped or replaced
+    if (!e.tombstone) {
+      out_keys[out] = e.key;
+      out_values[out] = e.value;
+      ++out;
+    }
+  }
+  copy_run(n);
+  return out;
+}
+
 }  // namespace detail
 
 template <typename K, typename V = uint64_t>
@@ -379,6 +415,11 @@ class FitingTree {
            SegmentArena::kRedzoneBytes;
   }
   static size_t BlockBytes(size_t n) { return ValuesOffset(n) + n * sizeof(V); }
+  // The payloads of the n-key page starting at `block`.
+  static V* BlockValues(K* block, size_t n) {
+    return reinterpret_cast<V*>(reinterpret_cast<char*>(block) +
+                                ValuesOffset(n));
+  }
 
   // One cache line for 8-byte keys: the model, the page block and the
   // delta buffer.
@@ -391,10 +432,7 @@ class FitingTree {
     uint32_t slot = 0;       // index in segments_
     std::vector<BufferEntry> buffer;  // sorted delta buffer
 
-    V* values() const {
-      return reinterpret_cast<V*>(reinterpret_cast<char*>(keys) +
-                                  ValuesOffset(n));
-    }
+    V* values() const { return BlockValues(keys, n); }
     double Predict(const K& key) const {
       return intercept + slope * (static_cast<double>(key) -
                                   static_cast<double>(first_key));
@@ -424,9 +462,7 @@ class FitingTree {
     arena_.ExpectBytes(total);
     for (const Segment<K>& m : models) {
       SegmentData* data = NewSegment();
-      data->first_key = m.first_key;
-      data->slope = m.slope;
-      data->intercept = m.intercept - static_cast<double>(m.start);
+      SetModel(*data, m);
       StoreBlock(*data, keys.subspan(m.start, m.length),
                  values.empty() ? values : values.subspan(m.start, m.length));
       first_keys.push_back(m.first_key);
@@ -441,26 +477,46 @@ class FitingTree {
     return segments_.back().get();
   }
 
+  // Points `seg` at model `m`, with its intercept rebased to the page.
+  static void SetModel(SegmentData& seg, const Segment<K>& m) {
+    seg.first_key = m.first_key;
+    seg.slope = m.slope;
+    seg.intercept = m.intercept - static_cast<double>(m.start);
+  }
+
+  // An uninitialized arena block for an n-key page owned by `owner`: its
+  // keys start the block, its payloads start at ValuesOffset(n).
+  K* NewBlock(size_t n, SegmentData* owner) {
+    assert(n > 0 && n <= UINT32_MAX);
+    auto* block = static_cast<char*>(arena_.Allocate(BlockBytes(n), owner));
+    SegmentArena::PoisonGap(block + n * sizeof(K),
+                            ValuesOffset(n) - n * sizeof(K));
+    return reinterpret_cast<K*>(block);
+  }
+
+  // Makes the filled n-key `block` (from NewBlock(n, &seg)) `seg`'s page
+  // and frees the block it had.
+  void AdoptBlock(SegmentData& seg, K* block, size_t n) {
+    if (seg.keys != nullptr) arena_.Free(seg.keys);
+    seg.keys = block;
+    seg.n = static_cast<uint32_t>(n);
+  }
+
   // Gives `seg` a fresh arena block holding `keys` and their payloads
   // (`values` empty = value-initialized), then frees the block it had. The
   // sources may be that old block: it is freed only after the copy.
   void StoreBlock(SegmentData& seg, std::span<const K> keys,
                   std::span<const V> values) {
     const size_t n = keys.size();
-    assert(n > 0 && n <= UINT32_MAX);
-    auto* block = static_cast<char*>(arena_.Allocate(BlockBytes(n), &seg));
-    SegmentArena::PoisonGap(block + n * sizeof(K),
-                            ValuesOffset(n) - n * sizeof(K));
+    K* block = NewBlock(n, &seg);
     std::memcpy(block, keys.data(), n * sizeof(K));
-    V* dst = reinterpret_cast<V*>(block + ValuesOffset(n));
+    V* dst = BlockValues(block, n);
     if (values.empty()) {
       std::fill_n(dst, n, V{});
     } else {
       std::memcpy(dst, values.data(), n * sizeof(V));
     }
-    if (seg.keys != nullptr) arena_.Free(seg.keys);
-    seg.keys = reinterpret_cast<K*>(block);
-    seg.n = static_cast<uint32_t>(n);
+    AdoptBlock(seg, block, n);
   }
 
   // Keeps merge churn from growing the arena without bound (see
@@ -582,42 +638,20 @@ class FitingTree {
     telemetry::ScopedPhase phase(telemetry::Engine::kBuffered,
                                  telemetry::Phase::kMergeResegment);
     ++stats_.segment_merges;
-    std::vector<K> merged;
-    std::vector<V> merged_values;
-    merged.reserve(seg->n + seg->buffer.size());
-    merged_values.reserve(merged.capacity());
-    {
-      const V* values = seg->values();
-      size_t k = 0;
-      size_t b = 0;
-      while (k < seg->n || b < seg->buffer.size()) {
-        const bool page_first =
-            b == seg->buffer.size() ||
-            (k < seg->n && seg->keys[k] < seg->buffer[b].key);
-        if (page_first) {
-          merged.push_back(seg->keys[k]);
-          merged_values.push_back(values[k]);
-          ++k;
-        } else if (k < seg->n && seg->keys[k] == seg->buffer[b].key) {
-          assert(seg->buffer[b].tombstone);
-          ++stats_.tombstones_cleared;
-          ++k;
-          ++b;
-        } else {
-          assert(!seg->buffer[b].tombstone);
-          merged.push_back(seg->buffer[b].key);
-          merged_values.push_back(seg->buffer[b].value);
-          ++b;
-        }
-      }
-    }
+    // Each tombstone drops its paged key and each live entry adds a key
+    // (live entries are never paged), which sizes the merged page exactly.
+    const size_t tombstones = static_cast<size_t>(
+        std::count_if(seg->buffer.begin(), seg->buffer.end(),
+                      [](const BufferEntry& e) { return e.tombstone; }));
+    const size_t n = seg->n + seg->buffer.size() - 2 * tombstones;
+    stats_.tombstones_cleared += tombstones;
 
     // Exact-match floor: the merged segment's directory slot, spliced below
     // once the replacement set is known.
     const size_t fpos = directory_.FloorIndex(seg->first_key);
     assert(fpos != Directory::kNone &&
            directory_.key_at(fpos) == seg->first_key);
-    if (merged.empty()) {
+    if (n == 0) {
       // Every key of this segment was deleted: retire and free it. Its key
       // range is absorbed by the floor rule (lookups fall to the left
       // neighbor). Swap-and-pop keeps sustained delete/reinsert churn from
@@ -633,12 +667,29 @@ class FitingTree {
       return;
     }
 
+    // Merge straight into a block the segment can own: when the cone keeps
+    // the merged keys in one model, that block becomes the new page.
+    K* block = NewBlock(n, seg);
+    V* values = BlockValues(block, n);
+    [[maybe_unused]] const size_t merged = detail::MergePageWithBuffer<K, V>(
+        seg->keys, seg->values(), seg->n, seg->buffer, block, values);
+    assert(merged == n);
+    seg->buffer.clear();
+    seg->buffer.shrink_to_fit();
     const auto models = SegmentShrinkingCone<K>(
-        std::span<const K>(merged), config_.error, config_.feasibility);
+        std::span<const K>(block, n), config_.error, config_.feasibility);
     stats_.segments_created += models.size();
+    if (models.size() == 1) {
+      SetModel(*seg, models[0]);
+      AdoptBlock(*seg, block, n);
+      directory_.Splice(fpos, 1, std::span<const K>(&seg->first_key, 1),
+                        std::span<SegmentData* const>(&seg, 1));
+      CompactArena();
+      return;
+    }
 
-    // Reuse the merged segment's slot for the first replacement model and
-    // append the rest.
+    // A split: each model copies its range into a block of its own, the
+    // first reusing the merged segment's slot, and the merge block goes.
     std::vector<K> new_keys;
     std::vector<SegmentData*> new_ptrs;
     new_keys.reserve(models.size());
@@ -646,21 +697,15 @@ class FitingTree {
     for (size_t m = 0; m < models.size(); ++m) {
       SegmentData* target = m == 0 ? seg : NewSegment();
       const Segment<K>& model = models[m];
-      target->first_key = model.first_key;
-      target->slope = model.slope;
-      target->intercept = model.intercept - static_cast<double>(model.start);
-      StoreBlock(*target,
-                 std::span<const K>(merged).subspan(model.start, model.length),
-                 std::span<const V>(merged_values)
-                     .subspan(model.start, model.length));
-      target->buffer.clear();
-      target->buffer.shrink_to_fit();
+      SetModel(*target, model);
+      StoreBlock(*target, std::span<const K>(block + model.start, model.length),
+                 std::span<const V>(values + model.start, model.length));
       new_keys.push_back(model.first_key);
       new_ptrs.push_back(target);
     }
+    arena_.Free(block);
     // The replacement models span the same key range in order, so the
-    // splice is positional; the common one-for-one case is an in-place
-    // overwrite with no tail move.
+    // splice is positional.
     directory_.Splice(fpos, 1, new_keys, new_ptrs);
     CompactArena();
   }

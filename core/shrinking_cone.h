@@ -254,20 +254,30 @@ std::vector<Segment<K>> SegmentShrinkingCone(
   if (n == 0) return segments;
 
   if (feasibility == Feasibility::kEndpointLine) {
+    // Both slope bounds of a key come from one two-lane divide (SSE2
+    // divpd, NEON fdiv.2d). IEEE arithmetic rounds each lane as the scalar
+    // operation does, and dy + (-error) is dy - error exactly, so the
+    // segments are bit-identical to computing each bound on its own.
+    typedef double Double2 __attribute__((vector_size(16)));
     constexpr double kInf = std::numeric_limits<double>::infinity();
+    const Double2 band = {-error, error};
     size_t start = 0;
+    double apex = static_cast<double>(keys[0]);
+    double dy = 0.0;  // i - start, exact below 2^53
     double lo = 0.0, hi = kInf;
-    for (size_t i = start + 1; i < n; ++i) {
-      const double dx = static_cast<double>(keys[i]) -
-                        static_cast<double>(keys[start]);
-      const double dy = static_cast<double>(i - start);
-      const double nlo = std::max(lo, (dy - error) / dx);
-      const double nhi = std::min(hi, (dy + error) / dx);
+    for (size_t i = 1; i < n; ++i) {
+      const double dx = static_cast<double>(keys[i]) - apex;
+      dy += 1.0;
+      const Double2 bounds = (Double2{dy, dy} + band) / Double2{dx, dx};
+      const double nlo = std::max(lo, bounds[0]);
+      const double nhi = std::min(hi, bounds[1]);
       if (nlo > nhi) {
         segments.push_back(
             {keys[start], hi == kInf ? 0.0 : 0.5 * (lo + hi),
              static_cast<double>(start), start, i - start});
         start = i;
+        apex = static_cast<double>(keys[i]);
+        dy = 0.0;
         lo = 0.0;
         hi = kInf;
       } else {

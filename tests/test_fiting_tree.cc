@@ -379,13 +379,170 @@ TEST(FitingTree, EmptyAndSingleton) {
   EXPECT_EQ(scanned, (std::vector<int64_t>{3, 5, 9}));
 }
 
-// ---- Segment arena (core/segment_arena.h) ---------------------------------
-// Registered again under the `property` ctest label (SegmentArena*), so the
-// ASan and TSan legs run them too.
+// ---- Merge edge cases ------------------------------------------------------
 
 double ArenaStat(const FitingTree<int64_t>& tree, const char* name) {
   return tree.Stats().Get(name);
 }
+
+// Every oracle key looks up with its payload, a neighbour of each that the
+// oracle lacks looks up absent, and a full scan yields the oracle in order.
+void ExpectMatchesOracle(const FitingTree<int64_t>& tree,
+                         const std::map<int64_t, uint64_t>& oracle) {
+  ASSERT_EQ(tree.size(), oracle.size());
+  for (const auto& [k, v] : oracle) {
+    ASSERT_EQ(tree.Lookup(k), std::optional<uint64_t>(v)) << k;
+    if (oracle.count(k + 1) == 0) {
+      ASSERT_FALSE(tree.Contains(k + 1)) << k + 1;
+    }
+  }
+  if (oracle.empty()) return;
+  auto expect = oracle.begin();
+  const size_t emitted = tree.ScanRange(
+      oracle.begin()->first - 1000, oracle.rbegin()->first + 1000,
+      [&](int64_t k, uint64_t v) {
+        ASSERT_NE(expect, oracle.end());
+        EXPECT_EQ(k, expect->first);
+        EXPECT_EQ(v, expect->second);
+        ++expect;
+      });
+  EXPECT_EQ(emitted, oracle.size());
+  EXPECT_EQ(expect, oracle.end());
+}
+
+// Arena bytes the live pages of `tree` hold: one block per segment of n
+// int64 keys, then n uint64 payloads behind the ASan gap.
+double LivePageBytes(const FitingTree<int64_t>& tree) {
+  double bytes = 0;
+  for (size_t i = 0; i < tree.SegmentCount(); ++i) {
+    const size_t n = tree.PageKeys(i).size();
+    const size_t block = n * (sizeof(int64_t) + sizeof(uint64_t)) +
+                         SegmentArena::kRedzoneBytes;
+    bytes += static_cast<double>(SegmentArena::SpanOf(block));
+  }
+  return bytes;
+}
+
+// `n` keys 0, step, 2 step, ...: one segment at any error.
+std::vector<int64_t> LinearKeys(size_t n, int64_t step) {
+  std::vector<int64_t> keys(n);
+  for (size_t i = 0; i < n; ++i) keys[i] = static_cast<int64_t>(i) * step;
+  return keys;
+}
+
+std::unique_ptr<FitingTree<int64_t>> LoadWithPayloads(
+    const std::vector<int64_t>& keys, const FitingTreeConfig& config,
+    std::map<int64_t, uint64_t>* oracle) {
+  std::vector<uint64_t> values(keys.size());
+  for (size_t i = 0; i < keys.size(); ++i) {
+    values[i] = static_cast<uint64_t>(i) * 7 + 1;
+    oracle->emplace(keys[i], values[i]);
+  }
+  return FitingTree<int64_t>::Create(keys, values, config);
+}
+
+// Buffered keys below the tree's first key sit in segment 0's buffer ahead
+// of its whole page; keys past a segment's last page key sit behind it.
+TEST(FitingTreeMerge, BufferEntriesOutsideThePage) {
+  const auto keys = fitree::datasets::Weblogs(20000, 31);
+  FitingTreeConfig config;
+  config.error = 32.0;
+  config.buffer_size = 4;
+  std::map<int64_t, uint64_t> oracle;
+  auto tree = LoadWithPayloads(keys, config, &oracle);
+  ASSERT_GT(tree->SegmentCount(), 2u);
+  uint64_t payload = 1000;
+  for (int64_t d = 1; d <= 9; ++d) {  // below segment 0's first key
+    ASSERT_TRUE(tree->Insert(keys.front() - 3 * d, ++payload));
+    oracle.emplace(keys.front() - 3 * d, payload);
+  }
+  for (int64_t d = 1; d <= 9; ++d) {  // above the last page key
+    ASSERT_TRUE(tree->Insert(keys.back() + 5 * d, ++payload));
+    oracle.emplace(keys.back() + 5 * d, payload);
+  }
+  // Past the last page key of an interior segment, before the next one.
+  const int64_t last = tree->PageKeys(1).back();
+  const int64_t next = tree->PageKeys(2).front();
+  for (int64_t k = last + 1; k < next && k <= last + 9; ++k) {
+    ASSERT_TRUE(tree->Insert(k, ++payload));
+    oracle.emplace(k, payload);
+  }
+  EXPECT_GE(tree->stats().segment_merges, 2u);
+  ExpectMatchesOracle(*tree, oracle);
+}
+
+TEST(FitingTreeMerge, TombstonesOnAPagesFirstAndLastKey) {
+  const auto keys = fitree::datasets::Weblogs(20000, 32);
+  FitingTreeConfig config;
+  config.error = 32.0;
+  config.buffer_size = 2;
+  std::map<int64_t, uint64_t> oracle;
+  auto tree = LoadWithPayloads(keys, config, &oracle);
+  ASSERT_GT(tree->SegmentCount(), 4u);
+  const size_t merges = tree->stats().segment_merges;
+  // Both ends of an interior page and of the tree's first and last pages.
+  for (const size_t s : {size_t{0}, tree->SegmentCount() / 2,
+                         tree->SegmentCount() - 1}) {
+    const std::span<const int64_t> page = tree->PageKeys(s);
+    ASSERT_GT(page.size(), 3u);
+    // The third tombstone overflows the buffer and merges the page.
+    for (const int64_t k : {page.front(), page.back(), page[1]}) {
+      ASSERT_TRUE(tree->Delete(k));
+      oracle.erase(k);
+    }
+  }
+  EXPECT_EQ(tree->stats().segment_merges, merges + 3);
+  EXPECT_EQ(tree->stats().tombstones_cleared, 9u);
+  ExpectMatchesOracle(*tree, oracle);
+}
+
+TEST(FitingTreeMerge, SeveralInsertsBetweenTwoPageKeys) {
+  const auto keys = LinearKeys(2000, 1000);
+  FitingTreeConfig config;
+  config.error = 64.0;
+  config.buffer_size = 8;
+  std::map<int64_t, uint64_t> oracle;
+  auto tree = LoadWithPayloads(keys, config, &oracle);
+  ASSERT_EQ(tree->SegmentCount(), 1u);
+  // Nine keys between page keys 500000 and 501000: the ninth overflows the
+  // buffer, and one merge folds all nine into the same gap.
+  for (int64_t k = 500100; k <= 500900; k += 100) {
+    ASSERT_TRUE(tree->Insert(k, static_cast<uint64_t>(k)));
+    oracle.emplace(k, static_cast<uint64_t>(k));
+  }
+  EXPECT_EQ(tree->stats().segment_merges, 1u);
+  EXPECT_EQ(tree->SegmentCount(), 1u);
+  ExpectMatchesOracle(*tree, oracle);
+  EXPECT_EQ(LivePageBytes(*tree), ArenaStat(*tree, "arena_live_bytes"));
+}
+
+// A dense burst into one gap of a linear page breaks the line: the merge
+// splits the segment, copies each model's range into a block of its own
+// and frees the block it merged into.
+TEST(FitingTreeMerge, SplittingMergeFreesItsMergeBlock) {
+  const auto keys = LinearKeys(4000, 100);
+  FitingTreeConfig config;
+  config.error = 4.0;
+  config.buffer_size = 32;
+  std::map<int64_t, uint64_t> oracle;
+  auto tree = LoadWithPayloads(keys, config, &oracle);
+  ASSERT_EQ(tree->SegmentCount(), 1u);
+  ASSERT_TRUE(tree->Delete(0));  // a tombstone rides along
+  oracle.erase(0);
+  for (int64_t k = 200001; k <= 200032; ++k) {
+    ASSERT_TRUE(tree->Insert(k, static_cast<uint64_t>(k)));
+    oracle.emplace(k, static_cast<uint64_t>(k));
+  }
+  EXPECT_EQ(tree->stats().segment_merges, 1u);
+  EXPECT_GE(tree->SegmentCount(), 2u);
+  EXPECT_EQ(tree->stats().segments_created, tree->SegmentCount());
+  ExpectMatchesOracle(*tree, oracle);
+  EXPECT_EQ(LivePageBytes(*tree), ArenaStat(*tree, "arena_live_bytes"));
+}
+
+// ---- Segment arena (core/segment_arena.h) ---------------------------------
+// Registered again under the `property` ctest label (SegmentArena*), so the
+// ASan and TSan legs run them too.
 
 // Holds the arena's bound: mapped <= 2 x live + slack.
 void ExpectArenaBounded(const FitingTree<int64_t>& tree, size_t op) {
@@ -539,18 +696,41 @@ TEST(SegmentArena, TreesOnSeparateThreadsShareFreeList) {
 // The SIMD window kernels promise never to read past data + 8n
 // (core/search_policy.h); the arena's poisoned gaps keep ASan able to
 // catch a page over-read.
-TEST(SegmentArenaDeathTest, ReadingPastAPageReports) {
-  const auto keys = fitree::datasets::Weblogs(20000, 24);
-  FitingTreeConfig config;
-  config.error = 32.0;
-  auto tree = FitingTree<int64_t>::Create(keys, config);
-  const std::span<const int64_t> page = tree->PageKeys(0);
+void ExpectReadPastPageDies(const FitingTree<int64_t>& tree, size_t i) {
+  const std::span<const int64_t> page = tree.PageKeys(i);
   EXPECT_DEATH(
       {
         const volatile int64_t past = page.data()[page.size()];
         (void)past;
       },
       "AddressSanitizer");
+}
+
+TEST(SegmentArenaDeathTest, ReadingPastAPageReports) {
+  const auto keys = fitree::datasets::Weblogs(20000, 24);
+  FitingTreeConfig config;
+  config.error = 32.0;
+  auto tree = FitingTree<int64_t>::Create(keys, config);
+  ExpectReadPastPageDies(*tree, 0);
+
+  // A merge that keeps one model adopts the block it merged into.
+  config.error = 4.0;
+  config.buffer_size = 16;
+  auto linear = FitingTree<int64_t>::Create(LinearKeys(4000, 100), config);
+  for (int64_t k = 1; k <= 17; ++k) {
+    ASSERT_TRUE(linear->Insert(k * 23000 + 1));
+  }
+  ASSERT_EQ(linear->stats().segment_merges, 1u);
+  ASSERT_EQ(linear->SegmentCount(), 1u);
+  ExpectReadPastPageDies(*linear, 0);
+
+  // A merge that splits copies each model's range into a block of its own.
+  for (int64_t k = 200001; k <= 200017; ++k) ASSERT_TRUE(linear->Insert(k));
+  ASSERT_EQ(linear->stats().segment_merges, 2u);
+  ASSERT_GE(linear->SegmentCount(), 2u);
+  for (size_t i = 0; i < linear->SegmentCount(); ++i) {
+    ExpectReadPastPageDies(*linear, i);
+  }
 }
 #endif
 

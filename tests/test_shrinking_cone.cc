@@ -2,6 +2,8 @@
 
 #include <cmath>
 #include <cstdint>
+#include <cstring>
+#include <limits>
 #include <random>
 #include <span>
 #include <vector>
@@ -17,6 +19,17 @@ using fitree::Feasibility;
 using fitree::OptimalSegmentCount;
 using fitree::Segment;
 using fitree::SegmentShrinkingCone;
+
+std::vector<std::vector<int64_t>> SyntheticDatasets(size_t n) {
+  return {fitree::datasets::Weblogs(n, 1),
+          fitree::datasets::Iot(n, 2),
+          fitree::datasets::Maps(n, 3),
+          fitree::datasets::OsmLongitude(n, 4),
+          fitree::datasets::TaxiPickupTime(n, 5),
+          fitree::datasets::TaxiDropLat(n, 6),
+          fitree::datasets::TaxiDropLon(n, 7),
+          fitree::datasets::Step(n, 100)};
+}
 
 // The segmentation invariant: segments partition the rank space and every
 // key's predicted position is within `error` of its true rank (a hair of
@@ -44,17 +57,103 @@ void CheckInvariants(const std::vector<K>& keys, double error,
 }
 
 TEST(ShrinkingCone, ErrorBoundAcrossSyntheticDatasets) {
-  const size_t n = 20000;
-  const std::vector<std::vector<int64_t>> datasets = {
-      fitree::datasets::Weblogs(n, 1),       fitree::datasets::Iot(n, 2),
-      fitree::datasets::Maps(n, 3),          fitree::datasets::OsmLongitude(n, 4),
-      fitree::datasets::TaxiPickupTime(n, 5), fitree::datasets::TaxiDropLat(n, 6),
-      fitree::datasets::TaxiDropLon(n, 7),   fitree::datasets::Step(n, 100)};
+  const auto datasets = SyntheticDatasets(20000);
   for (const auto& keys : datasets) {
     for (const double error : {10.0, 100.0, 1000.0}) {
       CheckInvariants(keys, error, Feasibility::kEndpointLine);
       CheckInvariants(keys, error, Feasibility::kCone);
     }
+  }
+}
+
+// The kEndpointLine loop as it was before the two-lane divide, verbatim:
+// the reference the vectorized loop must match bit for bit.
+template <typename K>
+std::vector<Segment<K>> ScalarEndpointLine(std::span<const K> keys,
+                                           double error) {
+  std::vector<Segment<K>> segments;
+  const size_t n = keys.size();
+  if (n == 0) return segments;
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  size_t start = 0;
+  double lo = 0.0, hi = kInf;
+  for (size_t i = start + 1; i < n; ++i) {
+    const double dx = static_cast<double>(keys[i]) -
+                      static_cast<double>(keys[start]);
+    const double dy = static_cast<double>(i - start);
+    const double nlo = std::max(lo, (dy - error) / dx);
+    const double nhi = std::min(hi, (dy + error) / dx);
+    if (nlo > nhi) {
+      segments.push_back(
+          {keys[start], hi == kInf ? 0.0 : 0.5 * (lo + hi),
+           static_cast<double>(start), start, i - start});
+      start = i;
+      lo = 0.0;
+      hi = kInf;
+    } else {
+      lo = nlo;
+      hi = nhi;
+    }
+  }
+  segments.push_back({keys[start], hi == kInf ? 0.0 : 0.5 * (lo + hi),
+                      static_cast<double>(start), start, n - start});
+  return segments;
+}
+
+bool SameBits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+void ExpectMatchesScalarReference(const std::vector<int64_t>& keys,
+                                  double error) {
+  const std::span<const int64_t> span(keys);
+  const auto want = ScalarEndpointLine<int64_t>(span, error);
+  const auto got = SegmentShrinkingCone<int64_t>(span, error);
+  ASSERT_EQ(got.size(), want.size()) << "error " << error;
+  for (size_t s = 0; s < got.size(); ++s) {
+    ASSERT_EQ(got[s].first_key, want[s].first_key) << "segment " << s;
+    ASSERT_EQ(got[s].start, want[s].start) << "segment " << s;
+    ASSERT_EQ(got[s].length, want[s].length) << "segment " << s;
+    ASSERT_TRUE(SameBits(got[s].slope, want[s].slope))
+        << "segment " << s << ": " << got[s].slope << " vs " << want[s].slope;
+    ASSERT_TRUE(SameBits(got[s].intercept, want[s].intercept))
+        << "segment " << s;
+  }
+}
+
+constexpr double kReferenceErrors[] = {0.5, 1.0, 4.0, 16.0, 64.0, 256.0,
+                                       4096.0};
+
+TEST(ShrinkingCone, TwoLaneDivideMatchesScalarReference) {
+  const auto datasets = SyntheticDatasets(100000);
+  for (const auto& keys : datasets) {
+    for (const double error : kReferenceErrors) {
+      ASSERT_NO_FATAL_FAILURE(ExpectMatchesScalarReference(keys, error));
+    }
+  }
+}
+
+// Near 2^62 doubles are 1024 apart, so runs of distinct int64 keys convert
+// to one double: dx is 0 and the quotients are +-inf, or NaN where
+// dy == error.
+TEST(ShrinkingCone, CollidingDoublesMatchScalarReference) {
+  std::mt19937_64 rng(62);
+  std::vector<int64_t> keys;
+  int64_t key = int64_t{1} << 62;
+  size_t collisions = 0;
+  for (int i = 0; i < 50000; ++i) {
+    // Mostly small steps (colliding), now and then a jump of many ulps.
+    key += rng() % 8 == 0 ? 1 + static_cast<int64_t>(rng() % 100000)
+                          : 1 + static_cast<int64_t>(rng() % 300);
+    if (!keys.empty() &&
+        static_cast<double>(key) == static_cast<double>(keys.back())) {
+      ++collisions;
+    }
+    keys.push_back(key);
+  }
+  ASSERT_GT(collisions, keys.size() / 2);
+  for (const double error : kReferenceErrors) {
+    ASSERT_NO_FATAL_FAILURE(ExpectMatchesScalarReference(keys, error));
   }
 }
 
