@@ -8,8 +8,7 @@
 //                      (uniform/zipfian) at the default batch, open loop.
 //   2. batch ablation— shards fixed at the sweep max, mix C, batch in
 //                      {1, 8, 32, 128}: the cost of unbatched dispatch vs
-//                      batched drain + group prefetch, the tentpole's
-//                      headline comparison. avg_batch rides along so the
+//                      batched drains. avg_batch rides along so the
 //                      table shows how full the batches actually ran.
 //   3. closed loop   — pipeline window 1 (a client waits out each request
 //                      before the next): the per-request round-trip floor,
@@ -376,7 +375,7 @@ void RunServer(Runner& runner) {
   }
 
   // 2. Batching ablation at the sweep's max shard count: unbatched
-  // dispatch (batch=1) vs increasingly batched drains with group prefetch.
+  // dispatch (batch=1) vs increasingly batched drains.
   const size_t ablation_batches[] = {1, 8, 32, 128};
   for (const Access access : accesses) {
     double mops_b1 = 0.0, mops_best = 0.0;

@@ -13,7 +13,7 @@
 //   FITREE_PERF           0 disables perf_event PMU capture     (attempt)
 //   FITREE_SHARDS         server shard count, >= 1              (4)
 //   FITREE_BATCH          server per-shard drain batch, >= 1    (32)
-//   FITREE_IO_BACKEND     auto | uring | threads | sync         (auto)
+//   FITREE_IO_BACKEND     auto | threads                        (auto)
 //   FITREE_IO_DEPTH       batched-read queue depth, [1, 1024]   (64)
 //   FITREE_IO_DIRECT      0 | 1 attempt O_DIRECT reads          (0)
 //   FITREE_COMPACT_THRESHOLD  per-segment delta occupancy (%)
@@ -36,27 +36,14 @@
 namespace fitree {
 
 // How the storage layer executes a batch of page reads
-// (storage/async_io.h): io_uring when the kernel grants it, a pread
-// thread pool otherwise, or strictly synchronous preads. kAuto probes
-// io_uring once and falls back to the thread pool.
-enum class IoBackend : uint8_t { kAuto, kUring, kThreads, kSync };
+// (storage/async_io.h): kAuto probes io_uring once and falls back to a
+// pread thread pool when the kernel refuses it; kThreads forces the pool.
+enum class IoBackend : uint8_t { kAuto, kThreads };
 
 inline std::optional<IoBackend> ParseIoBackend(std::string_view s) {
   if (s == "auto") return IoBackend::kAuto;
-  if (s == "uring") return IoBackend::kUring;
   if (s == "threads") return IoBackend::kThreads;
-  if (s == "sync") return IoBackend::kSync;
   return std::nullopt;
-}
-
-inline constexpr const char* IoBackendName(IoBackend b) {
-  switch (b) {
-    case IoBackend::kAuto: return "auto";
-    case IoBackend::kUring: return "uring";
-    case IoBackend::kThreads: return "threads";
-    case IoBackend::kSync: return "sync";
-  }
-  return "?";
 }
 
 struct Options {

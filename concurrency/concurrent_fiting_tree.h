@@ -170,10 +170,6 @@ class ConcurrentFitingTree {
     return seg->values[i];
   }
 
-  std::optional<K> Find(const K& key) const {
-    return Contains(key) ? std::optional<K>(key) : std::nullopt;
-  }
-
   // Inserts `key` -> `value`. Returns true iff the key was new (set
   // semantics). Lands in the floor segment's delta buffer under that
   // segment's latch; overflow triggers merge-and-resegment, inline or via
@@ -342,17 +338,6 @@ class ConcurrentFitingTree {
       emitted += EmitRange(*seg, buffer_copy, lo, hi, fn);
     }
     return emitted;
-  }
-
-  // Prefetch the predicted page position a Lookup(key) would search, under
-  // a short epoch guard (the directory pointer must stay live while it is
-  // dereferenced). Server batches call this across all drained probes
-  // before resolving any of them (server/sharded_index.h).
-  void PrefetchLookup(const K& key) const {
-    EpochGuard guard(epoch_);
-    const Directory* dir = dir_.load(std::memory_order_seq_cst);
-    const Segment* seg = dir->Floor(key);
-    if (seg != nullptr) PrefetchPredicted(*seg, key);
   }
 
   size_t SegmentCount() const {

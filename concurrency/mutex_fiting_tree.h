@@ -49,11 +49,6 @@ class MutexFitingTree {
     return tree_->Lookup(key);
   }
 
-  std::optional<K> Find(const K& key) const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return tree_->Find(key);
-  }
-
   bool Insert(const K& key, const V& value = V{}) {
     std::lock_guard<std::mutex> lock(mu_);
     return tree_->Insert(key, value);

@@ -202,11 +202,6 @@ class FitingTree {
     return seg->values()[i];
   }
 
-  // Returns the stored key equal to `key` when present.
-  std::optional<K> Find(const K& key) const {
-    return Contains(key) ? std::optional<K>(key) : std::nullopt;
-  }
-
   // Contains() that also accrues the time spent descending the directory
   // vs. searching the segment page/buffer (Figure 13's breakdown).
   bool ContainsWithBreakdown(const K& key, int64_t* tree_ns,
@@ -339,15 +334,6 @@ class FitingTree {
       emitted += EmitRange(*directory_.value_at(i), lo, hi, fn);
     }
     return emitted;
-  }
-
-  // Starts the cache lines a Lookup(key) would touch travelling: descend
-  // the directory, then prefetch the predicted in-page position. The
-  // server's batched dispatch (server/sharded_index.h) calls this across a
-  // whole batch before resolving any probe, overlapping the page misses.
-  void PrefetchLookup(const K& key) const {
-    const SegmentData* seg = LocateSegment(key);
-    if (seg != nullptr) PrefetchPredicted(*seg, key);
   }
 
   // Directory arrays plus per-segment model metadata (the key pages and

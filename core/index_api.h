@@ -23,6 +23,10 @@
 // may accept single-argument (key-only) visitors too; the contract only
 // pins the two-argument form.
 //
+// The contract has no batched or prefetch form: each engine prefetches
+// inside its own Lookup, and the one batched read,
+// DiskFitingTree::LookupBatch, is a plain method of the disk tree.
+//
 // StaticFitingTree models IndexApi plus Update (payload override on a
 // read-only key set) but not Insert/Delete, so it deliberately fails
 // MutableIndexApi — the static checks in tests/test_index_api.cc assert
@@ -71,28 +75,6 @@ concept MutableIndexApi =
       { index.Insert(key, payload) } -> std::same_as<bool>;
       { index.Update(key, payload) } -> std::same_as<bool>;
       { index.Delete(key) } -> std::same_as<bool>;
-    };
-
-// Optional fast-path hook, not part of the core contract: engines that can
-// cheaply prefetch the cache lines a Lookup(key) would touch (predicted
-// leaf position, PR 6 groundwork) expose PrefetchLookup(key) const. The
-// server's batched dispatch detects it with this concept and issues the
-// whole batch's prefetches before resolving any probe.
-template <typename T>
-concept PrefetchableIndex =
-    requires(const T& index, const typename T::Key& key) {
-      index.PrefetchLookup(key);
-    };
-
-// Stronger batched form (ISSUE 10): engines whose prefetch can overlap
-// real I/O — the disk tree stages a whole batch's candidate pages through
-// one batched read — expose PrefetchBatch(keys, n) const. The server
-// prefers it over per-key PrefetchLookup when draining a batch, so a
-// shard's page faults overlap instead of serializing.
-template <typename T>
-concept BatchPrefetchableIndex =
-    requires(const T& index, const typename T::Key* keys, size_t n) {
-      index.PrefetchBatch(keys, n);
     };
 
 }  // namespace fitree

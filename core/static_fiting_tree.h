@@ -153,20 +153,6 @@ class StaticFitingTree {
     return emitted;
   }
 
-  // Prefetch the predicted data-array position a Lookup(key) would search
-  // (see core/index_api.h PrefetchableIndex; used by the server's batched
-  // group-prefetch dispatch). Untimed and uncounted on purpose.
-  void PrefetchLookup(const K& key) const {
-    if (data_.empty()) return;
-    size_t id = directory_.FloorIndex(key);
-    if (id == FlatKeyIndex<K>::kNone) id = 0;
-    const Segment<K>& seg = segments_[id];
-    const double pred = seg.Predict(key);
-    const size_t hint =
-        pred <= 0.0 ? 0 : std::min(data_.size() - 1, static_cast<size_t>(pred));
-    PrefetchRead(data_.data() + hint);
-  }
-
   // Directory plus per-segment model metadata; the data array itself is the
   // indexed table, not the index (paper's accounting in Fig 6/9).
   size_t IndexSizeBytes() const {

@@ -7,7 +7,7 @@
 // the single consumer drains *batches* — PopBatch copies out every ready
 // cell up to a cap with one acquire load per cell and no CAS at all, which
 // is the structural basis of the server's batched dispatch (the worker
-// amortizes wakeup, telemetry, and prefetch work over the whole batch).
+// amortizes wakeup and telemetry work over the whole batch).
 //
 // Blocking is layered on top, not inside: the ring itself is lock-free.
 // A consumer that finds the queue empty first *polls* (WaitNonEmpty): for

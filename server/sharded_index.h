@@ -7,10 +7,10 @@
 //   --------------                 -----------------------------------
 //   route key -> shard             loop:
 //     (ShardRouter floor over        PopBatch(up to `batch` requests)
-//      the boundary array)           prefetch pass: PrefetchLookup for
-//   enqueue Request on the             every point op in the batch
-//     shard's MPSC OpQueue           resolve pass: execute each op,
-//   wait on ResponseSlot               Publish() its slot
+//      the boundary array)           for each request, in order:
+//   enqueue Request on the             execute it on the shard's engine,
+//     shard's MPSC OpQueue             Publish() its slot
+//   wait on ResponseSlot
 //
 // Each shard owns a contiguous key range and a private engine instance —
 // shards never share index state, so the engines need no cross-shard
@@ -21,14 +21,9 @@
 // Stats() reports how the idle waits ended (`poll_wakeups` vs `parks`).
 // The batch drain is where the design earns its throughput: one pass
 // through the wait, one batch of queue loads, and one telemetry update
-// cover up to `batch` requests, and the *group prefetch*
-// pass issues the predicted-leaf prefetch (each engine's PrefetchLookup
-// hook, paired with common/prefetch.h) for every request in the batch
-// before resolving any of them — by the time the resolve pass reaches
-// request i, its directory/leaf lines have had the whole preceding batch's
-// work as memory-latency cover. That is software pipelining across
-// independent probes, the same trick the engines play *inside* one lookup,
-// lifted across requests.
+// cover up to `batch` requests. Each request then runs as one ordinary
+// engine call; the predicted-leaf prefetch lives inside each engine's own
+// lookup, not in a pass across the batch.
 //
 // Memory model notes:
 //   - ResponseSlot's release-Publish/acquire-Wait edge is the only
@@ -421,9 +416,6 @@ class ShardedIndex {
     }
     Engine& engine = *shard.engine;
     std::vector<Req> batch(config_.batch);
-    // Scratch for the batched group prefetch (point-op keys of one drain).
-    std::vector<typename Engine::Key> prefetch_keys;
-    prefetch_keys.reserve(config_.batch);
     for (;;) {
       size_t n = shard.queue->PopBatch(batch.data(), config_.batch);
       if (n == 0) {
@@ -442,8 +434,8 @@ class ShardedIndex {
       // scheduling slot so in-flight producers can top the batch up, then
       // takes whatever arrived. This is the batching analogue of interrupt
       // coalescing — it trades at most one yield of latency for batch fill,
-      // which is what amortizes the per-wake costs and gives the group
-      // prefetch below a window to work with. Unbatched dispatch
+      // which amortizes the per-drain costs (the wait, the queue loads, the
+      // telemetry update) over more requests. Unbatched dispatch
       // (batch == 1) resolves immediately, by definition.
       if (config_.batch > 1 && n < config_.batch) {
         std::this_thread::yield();
@@ -453,32 +445,6 @@ class ShardedIndex {
       shard.batched_ops.fetch_add(n, std::memory_order_relaxed);
       telemetry::CounterAdd(telemetry::CounterId::kServerBatches);
       telemetry::CounterAdd(telemetry::CounterId::kServerBatchOps, n);
-
-      // Group prefetch: issue every point op's predicted-leaf prefetch
-      // before resolving any of them, so the batch's memory latencies
-      // overlap instead of serializing (pointless for a batch of one).
-      // Engines with a batched form get the whole key group in one call —
-      // the disk tree turns that into a single batched page read, which
-      // is what lets a shard's batch overlap its page faults (ISSUE 10).
-      if constexpr (BatchPrefetchableIndex<Engine>) {
-        if (n > 1) {
-          prefetch_keys.clear();
-          for (size_t i = 0; i < n; ++i) {
-            if (batch[i].op != ReqOp::kScan) {
-              prefetch_keys.push_back(batch[i].key);
-            }
-          }
-          engine.PrefetchBatch(prefetch_keys.data(), prefetch_keys.size());
-        }
-      } else if constexpr (PrefetchableIndex<Engine>) {
-        if (n > 1) {
-          for (size_t i = 0; i < n; ++i) {
-            if (batch[i].op != ReqOp::kScan) {
-              engine.PrefetchLookup(batch[i].key);
-            }
-          }
-        }
-      }
 
       for (size_t i = 0; i < n; ++i) ExecuteOne(engine, batch[i]);
     }

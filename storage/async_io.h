@@ -4,20 +4,20 @@
 // all of them, submitting every read before waiting on any, so a batch of
 // independent lookups overlaps its page faults instead of serializing them:
 //
-//   kUring    raw io_uring syscalls (no liburing dependency): one
+//   io_uring  raw io_uring syscalls (no liburing dependency): one
 //             io_uring_enter submits the wave and waits for all of its
 //             completions. Kernels or sandboxes that refuse
 //             io_uring_setup make the factory fall back at runtime.
-//   kThreads  a small pread thread pool — the portable fallback with the
+//   threads   a small pread thread pool — the portable fallback with the
 //             same submit-all-then-wait shape (hosted CI runners disable
-//             io_uring, so this is the backend CI forces).
-//   kSync     strictly sequential preads; the degenerate baseline the
-//             fetch-strategy ablation compares against.
+//             io_uring, so this is the backend CI forces). A one-page
+//             batch runs as a plain pread (SyncReadEngine).
 //
 // Selection is runtime, via the FITREE_IO_BACKEND knob (common/options.h):
-// kAuto probes io_uring once and falls back to the thread pool. Engines
-// only move bytes — page verification (CRC/type/id) stays in the caller
-// (SegmentFileReader), exactly as on the synchronous path.
+// kAuto probes io_uring once and falls back to the thread pool; kThreads
+// skips the probe. Engines only move bytes — page verification
+// (CRC/type/id) stays in the caller (SegmentFileReader), exactly as on
+// the synchronous path.
 
 #ifndef FITREE_STORAGE_ASYNC_IO_H_
 #define FITREE_STORAGE_ASYNC_IO_H_
@@ -67,7 +67,7 @@ class BatchReadEngine {
                          size_t n) = 0;
 };
 
-// Sequential preads: the synchronous baseline.
+// Sequential preads: the thread pool's one-page path.
 class SyncReadEngine final : public BatchReadEngine {
  public:
   const char* name() const override { return "sync"; }
@@ -315,24 +315,17 @@ class UringReadEngine final : public BatchReadEngine {
 
 #endif  // FITREE_HAS_IO_URING
 
-// Runtime backend selection with graceful degradation: kAuto and kUring
-// probe io_uring and fall back to the thread pool when the kernel or
-// sandbox refuses it (hosted CI runners do); kSync never batches.
+// Runtime backend selection with graceful degradation: kAuto probes
+// io_uring and falls back to the thread pool when the kernel or sandbox
+// refuses it (hosted CI runners do).
 inline std::unique_ptr<BatchReadEngine> MakeBatchReadEngine(
-    IoBackend requested, size_t depth) {
-  switch (requested) {
-    case IoBackend::kSync:
-      return std::make_unique<SyncReadEngine>();
-    case IoBackend::kThreads:
-      return std::make_unique<ThreadPoolReadEngine>(depth);
-    case IoBackend::kAuto:
-    case IoBackend::kUring:
+    [[maybe_unused]] IoBackend requested, size_t depth) {
 #if FITREE_HAS_IO_URING
-      if (auto uring = UringReadEngine::TryCreate(depth)) return uring;
-#endif
-      return std::make_unique<ThreadPoolReadEngine>(depth);
+  if (requested == IoBackend::kAuto) {
+    if (auto uring = UringReadEngine::TryCreate(depth)) return uring;
   }
-  return std::make_unique<SyncReadEngine>();
+#endif
+  return std::make_unique<ThreadPoolReadEngine>(depth);
 }
 
 }  // namespace fitree::storage

@@ -230,31 +230,10 @@ class DiskFitingTree {
 
   bool Contains(const K& key) const { return Lookup(key).has_value(); }
 
-  // Prefetch the delta-overlay slot's floor frame position a Lookup(key)
-  // would search, when that page is already resident (a miss is the buffer
-  // pool's business, not a hint's). Server batches use this for group
-  // prefetch across drained probes (server/sharded_index.h).
-  void PrefetchLookup(const K& key) const {
-    PrefetchPredictedFrame(FloorSlot(key), key);
-  }
-
-  // Group prefetch for a drained batch: stages every key's predicted page
-  // through batched reads (chunked to half the pool) and releases the
-  // pins — the pages stay resident, so the serial execution that follows
-  // hits instead of faulting one page at a time.
-  void PrefetchBatch(const K* keys, size_t n) const {
-    if (base_size() == 0) return;
-    std::vector<uint32_t> staged;
-    size_t i = 0;
-    while (i < n) {
-      i = StageChunk(keys, i, n, &staged);
-      UnpinAll(staged);
-    }
-  }
-
-  // Multi-get: resolves `n` independent lookups, overlapping each chunk's
-  // page faults in one batched read before the (now cache-hot) serial
-  // resolution. out[i] matches Lookup(keys[i]) exactly.
+  // Multi-get, the tree's one batched read: resolves `n` independent
+  // lookups, overlapping each chunk's page faults in one batched read
+  // before the (now cache-hot) serial resolution. out[i] matches
+  // Lookup(keys[i]) exactly.
   void LookupBatch(const K* keys, size_t n,
                    std::optional<uint64_t>* out) const {
     std::vector<uint32_t> staged;

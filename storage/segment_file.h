@@ -532,7 +532,7 @@ class SegmentFileReader final : public PageSource {
       for (size_t i = 0; i < n; ++i) reqs[i].ok = false;
       return;
     }
-    if (n <= 1 || io_options_.backend == IoBackend::kSync) {
+    if (n <= 1) {
       for (size_t i = 0; i < n; ++i) {
         reqs[i].ok = ReadPageInto(reqs[i].page_id, reqs[i].out);
       }

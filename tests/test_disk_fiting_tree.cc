@@ -556,6 +556,98 @@ TEST(DiskCrudProperty, DifferentialVsMapOracleWithCompaction) {
   std::remove(path.c_str());
 }
 
+// LookupBatch, the tree's one batched read, must answer every key exactly
+// as the serial Lookup does — across staged chunks, duplicates, absent
+// keys and the delta overlay — and release every page it staged.
+TEST(DiskFitingTree, LookupBatchMatchesSerialLookupAndReleasesPins) {
+  const auto keys = TestKeys(3000);
+  std::vector<uint64_t> values(keys.size());
+  for (size_t i = 0; i < keys.size(); ++i) values[i] = 7 * i + 3;
+  std::string path;
+  // 4 frames against ~200 leaf pages: StageChunk's frame_count()/2 budget
+  // splits every 64-key batch into many chunks.
+  auto disk = OpenWritable(keys, values, 16.0, /*cache_pages=*/4,
+                           "lookup_batch", &path);
+  ASSERT_NE(disk, nullptr);
+  std::map<int64_t, uint64_t> oracle;
+  for (size_t i = 0; i < keys.size(); ++i) oracle[keys[i]] = values[i];
+
+  // Overlay: inserts into gaps, overrides and tombstones of paged keys.
+  std::vector<int64_t> inserted;
+  std::vector<int64_t> overridden;
+  std::vector<int64_t> tombstoned;
+  for (size_t i = 0; i + 62 < keys.size(); i += 97) {
+    if (keys[i] + 1 < keys[i + 1]) {
+      ASSERT_TRUE(disk->Insert(keys[i] + 1, i));
+      oracle[keys[i] + 1] = i;
+      inserted.push_back(keys[i] + 1);
+    }
+    ASSERT_TRUE(disk->Update(keys[i + 31], 1'000'000 + i));
+    oracle[keys[i + 31]] = 1'000'000 + i;
+    overridden.push_back(keys[i + 31]);
+    ASSERT_TRUE(disk->Delete(keys[i + 62]));
+    oracle.erase(keys[i + 62]);
+    tombstoned.push_back(keys[i + 62]);
+  }
+  ASSERT_FALSE(inserted.empty());
+  const auto want = [&](int64_t key) -> std::optional<uint64_t> {
+    const auto it = oracle.find(key);
+    if (it == oracle.end()) return std::nullopt;
+    return it->second;
+  };
+
+  std::mt19937_64 rng(23);
+  const auto pick = [&](const std::vector<int64_t>& from) {
+    return from[rng() % from.size()];
+  };
+  constexpr size_t kBatch = 64;
+  constexpr uint64_t kSentinel = ~uint64_t{0};
+  for (int round = 0; round < 20; ++round) {
+    std::vector<int64_t> batch{
+        keys.front() - 5 - round,  // below every segment
+        keys.back() + 5 + round,   // above every segment
+        pick(inserted), pick(overridden), pick(tombstoned)};
+    while (batch.size() < kBatch - 16) {
+      switch (rng() % 3) {
+        case 0: batch.push_back(keys[rng() % keys.size()]); break;
+        case 1:  // between segments' keys
+          batch.push_back(fitree::workloads::detail::AbsentKey(keys, rng));
+          break;
+        default: batch.push_back(pick(tombstoned)); break;
+      }
+    }
+    // Duplicates, adjacent and far apart.
+    while (batch.size() < kBatch) {
+      batch.push_back(batch[rng() % batch.size()]);
+    }
+    std::vector<std::optional<uint64_t>> out(batch.size(), kSentinel);
+    disk->LookupBatch(batch.data(), batch.size(), out.data());
+    for (size_t i = 0; i < batch.size(); ++i) {
+      ASSERT_EQ(out[i], disk->Lookup(batch[i]))
+          << "round " << round << " slot " << i << " key " << batch[i];
+      ASSERT_EQ(out[i], want(batch[i])) << "key " << batch[i];
+    }
+  }
+
+  // n == 0 touches neither the output nor the pool.
+  std::optional<uint64_t> untouched = kSentinel;
+  const IoStats before = disk->io();
+  disk->LookupBatch(keys.data(), 0, &untouched);
+  EXPECT_EQ(untouched, std::optional<uint64_t>(kSentinel));
+  EXPECT_EQ(disk->io(), before);
+
+  // No staged pin leaked: reads over every leaf page (far more pages than
+  // the pool has frames) still fault, serially and batched.
+  for (const int64_t key : keys) ASSERT_EQ(disk->Lookup(key), want(key));
+  std::vector<std::optional<uint64_t>> all(keys.size());
+  disk->LookupBatch(keys.data(), keys.size(), all.data());
+  for (size_t i = 0; i < keys.size(); ++i) {
+    ASSERT_EQ(all[i], want(keys[i])) << "key rank " << i;
+  }
+  EXPECT_FALSE(disk->io_error());
+  std::remove(path.c_str());
+}
+
 TEST(DiskFitingTree, ZipfianProbesRaiseHitRateOverUniform) {
   // ~200 leaf pages; 64 frames hold the Zipfian hot set (each hot key
   // needs its 2-3 window pages resident) but only a third of the file.

@@ -35,7 +35,6 @@ using fitree::FitingTreeConfig;
 using fitree::IndexApi;
 using fitree::MutableIndexApi;
 using fitree::MutexFitingTree;
-using fitree::PrefetchableIndex;
 using fitree::StaticFitingTree;
 using fitree::server::ShardedIndex;
 using fitree::storage::DiskFitingTree;
@@ -71,15 +70,6 @@ static_assert(MutableIndexApi<Server>);
 // The static tree is read-mostly: it supports payload Update (same-key
 // overwrite) but not Insert/Delete, so it must NOT model MutableIndexApi.
 static_assert(!MutableIndexApi<Static>);
-
-// Prefetch hooks: every single-writer-safe engine exposes PrefetchLookup
-// for the server's group-prefetch pass; the mutex baseline deliberately
-// does not (an unlocked probe of the guarded tree would race).
-static_assert(PrefetchableIndex<Buffered>);
-static_assert(PrefetchableIndex<Static>);
-static_assert(PrefetchableIndex<Concurrent>);
-static_assert(PrefetchableIndex<Disk>);
-static_assert(!PrefetchableIndex<Mutex>);
 
 // Key/Payload aliases are part of the contract.
 static_assert(std::is_same_v<Buffered::Key, int64_t>);

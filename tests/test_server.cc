@@ -2,16 +2,20 @@
 // dispatch semantics, the op queue's three idle-wait endings (poll,
 // notify, stop), worker pinning, the shared differential oracle (batch=1
 // vs batched — same answers), multi-client stress under the partitioned
-// oracle, and the post-quiescence shard introspection surface.
+// oracle (over in-memory and disk engines), and the post-quiescence shard
+// introspection surface.
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <cstdio>
 #include <map>
 #include <memory>
 #include <optional>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -22,8 +26,11 @@
 #endif
 
 #include "core/fiting_tree.h"
+#include "core/static_fiting_tree.h"
 #include "server/shard_router.h"
 #include "server/sharded_index.h"
+#include "storage/disk_fiting_tree.h"
+#include "storage/segment_file.h"
 #include "telemetry/registry.h"
 #include "tests/oracle.h"
 
@@ -31,10 +38,14 @@ namespace {
 
 using fitree::FitingTree;
 using fitree::FitingTreeConfig;
+using fitree::StaticFitingTree;
 using fitree::server::OpQueue;
 using fitree::server::ShardedIndex;
 using fitree::server::ShardRouter;
 using fitree::server::Wake;
+using fitree::storage::DiskFitingTree;
+using fitree::storage::LeafCapacity;
+using fitree::storage::SegmentFileOptions;
 using fitree::testing::CrudOptions;
 using fitree::testing::MakeInitialLoad;
 using fitree::testing::MakePartitionedLoad;
@@ -528,6 +539,72 @@ TEST(ShardedIndexTest, CrudPropertyMultiClient) {
   // Every idle wait ended one way or the other; none pinned, none failed.
   EXPECT_GT(stats.Get("parks") + stats.Get("poll_wakeups"), 0.0);
   EXPECT_EQ(stats.Get("pin_failures"), 0.0);
+}
+
+// The same partitioned stress over disk trees: each shard serves its
+// own index file through a pool smaller than its leaf pages, so pages
+// fault inside drains, and the 5% compaction threshold makes
+// CompactSegment run on the shard worker between requests. The 4 KiB
+// pages take the O_DIRECT frames when FITREE_IO_DIRECT=1.
+TEST(ShardedIndexTest, CrudPropertyDisk) {
+  using Disk = DiskFitingTree<int64_t>;
+  using DiskServer = ShardedIndex<Disk>;
+  constexpr int kClients = 4;
+  constexpr size_t kShards = 2;
+  constexpr size_t kPageBytes = 4096;
+  constexpr size_t kCachePages = 4;
+  CrudOptions opt;
+  opt.seed = 41;
+  opt.ops = PropertyOps(5000);
+  opt.key_space = 4000;
+  std::vector<int64_t> keys;
+  std::vector<uint64_t> values;
+  std::vector<std::map<int64_t, uint64_t>> oracles;
+  MakePartitionedLoad(opt, kClients, /*load_every=*/4, &keys, &values,
+                      &oracles);
+
+  // Per-pid paths: ctest runs this binary's full and property entries in
+  // parallel.
+  std::vector<std::string> paths;
+  const std::string prefix = ::testing::TempDir() + "/" +
+                             std::to_string(::getpid()) + "_server_disk_";
+  DiskServer::Factory factory = [&](const std::vector<int64_t>& k,
+                                    const std::vector<uint64_t>& v)
+      -> std::unique_ptr<Disk> {
+    const std::string path = prefix + std::to_string(paths.size()) + ".fit";
+    paths.push_back(path);
+    const auto base = StaticFitingTree<int64_t>::Create(k, v, 16.0);
+    if (!fitree::storage::WriteIndexFile(path, *base,
+                                         SegmentFileOptions{kPageBytes})) {
+      return nullptr;
+    }
+    Disk::Options options;
+    options.cache_pages = kCachePages;
+    options.compact_threshold_pct = 5;
+    return Disk::Open(path, options);
+  };
+  DiskServer::Config config;
+  config.shards = kShards;
+  config.batch = 32;
+  auto server = DiskServer::Create(keys, values, factory, config);
+  ASSERT_NE(server, nullptr);
+  for (size_t s = 0; s < kShards; ++s) {
+    ASSERT_GT(server->shard_engine(s).base_size(),
+              kCachePages * LeafCapacity<int64_t>(kPageBytes))
+        << "shard " << s << " fits its pool";
+  }
+  ASSERT_NO_FATAL_FAILURE(
+      RunPartitionedCrud(*server, kClients, opt, std::move(oracles)));
+
+  // Post-quiescence: every shard compacted on its worker and never
+  // failed a page read.
+  for (size_t s = 0; s < kShards; ++s) {
+    const Disk& engine = server->shard_engine(s);
+    EXPECT_GT(engine.IncrementalCompactions(), 0u) << "shard " << s;
+    EXPECT_FALSE(engine.io_error()) << "shard " << s;
+  }
+  server.reset();
+  for (const std::string& path : paths) std::remove(path.c_str());
 }
 
 }  // namespace
