@@ -3,9 +3,8 @@
 //
 // Sweep: workload mix (A 50r/50i, B 95r/5i, C 100r, E 95scan/5i) ×
 // access skew (uniform, Zipfian theta=0.99) × thread count (powers of two
-// up to FITREE_BENCH_MAX_THREADS). Each cell runs three structures:
+// up to FITREE_BENCH_MAX_THREADS). Each cell runs two structures:
 //   concurrent — epoch-protected reads, per-segment insert latches
-//   mutex      — the same FitingTree behind one std::mutex
 //   single     — plain FitingTree, 1 thread only (the no-sync floor)
 // The record's ns/op is aggregate wall time per operation (Mops/s rides
 // along as a metric), with sampled p50/p99 op latency from the last rep.
@@ -32,7 +31,6 @@
 #include "bench/harness/registry.h"
 #include "bench/harness/runner.h"
 #include "concurrency/concurrent_fiting_tree.h"
-#include "concurrency/mutex_fiting_tree.h"
 #include "core/fiting_tree.h"
 #include "datasets/datasets.h"
 #include "telemetry/registry.h"
@@ -345,21 +343,6 @@ void RunConcurrent(Runner& runner) {
                {"telem_scans", static_cast<double>(telem_delta.scans)}});
         }
 
-        {
-          RunResult last;
-          double segments = 0.0;
-          const Stats stats = runner.CollectReps([&] {
-            FitingTreeConfig config;
-            config.error = error;
-            auto tree = MutexFitingTree<Key>::Create(*keys, config);
-            last = DriveThreads(*tree, streams);
-            Validate(*tree, ref, "mutex");
-            segments = static_cast<double>(tree->SegmentCount());
-            return last.ns_per_op;
-          }, /*warmup=*/false);
-          report("mutex", stats, last, segments, 0.0);
-        }
-
         if (threads == 1) {
           RunResult last;
           double segments = 0.0;
@@ -381,7 +364,7 @@ void RunConcurrent(Runner& runner) {
 
 FITREE_REGISTER_EXPERIMENT(
     "concurrent",
-    "YCSB A/B/C/E sweep: concurrent vs mutex vs single (validated)",
+    "YCSB A/B/C/E sweep: concurrent vs single (validated)",
     RunConcurrent);
 
 }  // namespace

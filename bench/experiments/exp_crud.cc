@@ -1,9 +1,9 @@
 // CRUD benchmark: YCSB-style update/delete mixes driven through all three
 // engines — the buffered in-memory FitingTree ("single"), the
 // ConcurrentFitingTree ("concurrent", 1 thread: what the CRUD path costs
-// with its latches and epoch guards on), the mutex baseline ("mutex"), and
-// the writable DiskFitingTree ("disk", every base probe through the buffer
-// pool, mutations into the delta overlay).
+// with its latches and epoch guards on), and the writable DiskFitingTree
+// ("disk", every base probe through the buffer pool, mutations into the
+// delta overlay).
 //
 // Sweep: mix (U 50r/50u, M 60r/15i/15u/10d, C 20r/40i/40d) × access skew
 // (uniform, Zipfian theta=0.99). Every repetition rebuilds the structure,
@@ -35,7 +35,6 @@
 #include "bench/harness/runner.h"
 #include "common/io_stats.h"
 #include "concurrency/concurrent_fiting_tree.h"
-#include "concurrency/mutex_fiting_tree.h"
 #include "core/fiting_tree.h"
 #include "core/static_fiting_tree.h"
 #include "datasets/datasets.h"
@@ -256,18 +255,6 @@ void RunCrud(Runner& runner) {
       }
 
       {
-        const Stats stats = runner.CollectReps([&] {
-          FitingTreeConfig config;
-          config.error = kError;
-          auto tree = MutexFitingTree<Key>::Create(*keys, values, config);
-          const double ns = DriveOps(*tree, ops);
-          ValidateCrud(*tree, oracle, "mutex");
-          return ns;
-        }, /*warmup=*/false);
-        report("mutex", stats, {});
-      }
-
-      {
         // Disk: serialize once per rep (fresh overlay), mutate through the
         // delta, validate, then compact and validate again.
         double pages_per_op = 0.0, hit_rate = 0.0, delta_entries = 0.0;
@@ -318,7 +305,7 @@ void RunCrud(Runner& runner) {
 
 FITREE_REGISTER_EXPERIMENT(
     "crud",
-    "CRUD mixes (update/delete) on single/concurrent/mutex/disk (validated)",
+    "CRUD mixes (update/delete) on single/concurrent/disk (validated)",
     RunCrud);
 
 }  // namespace

@@ -14,7 +14,6 @@
 //   FITREE_SHARDS         server shard count, >= 1              (4)
 //   FITREE_BATCH          server per-shard drain batch, >= 1    (32)
 //   FITREE_IO_BACKEND     auto | threads                        (auto)
-//   FITREE_IO_DEPTH       batched-read queue depth, [1, 1024]   (64)
 //   FITREE_IO_DIRECT      0 | 1 attempt O_DIRECT reads          (0)
 //   FITREE_COMPACT_THRESHOLD  per-segment delta occupancy (%)
 //                         that triggers incremental compaction;
@@ -54,7 +53,6 @@ struct Options {
   size_t shards = 4;               // server: shard / worker-thread count
   size_t batch = 32;               // server: max ops drained per batch
   IoBackend io_backend = IoBackend::kAuto;  // batched page-read backend
-  size_t io_depth = 64;            // batched-read queue depth
   bool io_direct = false;          // attempt O_DIRECT page reads
   size_t compact_threshold_pct = 0;  // 0 = no automatic incremental compact
 
@@ -73,9 +71,6 @@ struct Options {
     o.batch = batch < 1 ? 1u : static_cast<size_t>(batch);
     o.io_backend = ParseIoBackend(GetEnvString("FITREE_IO_BACKEND", "auto"))
                        .value_or(IoBackend::kAuto);
-    const int64_t depth = GetEnvInt64("FITREE_IO_DEPTH", 64);
-    o.io_depth = depth < 1 ? 1u
-                           : depth > 1024 ? 1024u : static_cast<size_t>(depth);
     o.io_direct = GetEnvInt64("FITREE_IO_DIRECT", 0) != 0;
     const int64_t compact = GetEnvInt64("FITREE_COMPACT_THRESHOLD", 0);
     o.compact_threshold_pct =

@@ -57,7 +57,7 @@
 #include "concurrency/epoch.h"
 #include "concurrency/merge_worker.h"
 #include "concurrency/seg_latch.h"
-#include "core/fiting_tree.h"
+#include "core/delta_buffer.h"
 #include "core/flat_directory.h"
 #include "core/search_policy.h"
 #include "core/shrinking_cone.h"
@@ -335,7 +335,9 @@ class ConcurrentFitingTree {
       const Segment* seg = dir->segments[i];
       if (seg->first_key > hi) break;
       CopyBuffer(*seg, &buffer_copy);
-      emitted += EmitRange(*seg, buffer_copy, lo, hi, fn);
+      emitted += detail::EmitMergedRange<K, V>(
+          seg->keys.data(), seg->values.data(), seg->keys.size(), buffer_copy,
+          lo, hi, fn);
     }
     return emitted;
   }
@@ -561,46 +563,6 @@ class ConcurrentFitingTree {
     }
     SegLatch::Scoped lock(seg.latch);
     *out = seg.buffer;
-  }
-
-  // Returns the number of entries emitted from this segment.
-  template <typename Fn>
-  size_t EmitRange(const Segment& seg, const std::vector<BufferEntry>& buffer,
-                   const K& lo, const K& hi, Fn& fn) const {
-    size_t emitted = 0;
-    auto k = std::lower_bound(seg.keys.begin(), seg.keys.end(), lo);
-    auto b = std::lower_bound(buffer.begin(), buffer.end(), lo,
-                              detail::BufferKeyLess{});
-    while (k != seg.keys.end() || b != buffer.end()) {
-      const bool page_first =
-          b == buffer.end() || (k != seg.keys.end() && *k < b->key);
-      if (page_first) {
-        if (*k > hi) return emitted;
-        detail::EmitEntry(fn, *k,
-                          seg.values[static_cast<size_t>(k - seg.keys.begin())]);
-        ++emitted;
-        ++k;
-        continue;
-      }
-      if (b->key > hi) return emitted;
-      if (k != seg.keys.end() && *k == b->key) {
-        // The buffer shadows the page: a tombstone hides the paged key, a
-        // live override replaces its payload.
-        if (!b->tombstone) {
-          detail::EmitEntry(fn, b->key, b->value);
-          ++emitted;
-        }
-        ++k;
-        ++b;
-        continue;
-      }
-      if (!b->tombstone) {
-        detail::EmitEntry(fn, b->key, b->value);
-        ++emitted;
-      }
-      ++b;
-    }
-    return emitted;
   }
 
   // Precondition: latch held. Sorted insertion point for `key`.

@@ -42,6 +42,7 @@
 
 #include "common/prefetch.h"
 #include "common/timer.h"
+#include "core/delta_buffer.h"
 #include "core/flat_directory.h"
 #include "core/search_policy.h"
 #include "core/segment_arena.h"
@@ -77,76 +78,6 @@ struct FitingTreeStats {
   uint64_t segments_retired = 0; // segments whose merge left zero keys
   uint64_t tombstones_cleared = 0;  // deleted keys resolved by merges
 };
-
-namespace detail {
-
-// Invokes a scan callback that accepts either (key) or (key, value), so
-// key-only consumers (the paper benches) and payload-aware consumers (the
-// CRUD suites) share one ScanRange.
-template <typename Fn, typename K, typename V>
-inline void EmitEntry(Fn& fn, const K& key, const V& value) {
-  if constexpr (std::is_invocable_v<Fn&, const K&, const V&>) {
-    fn(key, value);
-  } else {
-    fn(key);
-  }
-}
-
-// One pending mutation in a segment's delta buffer, shared by the
-// single-threaded and concurrent engines (their buffer invariants differ —
-// see each class comment — but the record and its ordering do not).
-template <typename K, typename V>
-struct BufferEntry {
-  K key{};
-  V value{};
-  bool tombstone = false;
-};
-
-// Heterogeneous key comparator for lower_bound over a sorted buffer.
-struct BufferKeyLess {
-  template <typename K, typename V>
-  bool operator()(const BufferEntry<K, V>& e, const K& k) const {
-    return e.key < k;
-  }
-};
-
-// The merge kernel of both engines: writes the sorted page (keys, values,
-// n entries) with its sorted delta buffer applied to out_keys/out_values
-// and returns the entry count. A tombstone drops its page key, a live
-// entry equal to a page key replaces that key's payload, and any other
-// live entry is inserted. The outputs need room for n + (live entries) -
-// (tombstones) entries, the exact count when no live entry is paged, and
-// must not overlap the inputs. The page between two buffer entries is
-// copied as one run.
-template <typename K, typename V>
-size_t MergePageWithBuffer(const K* keys, const V* values, size_t n,
-                           std::span<const BufferEntry<K, V>> buffer,
-                           K* out_keys, V* out_values) {
-  size_t k = 0;
-  size_t out = 0;
-  const auto copy_run = [&](size_t end) {
-    // std::copy_n, unlike memcpy, takes the null pointers of an empty
-    // vector; for trivially copyable types it is one memmove.
-    std::copy_n(keys + k, end - k, out_keys + out);
-    std::copy_n(values + k, end - k, out_values + out);
-    out += end - k;
-    k = end;
-  };
-  for (const BufferEntry<K, V>& e : buffer) {
-    const K* pos = std::lower_bound(keys + k, keys + n, e.key);
-    copy_run(static_cast<size_t>(pos - keys));
-    if (k < n && keys[k] == e.key) ++k;  // shadowed: dropped or replaced
-    if (!e.tombstone) {
-      out_keys[out] = e.key;
-      out_values[out] = e.value;
-      ++out;
-    }
-  }
-  copy_run(n);
-  return out;
-}
-
-}  // namespace detail
 
 template <typename K, typename V = uint64_t>
 class FitingTree {
@@ -331,7 +262,10 @@ class FitingTree {
     size_t emitted = 0;
     for (size_t i = floor == Directory::kNone ? 0 : floor;
          i < directory_.size() && !(hi < directory_.key_at(i)); ++i) {
-      emitted += EmitRange(*directory_.value_at(i), lo, hi, fn);
+      const SegmentData& seg = *directory_.value_at(i);
+      assert(LiveEntriesUnpaged(seg));
+      emitted += detail::EmitMergedRange<K, V>(seg.keys, seg.values(), seg.n,
+                                               seg.buffer, lo, hi, fn);
     }
     return emitted;
   }
@@ -574,42 +508,15 @@ class FitingTree {
     return &*pos;
   }
 
-  // Returns the number of entries emitted from this segment.
-  template <typename Fn>
-  size_t EmitRange(const SegmentData& seg, const K& lo, const K& hi,
-                   Fn& fn) const {
-    size_t emitted = 0;
-    const K* const keys = seg.keys;
-    const K* const keys_end = keys + seg.n;
-    const K* k = std::lower_bound(keys, keys_end, lo);
-    auto b = std::lower_bound(seg.buffer.begin(), seg.buffer.end(), lo,
-                              detail::BufferKeyLess{});
-    while (k != keys_end || b != seg.buffer.end()) {
-      const bool page_first =
-          b == seg.buffer.end() || (k != keys_end && *k < b->key);
-      if (page_first) {
-        if (*k > hi) return emitted;
-        detail::EmitEntry(fn, *k, seg.values()[k - keys]);
-        ++emitted;
-        ++k;
-        continue;
-      }
-      if (b->key > hi) return emitted;
-      if (k != keys_end && *k == b->key) {
-        // Equal keys: the buffer entry shadows the page. By the buffer
-        // invariants this is a tombstone (live entries are never paged).
-        assert(b->tombstone);
-        ++k;
-        ++b;
-        continue;
-      }
-      if (!b->tombstone) {
-        detail::EmitEntry(fn, b->key, b->value);
-        ++emitted;
-      }
-      ++b;
-    }
-    return emitted;
+  // The buffer invariant the merge sizing relies on: a live entry is a
+  // pending insert, never a key its page already holds.
+  static bool LiveEntriesUnpaged(const SegmentData& seg) {
+    return std::none_of(seg.buffer.begin(), seg.buffer.end(),
+                        [&](const BufferEntry& e) {
+                          return !e.tombstone &&
+                                 std::binary_search(seg.keys,
+                                                    seg.keys + seg.n, e.key);
+                        });
   }
 
   // Merges `seg`'s buffer into its page — applying pending inserts and

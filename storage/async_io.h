@@ -49,6 +49,10 @@
 
 namespace fitree::storage {
 
+// Batched-read queue depth: the io_uring ring's entry count (larger
+// batches submit in waves) and the cap on the pread pool's fan-out.
+inline constexpr size_t kIoDepth = 64;
+
 // Executes one batch of page reads against `fd`. Implementations are bound
 // to a single caller at a time (the pool and reader are single-threaded per
 // instance); the thread-pool engine owns threads but its ReadBatch is still
@@ -88,8 +92,7 @@ class SyncReadEngine final : public BatchReadEngine {
 // over in-memory fakes) cost nothing.
 class ThreadPoolReadEngine final : public BatchReadEngine {
  public:
-  explicit ThreadPoolReadEngine(size_t depth)
-      : threads_(std::clamp<size_t>(depth, 1, 8)) {}
+  ThreadPoolReadEngine() : threads_(std::min<size_t>(kIoDepth, 8)) {}
 
   ~ThreadPoolReadEngine() override {
     {
@@ -172,10 +175,10 @@ class UringReadEngine final : public BatchReadEngine {
  public:
   // Factory: returns nullptr when the kernel (or a seccomp sandbox)
   // refuses io_uring_setup, so callers can fall back at runtime.
-  static std::unique_ptr<UringReadEngine> TryCreate(size_t depth) {
+  static std::unique_ptr<UringReadEngine> TryCreate() {
     auto engine =
         std::unique_ptr<UringReadEngine>(new UringReadEngine());
-    if (!engine->Init(std::clamp<size_t>(depth, 1, 1024))) return nullptr;
+    if (!engine->Init(kIoDepth)) return nullptr;
     return engine;
   }
 
@@ -319,13 +322,13 @@ class UringReadEngine final : public BatchReadEngine {
 // io_uring and falls back to the thread pool when the kernel or sandbox
 // refuses it (hosted CI runners do).
 inline std::unique_ptr<BatchReadEngine> MakeBatchReadEngine(
-    [[maybe_unused]] IoBackend requested, size_t depth) {
+    [[maybe_unused]] IoBackend requested) {
 #if FITREE_HAS_IO_URING
   if (requested == IoBackend::kAuto) {
-    if (auto uring = UringReadEngine::TryCreate(depth)) return uring;
+    if (auto uring = UringReadEngine::TryCreate()) return uring;
   }
 #endif
-  return std::make_unique<ThreadPoolReadEngine>(depth);
+  return std::make_unique<ThreadPoolReadEngine>();
 }
 
 }  // namespace fitree::storage

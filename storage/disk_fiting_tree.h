@@ -14,14 +14,15 @@
 // every other segment's pages stay where they are.
 //
 // Writes never touch the file in place. Each base segment owns a small
-// in-memory delta — an ordered map of {key -> payload | tombstone} —
-// overlaid on the paged file: inserts and payload updates land there as
-// live entries, deletes of paged keys as tombstones. Reads consult the
-// delta first (no I/O), then fall through to the paged lookup. Because a
-// key's delta segment is its directory floor, the per-segment deltas
-// concatenate into one globally sorted stream, which is what lets scans
-// merge the overlay with the leaves page by page. Two compaction forms
-// fold deltas back to disk:
+// in-memory delta overlaid on its leaves: the sorted delta buffer of
+// {key, payload, tombstone} entries the in-memory engines keep
+// (core/delta_buffer.h). Inserts and payload updates land there as live
+// entries, deletes of paged keys as tombstones. Reads consult the delta
+// first (no I/O), then fall through to the paged lookup. A key's delta is
+// its directory floor's, slot 0 also holding the keys below every segment
+// (and the whole keyspace of an empty base file), so scans walk slot by
+// slot and merge each segment's leaves with its delta through the shared
+// scan kernel. Two compaction forms fold deltas back to disk:
 //
 //   Compact()         full rewrite: scan the merged view, re-segment,
 //                     write a temp file, fsync it, atomically rename it
@@ -57,7 +58,6 @@
 #include <cstdio>
 #include <functional>
 #include <limits>
-#include <map>
 #include <memory>
 #include <optional>
 #include <set>
@@ -69,7 +69,7 @@
 #include "common/io_stats.h"
 #include "common/options.h"
 #include "common/prefetch.h"
-#include "core/fiting_tree.h"
+#include "core/delta_buffer.h"
 #include "core/flat_directory.h"
 #include "core/search_policy.h"
 #include "core/shrinking_cone.h"
@@ -126,7 +126,6 @@ class DiskFitingTree {
     // O_DIRECT reopen (page-cache-free reads) while others stay buffered
     // — the exp_disk multiget cells need both in one process.
     IoBackend io_backend = GlobalOptions().io_backend;
-    size_t io_depth = GlobalOptions().io_depth;
     bool io_direct = GlobalOptions().io_direct;
   };
 
@@ -181,14 +180,15 @@ class DiskFitingTree {
 
   // In-memory index footprint: directory plus segment table plus the delta
   // overlay (the leaf pages are data, cached separately — see
-  // CacheCapacityBytes()). Overlay entries are charged at std::map node
-  // cost: payload plus three tree pointers and the color word.
+  // CacheCapacityBytes()). The overlay is charged what its buffers hold
+  // allocated, slack included.
   size_t IndexSizeBytes() const {
-    constexpr size_t kDeltaNodeBytes =
-        sizeof(K) + sizeof(DeltaEntry) + 4 * sizeof(void*);
+    size_t delta_bytes = 0;
+    for (const DeltaBuffer& delta : deltas_) {
+      delta_bytes += delta.capacity() * sizeof(DeltaEntry);
+    }
     return directory_.MemoryBytes() +
-           segments_.size() * sizeof(SegmentRecord<K>) +
-           delta_entries_ * kDeltaNodeBytes;
+           segments_.size() * sizeof(SegmentRecord<K>) + delta_bytes;
   }
   size_t CacheCapacityBytes() const { return pool_->CapacityBytes(); }
 
@@ -218,11 +218,11 @@ class DiskFitingTree {
     {
       telemetry::ScopedPhase probe(telemetry::Engine::kDisk,
                                    telemetry::Phase::kDeltaProbe);
-      const DeltaMap& delta = deltas_[floor == kNoSlot ? 0 : floor];
-      const auto it = delta.find(key);
-      if (it != delta.end()) {
-        if (it->second.tombstone) return std::nullopt;
-        return it->second.value;
+      const DeltaBuffer& delta = deltas_[floor == kNoSlot ? 0 : floor];
+      const auto it = DeltaPos(delta, key);
+      if (it != delta.end() && it->key == key) {
+        if (it->tombstone) return std::nullopt;
+        return it->value;
       }
     }
     return SearchBase(floor, key).value;
@@ -255,20 +255,21 @@ class DiskFitingTree {
     DrainOneCompaction();
     telemetry::ScopedOp telem(telemetry::Engine::kDisk,
                               telemetry::Op::kInsert);
-    DeltaMap& delta = DeltaFor(key);
-    const auto it = delta.find(key);
-    if (it != delta.end()) {
-      if (!it->second.tombstone) return false;
+    const size_t slot = DeltaSlot(key);
+    DeltaBuffer& delta = deltas_[slot];
+    const auto it = DeltaPos(delta, key);
+    if (it != delta.end() && it->key == key) {
+      if (!it->tombstone) return false;
       // Delete-then-reinsert of a paged key: resurrect as a live override.
-      it->second = DeltaEntry{value, false};
+      *it = DeltaEntry{key, value, false};
       ++size_;
       return true;
     }
     if (BaseLookup(key).has_value()) return false;
-    delta.emplace(key, DeltaEntry{value, false});
+    delta.insert(it, DeltaEntry{key, value, false});
     ++delta_entries_;
     ++size_;
-    MaybeScheduleCompaction(DeltaSlot(key));
+    MaybeScheduleCompaction(slot);
     return true;
   }
 
@@ -278,17 +279,18 @@ class DiskFitingTree {
     DrainOneCompaction();
     telemetry::ScopedOp telem(telemetry::Engine::kDisk,
                               telemetry::Op::kUpdate);
-    DeltaMap& delta = DeltaFor(key);
-    const auto it = delta.find(key);
-    if (it != delta.end()) {
-      if (it->second.tombstone) return false;
-      it->second.value = value;
+    const size_t slot = DeltaSlot(key);
+    DeltaBuffer& delta = deltas_[slot];
+    const auto it = DeltaPos(delta, key);
+    if (it != delta.end() && it->key == key) {
+      if (it->tombstone) return false;
+      it->value = value;
       return true;
     }
     if (!BaseLookup(key).has_value()) return false;
-    delta.emplace(key, DeltaEntry{value, false});
+    delta.insert(it, DeltaEntry{key, value, false});
     ++delta_entries_;
-    MaybeScheduleCompaction(DeltaSlot(key));
+    MaybeScheduleCompaction(slot);
     return true;
   }
 
@@ -298,12 +300,13 @@ class DiskFitingTree {
     DrainOneCompaction();
     telemetry::ScopedOp telem(telemetry::Engine::kDisk,
                               telemetry::Op::kDelete);
-    DeltaMap& delta = DeltaFor(key);
-    const auto it = delta.find(key);
-    if (it != delta.end()) {
-      if (it->second.tombstone) return false;
+    const size_t slot = DeltaSlot(key);
+    DeltaBuffer& delta = deltas_[slot];
+    const auto it = DeltaPos(delta, key);
+    if (it != delta.end() && it->key == key) {
+      if (it->tombstone) return false;
       if (BaseLookup(key).has_value()) {
-        it->second = DeltaEntry{0, true};  // hide the paged copy
+        *it = DeltaEntry{key, 0, true};  // hide the paged copy
       } else {
         delta.erase(it);
         --delta_entries_;
@@ -312,16 +315,18 @@ class DiskFitingTree {
       return true;
     }
     if (!BaseLookup(key).has_value()) return false;
-    delta.emplace(key, DeltaEntry{0, true});
+    delta.insert(it, DeltaEntry{key, 0, true});
     ++delta_entries_;
     --size_;
-    MaybeScheduleCompaction(DeltaSlot(key));
+    MaybeScheduleCompaction(slot);
     return true;
   }
 
-  // Calls fn(key, value) for every live entry in [lo, hi] ascending —
-  // paged leaves merged with the delta overlay on the fly — and returns
-  // the number emitted. One page fault per touched leaf page.
+  // Calls fn(key, value) for every live entry in [lo, hi] ascending and
+  // returns the number emitted. Walks slot by slot from lo's floor: each
+  // leaf page from the first rank >= lo is merged with the part of its
+  // slot's delta up to the page's last key, and the slot's remaining
+  // entries follow its last page. One page fault per touched leaf page.
   // Counted as a disk/scan (RangeCount and Compact's full sweep therefore
   // each register one scan — they are real paged scans).
   template <typename Fn>
@@ -329,51 +334,52 @@ class DiskFitingTree {
     telemetry::ScopedOp telem(telemetry::Engine::kDisk,
                               telemetry::Op::kScan);
     if (hi < lo) return 0;
-    DeltaCursor cursor = DeltaCursorAt(lo);
+    const size_t first = DeltaSlot(lo);
+    const size_t cap = reader_.meta().leaf_capacity;
+    size_t rank = LowerBound(lo);
+    std::vector<K> keys;
+    std::vector<uint64_t> values;
     size_t emitted = 0;
-    const size_t base_n = base_size();
-    const size_t cap = base_n > 0 ? reader_.meta().leaf_capacity : 1;
-    size_t rank = base_n > 0 ? LowerBound(lo) : base_n;
-    size_t si = rank < base_n ? SegmentForRank(rank) : 0;
-    while (rank < base_n) {
-      while (rank >= SegEnd(segments_[si])) ++si;
-      const SegmentRecord<K>& rec = segments_[si];
-      const size_t local = rank - SegStart(rec);
-      const uint64_t leaf = local / cap;
-      PinnedPage pin(pool_.get(),
-                     static_cast<uint32_t>(rec.first_leaf_page + leaf));
-      if (!pin) {
-        io_error_ = true;
-        return emitted;
-      }
-      const size_t page_end =
-          std::min(SegEnd(rec), SegStart(rec) + (leaf + 1) * cap);
-      for (; rank < page_end; ++rank) {
-        const auto entry = LoadAs<LeafEntry<K>>(
-            pin.data() + kPageHeaderBytes +
-            ((rank - SegStart(rec)) % cap) * sizeof(LeafEntry<K>));
-        if (hi < entry.key) {
-          return emitted + DrainDelta(&cursor, entry.key, hi, fn);
-        }
-        // Overlay entries strictly below this paged key are pure inserts;
-        // an entry equal to it is a tombstone or payload override.
-        emitted += DrainDelta(&cursor, entry.key, hi, fn);
-        const auto shadow = PeekDelta(cursor);
-        if (shadow != nullptr && shadow->first == entry.key) {
-          if (!shadow->second.tombstone) {
-            fn(entry.key, shadow->second.value);
-            ++emitted;
+    for (size_t s = first; s < deltas_.size(); ++s) {
+      if (s > first && hi < segments_[s].seg.first_key) break;
+      const std::span<const DeltaEntry> delta(deltas_[s]);
+      auto b = delta.begin();
+      if (s < segments_.size()) {
+        const SegmentRecord<K>& rec = segments_[s];
+        rank = std::max(rank, SegStart(rec));
+        while (rank < SegEnd(rec)) {
+          const size_t local = rank - SegStart(rec);
+          PinnedPage pin(pool_.get(),
+                         static_cast<uint32_t>(rec.first_leaf_page +
+                                               local / cap));
+          if (!pin) {
+            io_error_ = true;
+            return emitted;
           }
-          AdvanceDelta(&cursor);
-          continue;
+          const size_t page_end =
+              std::min(SegEnd(rec), rank - local % cap + cap);
+          keys.clear();
+          values.clear();
+          for (; rank < page_end; ++rank) {
+            const auto entry = LoadAs<LeafEntry<K>>(
+                pin.data() + kPageHeaderBytes +
+                ((rank - SegStart(rec)) % cap) * sizeof(LeafEntry<K>));
+            keys.push_back(entry.key);
+            values.push_back(entry.value);
+          }
+          const auto e = std::upper_bound(
+              b, delta.end(), keys.back(),
+              [](const K& k, const DeltaEntry& d) { return k < d.key; });
+          emitted += fitree::detail::EmitMergedRange<K, uint64_t>(
+              keys.data(), values.data(), keys.size(), {b, e}, lo, hi, fn);
+          if (!(keys.back() < hi)) return emitted;
+          b = e;
         }
-        fn(entry.key, entry.value);
-        ++emitted;
       }
+      emitted += fitree::detail::EmitMergedRange<K, uint64_t>(
+          nullptr, nullptr, 0, {b, delta.end()}, lo, hi, fn);
     }
-    // Base exhausted: the overlay's tail (pure inserts beyond the last
-    // paged key in range) is all that remains.
-    return emitted + DrainDelta(&cursor, std::nullopt, hi, fn);
+    return emitted;
   }
 
   // Number of live keys in [lo, hi] via a counting scan.
@@ -482,26 +488,14 @@ class DiskFitingTree {
     const size_t start = SegStart(rec);
     const size_t len = static_cast<size_t>(rec.seg.length);
     const size_t cap = reader_.meta().leaf_capacity;
-    const DeltaMap& overlay = deltas_[slot];
+    const DeltaBuffer& overlay = deltas_[slot];
     const size_t consumed = overlay.size();
     compact_pending_.erase(rec.seg.first_key);
 
-    // 1. Merged view of this one segment: its paged entries + its overlay
-    // slot, tombstones dropped, overrides applied.
-    std::vector<K> keys;
-    std::vector<uint64_t> values;
-    keys.reserve(len + consumed);
-    values.reserve(len + consumed);
-    auto dit = overlay.begin();
-    const auto emit_overlay_below = [&](const K* bound) {
-      for (; dit != overlay.end() && (bound == nullptr || dit->first < *bound);
-           ++dit) {
-        if (!dit->second.tombstone) {
-          keys.push_back(dit->first);
-          values.push_back(dit->second.value);
-        }
-      }
-    };
+    // 1. Merged view of this one segment: its paged entries merged with its
+    // overlay slot, tombstones dropped, overrides applied.
+    std::vector<K> paged_keys(len);
+    std::vector<uint64_t> paged_values(len);
     const uint64_t old_pages = PagesForRecords(len, cap);
     for (uint64_t p = 0; p < old_pages; ++p) {
       PinnedPage pin(pool_.get(),
@@ -517,20 +511,17 @@ class DiskFitingTree {
         const auto entry = LoadAs<LeafEntry<K>>(
             pin.data() + kPageHeaderBytes +
             (local - begin) * sizeof(LeafEntry<K>));
-        emit_overlay_below(&entry.key);
-        if (dit != overlay.end() && dit->first == entry.key) {
-          if (!dit->second.tombstone) {  // payload override
-            keys.push_back(entry.key);
-            values.push_back(dit->second.value);
-          }
-          ++dit;
-        } else {
-          keys.push_back(entry.key);
-          values.push_back(entry.value);
-        }
+        paged_keys[local] = entry.key;
+        paged_values[local] = entry.value;
       }
     }
-    emit_overlay_below(nullptr);
+    std::vector<K> keys(len + consumed);
+    std::vector<uint64_t> values(len + consumed);
+    const size_t merged = fitree::detail::MergePageWithBuffer<K, uint64_t>(
+        paged_keys.data(), paged_values.data(), len, overlay, keys.data(),
+        values.data());
+    keys.resize(merged);
+    values.resize(merged);
     if (keys.empty()) {
       telem.Cancel();
       return false;
@@ -649,7 +640,7 @@ class DiskFitingTree {
     // consumed overlay slot disappears, and surviving slots shift around
     // the new segments.
     reader_.set_meta(nm);
-    std::vector<DeltaMap> new_deltas(std::max<size_t>(1, records.size()));
+    std::vector<DeltaBuffer> new_deltas(std::max<size_t>(1, records.size()));
     for (size_t i = 0; i < segments_.size(); ++i) {
       if (i == slot) continue;
       new_deltas[i < slot ? i : i + local_segs.size() - 1] =
@@ -723,11 +714,8 @@ class DiskFitingTree {
   // FlatKeyIndex::kNone so the flat descent needs no translation.
   static constexpr size_t kNoSlot = static_cast<size_t>(-1);
 
-  struct DeltaEntry {
-    uint64_t value = 0;
-    bool tombstone = false;
-  };
-  using DeltaMap = std::map<K, DeltaEntry>;
+  using DeltaEntry = fitree::detail::BufferEntry<K, uint64_t>;
+  using DeltaBuffer = std::vector<DeltaEntry>;  // sorted by key
 
   static size_t SegStart(const SegmentRecord<K>& r) {
     return static_cast<size_t>(r.seg.start);
@@ -745,7 +733,6 @@ class DiskFitingTree {
   bool Load(const std::string& path) {
     typename SegmentFileReader<K>::IoOptions io;
     io.backend = options_.io_backend;
-    io.depth = options_.io_depth;
     io.direct = options_.io_direct;
     if (!reader_.Open(path, io)) return false;
     if (!reader_.ReadSegmentTable(&segments_)) return false;
@@ -753,7 +740,7 @@ class DiskFitingTree {
         &reader_, reader_.page_bytes(),
         std::max<size_t>(1, options_.cache_pages));
     RebuildDirectory();
-    deltas_.assign(std::max<size_t>(1, segments_.size()), DeltaMap{});
+    deltas_.assign(std::max<size_t>(1, segments_.size()), DeltaBuffer{});
     compact_pending_.clear();
     delta_entries_ = 0;
     size_ = reader_.meta().key_count;
@@ -778,20 +765,6 @@ class DiskFitingTree {
     return directory_.FloorIndex(key);  // FlatKeyIndex::kNone == kNoSlot
   }
 
-  // Segment owning base rank `rank` (starts are contiguous from 0).
-  size_t SegmentForRank(size_t rank) const {
-    size_t lo = 0, hi = segments_.size();
-    while (lo + 1 < hi) {
-      const size_t mid = lo + (hi - lo) / 2;
-      if (SegStart(segments_[mid]) <= rank) {
-        lo = mid;
-      } else {
-        hi = mid;
-      }
-    }
-    return lo;
-  }
-
   // The segment's prediction for `key`, clamped into the segment's ranks:
   // the rank whose page a lookup pins first.
   static size_t PredictedRank(const SegmentRecord<K>& rec, const K& key) {
@@ -814,7 +787,13 @@ class DiskFitingTree {
     const size_t floor = FloorSlot(key);
     return floor == kNoSlot ? 0 : floor;
   }
-  DeltaMap& DeltaFor(const K& key) { return deltas_[DeltaSlot(key)]; }
+
+  // Position of `key` in `delta`: its entry, or where it would go.
+  template <typename Buffer>
+  static auto DeltaPos(Buffer& delta, const K& key) {
+    return std::lower_bound(delta.begin(), delta.end(), key,
+                            fitree::detail::BufferKeyLess{});
+  }
 
   // Queues `slot` for incremental compaction once its overlay crosses the
   // threshold. Keyed by the segment's first key, not its index — indexes
@@ -898,56 +877,6 @@ class DiskFitingTree {
 
   void UnpinAll(const std::vector<uint32_t>& ids) const {
     for (const uint32_t id : ids) (void)pool_->Unpin(id);
-  }
-
-  // Cursor over the concatenation of per-segment deltas — globally sorted
-  // because each key's slot is its directory floor.
-  struct DeltaCursor {
-    size_t slot = 0;
-    typename DeltaMap::const_iterator it;
-  };
-
-  DeltaCursor DeltaCursorAt(const K& lo) const {
-    DeltaCursor c;
-    c.slot = DeltaSlot(lo);
-    c.it = deltas_[c.slot].lower_bound(lo);
-    SkipEmptySlots(&c);
-    return c;
-  }
-
-  void SkipEmptySlots(DeltaCursor* c) const {
-    while (c->it == deltas_[c->slot].end() && c->slot + 1 < deltas_.size()) {
-      ++c->slot;
-      c->it = deltas_[c->slot].begin();
-    }
-  }
-
-  const std::pair<const K, DeltaEntry>* PeekDelta(const DeltaCursor& c) const {
-    return c.it == deltas_[c.slot].end() ? nullptr : &*c.it;
-  }
-
-  void AdvanceDelta(DeltaCursor* c) const {
-    ++c->it;
-    SkipEmptySlots(c);
-  }
-
-  // Emits the cursor's live entries with key <= `hi` and key < `before`
-  // (no bound when nullopt), skipping tombstones; returns the emit count.
-  template <typename Fn>
-  size_t DrainDelta(DeltaCursor* c, std::optional<K> before, const K& hi,
-                    Fn& fn) const {
-    size_t emitted = 0;
-    for (const auto* e = PeekDelta(*c);
-         e != nullptr && e->first <= hi &&
-         (!before.has_value() || e->first < *before);
-         e = PeekDelta(*c)) {
-      if (!e->second.tombstone) {
-        fn(e->first, e->second.value);
-        ++emitted;
-      }
-      AdvanceDelta(c);
-    }
-    return emitted;
   }
 
   // Outcome of one paged search: the lower-bound rank over the base file,
@@ -1036,7 +965,7 @@ class DiskFitingTree {
   std::unique_ptr<BufferPool> pool_;
   std::vector<SegmentRecord<K>> segments_;
   FlatKeyIndex<K> directory_;  // segment first keys; floor index = id
-  std::vector<DeltaMap> deltas_;  // parallel to segments_ (>= 1 slot)
+  std::vector<DeltaBuffer> deltas_;  // parallel to segments_ (>= 1 slot)
   std::set<K> compact_pending_;   // first keys of queued segments (dedup)
   size_t delta_entries_ = 0;      // live + tombstone entries across slots
   size_t size_ = 0;               // live keys: base + inserts - deletes

@@ -356,7 +356,6 @@ class SegmentFileReader final : public PageSource {
  public:
   struct IoOptions {
     IoBackend backend = GlobalOptions().io_backend;
-    size_t depth = GlobalOptions().io_depth;
     // Attempt O_DIRECT (only when page_bytes is a kDirectIoAlignment
     // multiple; falls back to buffered reads when the filesystem refuses).
     // With direct reads in effect every destination buffer must be
@@ -546,7 +545,7 @@ class SegmentFileReader final : public PageSource {
       }
     }
     if (engine_ == nullptr) {
-      engine_ = MakeBatchReadEngine(io_options_.backend, io_options_.depth);
+      engine_ = MakeBatchReadEngine(io_options_.backend);
     }
     if (!bounded) {
       // Mixed batch: serve the in-range subset serially (rare error path).

@@ -36,8 +36,7 @@ inline constexpr bool kEnabled =
 // The four engines the instrumentation distinguishes, plus the sharded
 // server front-end (server/sharded_index.h), whose rows measure the
 // request path — enqueue to response-publish — on top of whatever engine
-// the shards run. The mutex baseline delegates to the buffered FitingTree,
-// so its traffic lands on kBuffered.
+// the shards run.
 enum class Engine : uint8_t { kStatic, kBuffered, kConcurrent, kDisk,
                               kServer };
 inline constexpr size_t kNumEngines = 5;

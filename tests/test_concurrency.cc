@@ -19,7 +19,6 @@
 #include "concurrency/concurrent_fiting_tree.h"
 #include "concurrency/epoch.h"
 #include "concurrency/merge_worker.h"
-#include "concurrency/mutex_fiting_tree.h"
 #include "concurrency/seg_latch.h"
 #include "core/fiting_tree.h"
 #include "datasets/datasets.h"
@@ -33,7 +32,6 @@ using fitree::ConcurrentFitingTreeConfig;
 using fitree::EpochGuard;
 using fitree::EpochManager;
 using fitree::MergeWorker;
-using fitree::MutexFitingTree;
 using fitree::SegLatch;
 using fitree::testing::CrudOptions;
 using fitree::testing::MakeInitialLoad;
@@ -295,23 +293,6 @@ TEST(ConcurrentCrudProperty, DifferentialVsMapOracle) {
   auto tree = ConcurrentFitingTree<int64_t>::Create(keys, values, config);
   ASSERT_NO_FATAL_FAILURE(RunCrudDifferential(*tree, oracle, opt));
   EXPECT_GT(tree->stats().segment_merges, 0u);
-}
-
-// The mutex-wrapped baseline answers the same stream identically (it wraps
-// the core tree, so this differentially ties the two engines together).
-TEST(ConcurrentCrudProperty, MutexTreeDifferentialVsMapOracle) {
-  CrudOptions opt;
-  opt.seed = 0xD1FF;
-  opt.ops = PropertyOps(30000);
-  std::map<int64_t, uint64_t> oracle;
-  std::vector<int64_t> keys;
-  std::vector<uint64_t> values;
-  MakeInitialLoad(opt, /*load_every=*/2, &keys, &values, &oracle);
-  fitree::FitingTreeConfig config;
-  config.error = 32.0;
-  config.buffer_size = 8;
-  auto tree = MutexFitingTree<int64_t>::Create(keys, values, config);
-  ASSERT_NO_FATAL_FAILURE(RunCrudDifferential(*tree, oracle, opt));
 }
 
 // ---- ConcurrentFitingTree: directed CRUD edges ----

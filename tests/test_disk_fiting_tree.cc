@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "common/io_stats.h"
+#include "core/delta_buffer.h"
 #include "core/shrinking_cone.h"
 #include "core/static_fiting_tree.h"
 #include "datasets/datasets.h"
@@ -111,6 +112,45 @@ TEST(DiskFitingTree, MatchesOracleAcrossErrorBounds) {
   }
 }
 
+using Oracle = std::map<int64_t, uint64_t>;
+using Pairs = std::vector<std::pair<int64_t, uint64_t>>;
+
+void ExpectScanMatches(const DiskFitingTree<int64_t>& disk,
+                       const Oracle& oracle, int64_t lo, int64_t hi) {
+  Pairs got;
+  const size_t emitted = disk.ScanRange(
+      lo, hi, [&](int64_t k, uint64_t v) { got.emplace_back(k, v); });
+  ASSERT_EQ(got, Pairs(oracle.lower_bound(lo), oracle.upper_bound(hi)))
+      << "[" << lo << ", " << hi << "]";
+  EXPECT_EQ(emitted, got.size());
+}
+
+// The whole keyspace, then ranges that start and end on, just below and
+// just above each probe, each spanning twenty live keys (over a page).
+void ExpectOverlayScansMatch(const DiskFitingTree<int64_t>& disk,
+                             const Oracle& oracle,
+                             const std::vector<int64_t>& probes) {
+  ASSERT_NO_FATAL_FAILURE(
+      ExpectScanMatches(disk, oracle, INT64_MIN, INT64_MAX));
+  EXPECT_EQ(disk.size(), oracle.size());
+  for (const int64_t p : probes) {
+    const auto it = oracle.find(p);
+    EXPECT_EQ(disk.Lookup(p), it == oracle.end()
+                                  ? std::nullopt
+                                  : std::optional<uint64_t>(it->second));
+    auto up = oracle.lower_bound(p);
+    for (int i = 0; i < 20 && up != oracle.end(); ++i) ++up;
+    const int64_t far_hi = up == oracle.end() ? INT64_MAX : up->first;
+    auto down = oracle.lower_bound(p);
+    for (int i = 0; i < 20 && down != oracle.begin(); ++i) --down;
+    const int64_t far_lo = down == oracle.end() ? INT64_MIN : down->first;
+    for (const int64_t d : {-1, 0, 1}) {
+      ASSERT_NO_FATAL_FAILURE(ExpectScanMatches(disk, oracle, p + d, far_hi));
+      ASSERT_NO_FATAL_FAILURE(ExpectScanMatches(disk, oracle, far_lo, p + d));
+    }
+  }
+}
+
 TEST(DiskFitingTree, RangeScansMatchOracle) {
   Fixture fx(2500, 16.0, /*cache_pages=*/8, "ranges");
   const auto queries = fitree::workloads::MakeRangeQueries<int64_t>(
@@ -134,6 +174,101 @@ TEST(DiskFitingTree, RangeScansMatchOracle) {
   // Empty and inverted ranges.
   EXPECT_EQ(fx.disk->RangeCount(fx.keys.back() + 1, fx.keys.back() + 100), 0u);
   EXPECT_EQ(fx.disk->RangeCount(fx.keys[10], fx.keys[5]), 0u);
+
+  // Overlay entries where the slot-by-slot merge has edges: below the first
+  // segment, on segment first keys, on page first and last keys, in the
+  // gap past a segment's last key, and past the last key. Checked before
+  // and after compacting the first, last and a middle segment. Error 1
+  // cuts these keys into 13 segments.
+  Fixture ofx(2500, 1.0, /*cache_pages=*/8, "ranges_overlay");
+  ASSERT_NE(ofx.disk, nullptr);
+  Oracle oracle;
+  for (size_t i = 0; i < ofx.keys.size(); ++i) oracle[ofx.keys[i]] = i;
+  DiskFitingTree<int64_t>& disk = *ofx.disk;
+  std::vector<int64_t> probes;
+  uint64_t payload = 1000000;
+  const auto insert = [&](int64_t k) {
+    ++payload;
+    ASSERT_EQ(disk.Insert(k, payload), oracle.emplace(k, payload).second);
+    probes.push_back(k);
+  };
+  const auto update = [&](int64_t k) {
+    const auto it = oracle.find(k);
+    ASSERT_EQ(disk.Update(k, ++payload), it != oracle.end());
+    if (it != oracle.end()) it->second = payload;
+    probes.push_back(k);
+  };
+  const auto erase = [&](int64_t k) {
+    ASSERT_EQ(disk.Delete(k), oracle.erase(k) > 0);
+    probes.push_back(k);
+  };
+  const auto table = ofx.oracle->ExportSegmentTable();
+  ASSERT_GT(table.size(), 4u);
+  const size_t cap = LeafCapacity<int64_t>(kPageBytes);
+  for (int64_t d = 1; d <= 5; ++d) insert(ofx.keys.front() - 3 * d);
+  for (size_t s = 0; s < table.size(); ++s) {
+    const size_t start = table[s].start;
+    const size_t end = start + table[s].length;
+    if (s % 3 == 0) update(table[s].first_key);
+    if (s % 3 == 1) erase(table[s].first_key);
+    for (size_t p = start; p < end; p += cap) {
+      const int64_t first = ofx.keys[p];
+      const int64_t last = ofx.keys[std::min(end, p + cap) - 1];
+      if ((p - start) / cap % 2 == 0) {
+        update(first);
+        erase(last);
+      } else {
+        erase(first);
+        update(last);
+      }
+    }
+    if (s + 1 < table.size() && ofx.keys[end - 1] + 1 < ofx.keys[end]) {
+      insert(ofx.keys[end - 1] + 1);  // between two segments
+    }
+  }
+  for (int64_t d = 1; d <= 5; ++d) insert(ofx.keys.back() + 2 * d);
+  ASSERT_NO_FATAL_FAILURE(ExpectOverlayScansMatch(disk, oracle, probes));
+  for (int step = 0; step < 3; ++step) {
+    const size_t last = disk.SegmentCount() - 1;
+    const size_t slot = step == 0 ? 0 : step == 1 ? last : last / 2;
+    const size_t before = disk.DeltaEntries();
+    ASSERT_TRUE(disk.CompactSegment(slot)) << slot;
+    EXPECT_LT(disk.DeltaEntries(), before);
+    ASSERT_NO_FATAL_FAILURE(ExpectOverlayScansMatch(disk, oracle, probes));
+  }
+  EXPECT_FALSE(disk.io_error());
+}
+
+// The same merge over an empty base file, whose one slot holds the whole
+// keyspace.
+TEST(DiskFitingTree, RangeScansOverAnEmptyBaseMatchOracle) {
+  const auto empty =
+      StaticFitingTree<int64_t>::Create(std::vector<int64_t>{}, 16.0);
+  const std::string path = TempPath("ranges_empty.fit");
+  ASSERT_TRUE(fitree::storage::WriteIndexFile(path, *empty,
+                                              SegmentFileOptions{kPageBytes}));
+  auto disk = DiskFitingTree<int64_t>::Open(path);
+  ASSERT_NE(disk, nullptr);
+  Oracle oracle;
+  std::vector<int64_t> probes;
+  for (int64_t k = -40; k <= 40; k += 4) {
+    ASSERT_TRUE(disk->Insert(k, static_cast<uint64_t>(k + 100)));
+    oracle[k] = static_cast<uint64_t>(k + 100);
+    probes.push_back(k);
+  }
+  for (int64_t k = -40; k <= 40; k += 12) {
+    ASSERT_TRUE(disk->Update(k, 7));
+    oracle[k] = 7;
+    ASSERT_TRUE(disk->Delete(k + 4));
+    oracle.erase(k + 4);
+  }
+  ASSERT_NO_FATAL_FAILURE(ExpectOverlayScansMatch(*disk, oracle, probes));
+  EXPECT_FALSE(disk->CompactSegment(0));  // no segment to merge into
+  ASSERT_NO_FATAL_FAILURE(ExpectOverlayScansMatch(*disk, oracle, probes));
+  ASSERT_TRUE(disk->Compact());
+  EXPECT_EQ(disk->DeltaEntries(), 0u);
+  ASSERT_NO_FATAL_FAILURE(ExpectOverlayScansMatch(*disk, oracle, probes));
+  std::remove(path.c_str());
 }
 
 TEST(DiskFitingTree, CacheSmallerThanFileEvictsButStaysCorrect) {
@@ -169,16 +304,48 @@ TEST(DiskFitingTree, IoStatsDeltaGivesPerPhaseCounts) {
 }
 
 // The index charges what a lookup reads: one first key per segment in the
-// flat directory plus the segment table (the overlay is empty after Open).
+// flat directory plus the segment table (the overlay is empty after Open),
+// plus what the overlay's delta buffers hold allocated.
 TEST(DiskFitingTree, IndexSizeChargesFlatDirectoryAndSegmentTable) {
-  Fixture fx(3000, 8.0, /*cache_pages=*/8, "index_size");
+  Fixture fx(3000, 2.0, /*cache_pages=*/8, "index_size");
   ASSERT_NE(fx.disk, nullptr);
-  ASSERT_GT(fx.disk->SegmentCount(), 1u);
+  ASSERT_GT(fx.disk->SegmentCount(), 3u);
   EXPECT_EQ(fx.disk->DeltaEntries(), 0u);
+  const size_t base = fx.disk->SegmentCount() *
+                      (sizeof(int64_t) +
+                       sizeof(fitree::storage::SegmentRecord<int64_t>));
+  EXPECT_EQ(fx.disk->IndexSizeBytes(), base);
+
+  // One entry in each of three slots: a first allocation holds exactly one.
+  constexpr size_t kEntry =
+      sizeof(fitree::detail::BufferEntry<int64_t, uint64_t>);
+  const auto table = fx.oracle->ExportSegmentTable();
+  for (size_t s = 1; s <= 3; ++s) {
+    ASSERT_TRUE(fx.disk->Update(table[s].first_key, 5));
+  }
+  EXPECT_EQ(fx.disk->IndexSizeBytes(), base + 3 * kEntry);
+
+  // Capacity, not size: five inserts below the first key, four of them
+  // deleted again, leave slot 0 holding room for at least five.
+  for (int64_t d = 1; d <= 5; ++d) {
+    ASSERT_TRUE(fx.disk->Insert(fx.keys.front() - d, 1));
+  }
+  for (int64_t d = 1; d <= 4; ++d) {
+    ASSERT_TRUE(fx.disk->Delete(fx.keys.front() - d));
+  }
+  EXPECT_EQ(fx.disk->DeltaEntries(), 4u);
+  const size_t charged = fx.disk->IndexSizeBytes();
+  EXPECT_GE(charged, base + (3 + 5) * kEntry);
+  EXPECT_EQ((charged - base) % kEntry, 0u);
+
+  // Compacting a slot releases its buffer.
+  ASSERT_TRUE(fx.disk->CompactSegment(1));
+  EXPECT_EQ(fx.disk->DeltaEntries(), 3u);
   EXPECT_EQ(fx.disk->IndexSizeBytes(),
-            fx.disk->SegmentCount() *
-                (sizeof(int64_t) +
-                 sizeof(fitree::storage::SegmentRecord<int64_t>)));
+            charged - kEntry +
+                (fx.disk->SegmentCount() - table.size()) *
+                    (sizeof(int64_t) +
+                     sizeof(fitree::storage::SegmentRecord<int64_t>)));
 }
 
 TEST(DiskFitingTree, FixedPagingLayoutMatchesOracle) {

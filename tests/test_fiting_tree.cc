@@ -8,8 +8,10 @@
 #include <set>
 #include <span>
 #include <thread>
+#include <utility>
 #include <vector>
 
+#include "core/delta_buffer.h"
 #include "core/fiting_tree.h"
 #include "datasets/datasets.h"
 #include "tests/oracle.h"
@@ -538,6 +540,105 @@ TEST(FitingTreeMerge, SplittingMergeFreesItsMergeBlock) {
   EXPECT_EQ(tree->stats().segments_created, tree->SegmentCount());
   ExpectMatchesOracle(*tree, oracle);
   EXPECT_EQ(LivePageBytes(*tree), ArenaStat(*tree, "arena_live_bytes"));
+}
+
+// ---- The shared delta-buffer kernels (core/delta_buffer.h) ---------------
+
+using Entry = fitree::detail::BufferEntry<int64_t, uint64_t>;
+using Pairs = std::vector<std::pair<int64_t, uint64_t>>;
+
+Pairs EmitPairs(const std::vector<int64_t>& keys,
+                const std::vector<uint64_t>& values,
+                const std::vector<Entry>& buffer, int64_t lo, int64_t hi) {
+  Pairs got;
+  auto fn = [&](const int64_t& k, const uint64_t& v) {
+    got.emplace_back(k, v);
+  };
+  const size_t emitted = fitree::detail::EmitMergedRange<int64_t, uint64_t>(
+      keys.data(), values.data(), keys.size(), buffer, lo, hi, fn);
+  EXPECT_EQ(emitted, got.size());
+  return got;
+}
+
+// Page 10..50 with every kind of entry: a live key below the page, a
+// tombstone on its first key, an insert between two page keys, a payload
+// override, a tombstone on its last key and a live key past it.
+TEST(FitingTreeMerge, EmitMergedRangeAppliesEveryEntryKind) {
+  const std::vector<int64_t> keys{10, 20, 30, 40, 50};
+  const std::vector<uint64_t> values{1, 2, 3, 4, 5};
+  const std::vector<Entry> buffer{{5, 50, false},   {10, 0, true},
+                                  {25, 250, false}, {30, 300, false},
+                                  {50, 0, true},    {60, 600, false}};
+  EXPECT_EQ(EmitPairs(keys, values, buffer, INT64_MIN, INT64_MAX),
+            (Pairs{{5, 50}, {20, 2}, {25, 250}, {30, 300}, {40, 4},
+                   {60, 600}}));
+  EXPECT_EQ(EmitPairs(keys, values, buffer, 20, 40),
+            (Pairs{{20, 2}, {25, 250}, {30, 300}, {40, 4}}));
+  EXPECT_EQ(EmitPairs(keys, values, buffer, 30, 30), (Pairs{{30, 300}}));
+  EXPECT_EQ(EmitPairs(keys, values, buffer, 11, 24), (Pairs{{20, 2}}));
+  EXPECT_EQ(EmitPairs(keys, values, buffer, 10, 10), Pairs{});
+  EXPECT_EQ(EmitPairs(keys, values, buffer, 45, 55), Pairs{});
+  EXPECT_EQ(EmitPairs(keys, values, buffer, 55, 70), (Pairs{{60, 600}}));
+  // No page: the buffer's live entries alone.
+  EXPECT_EQ(EmitPairs({}, {}, buffer, 0, 100),
+            (Pairs{{5, 50}, {25, 250}, {30, 300}, {60, 600}}));
+  // No buffer: the page alone.
+  EXPECT_EQ(EmitPairs(keys, values, {}, 15, 45),
+            (Pairs{{20, 2}, {30, 3}, {40, 4}}));
+}
+
+// The two kernels agree with a std::map that applies the same buffer, on
+// random pages, buffers and ranges; the merge writes what a full-range
+// scan emits.
+TEST(FitingTreeMerge, ScanAndMergeKernelsMatchMapOracle) {
+  std::mt19937_64 rng(23);
+  for (int round = 0; round < 300; ++round) {
+    std::map<int64_t, uint64_t> page;
+    const size_t n = rng() % 40;
+    while (page.size() < n) {
+      page.emplace(static_cast<int64_t>(rng() % 200), rng() % 1000);
+    }
+    std::vector<int64_t> keys;
+    std::vector<uint64_t> values;
+    for (const auto& [k, v] : page) {
+      keys.push_back(k);
+      values.push_back(v);
+    }
+    std::map<int64_t, uint64_t> oracle = page;
+    std::map<int64_t, Entry> entries;
+    for (size_t i = rng() % 20; i > 0; --i) {
+      const auto k = static_cast<int64_t>(rng() % 200);
+      const bool tombstone = page.count(k) > 0 && rng() % 2 == 0;
+      entries[k] = Entry{k, rng() % 1000, tombstone};
+    }
+    std::vector<Entry> buffer;
+    for (const auto& [k, e] : entries) {
+      buffer.push_back(e);
+      if (e.tombstone) {
+        oracle.erase(k);
+      } else {
+        oracle[k] = e.value;
+      }
+    }
+    for (int q = 0; q < 10; ++q) {
+      const auto lo = static_cast<int64_t>(rng() % 220) - 10;
+      const int64_t hi = lo + static_cast<int64_t>(rng() % 80);
+      const Pairs want(oracle.lower_bound(lo), oracle.upper_bound(hi));
+      ASSERT_EQ(EmitPairs(keys, values, buffer, lo, hi), want)
+          << "round " << round << " [" << lo << ", " << hi << "]";
+    }
+    std::vector<int64_t> out_keys(keys.size() + buffer.size());
+    std::vector<uint64_t> out_values(out_keys.size());
+    const size_t merged =
+        fitree::detail::MergePageWithBuffer<int64_t, uint64_t>(
+            keys.data(), values.data(), keys.size(), buffer, out_keys.data(),
+            out_values.data());
+    Pairs got;
+    for (size_t i = 0; i < merged; ++i) {
+      got.emplace_back(out_keys[i], out_values[i]);
+    }
+    ASSERT_EQ(got, Pairs(oracle.begin(), oracle.end())) << "round " << round;
+  }
 }
 
 // ---- Segment arena (core/segment_arena.h) ---------------------------------

@@ -17,7 +17,6 @@
 #include <vector>
 
 #include "concurrency/concurrent_fiting_tree.h"
-#include "concurrency/mutex_fiting_tree.h"
 #include "core/fiting_tree.h"
 #include "core/index_api.h"
 #include "core/static_fiting_tree.h"
@@ -34,7 +33,6 @@ using fitree::FitingTree;
 using fitree::FitingTreeConfig;
 using fitree::IndexApi;
 using fitree::MutableIndexApi;
-using fitree::MutexFitingTree;
 using fitree::StaticFitingTree;
 using fitree::server::ShardedIndex;
 using fitree::storage::DiskFitingTree;
@@ -48,7 +46,6 @@ using fitree::testing::RunCrudDifferential;
 using Buffered = FitingTree<int64_t>;
 using Static = StaticFitingTree<int64_t>;
 using Concurrent = ConcurrentFitingTree<int64_t>;
-using Mutex = MutexFitingTree<int64_t>;
 using Disk = DiskFitingTree<int64_t>;
 using Server = ShardedIndex<Buffered>;
 
@@ -56,14 +53,12 @@ using Server = ShardedIndex<Buffered>;
 static_assert(IndexApi<Buffered>);
 static_assert(IndexApi<Static>);
 static_assert(IndexApi<Concurrent>);
-static_assert(IndexApi<Mutex>);
 static_assert(IndexApi<Disk>);
 static_assert(IndexApi<Server>);
 
 // The mutable engines (and the server) model the full CRUD contract.
 static_assert(MutableIndexApi<Buffered>);
 static_assert(MutableIndexApi<Concurrent>);
-static_assert(MutableIndexApi<Mutex>);
 static_assert(MutableIndexApi<Disk>);
 static_assert(MutableIndexApi<Server>);
 
@@ -109,16 +104,6 @@ TEST(IndexApiContract, ConcurrentEngineMatchesOracle) {
   ASSERT_NO_FATAL_FAILURE(RunCrudDifferential(*tree, oracle, opt));
 }
 
-TEST(IndexApiContract, MutexEngineMatchesOracle) {
-  CrudOptions opt = SmallOpts(13);
-  std::vector<int64_t> keys;
-  std::vector<uint64_t> values;
-  std::map<int64_t, uint64_t> oracle;
-  MakeInitialLoad(opt, /*load_every=*/4, &keys, &values, &oracle);
-  auto tree = Mutex::Create(keys, values, FitingTreeConfig{.error = 32.0});
-  ASSERT_NO_FATAL_FAILURE(RunCrudDifferential(*tree, oracle, opt));
-}
-
 TEST(IndexApiContract, DiskEngineMatchesOracle) {
   CrudOptions opt = SmallOpts(14);
   std::vector<int64_t> keys;
@@ -159,11 +144,9 @@ TEST(IndexApiContract, ScanRangeReturnsEmittedCount) {
   auto statict = Static::Create(keys, /*error=*/16.0);
   auto concurrent =
       Concurrent::Create(keys, {}, ConcurrentFitingTreeConfig{.error = 16.0});
-  auto mutexed = Mutex::Create(keys, {}, FitingTreeConfig{.error = 16.0});
   ExpectScanCountsMatch(*buffered, 30, 300);
   ExpectScanCountsMatch(*statict, 30, 300);
   ExpectScanCountsMatch(*concurrent, 30, 300);
-  ExpectScanCountsMatch(*mutexed, 30, 300);
 }
 
 // --- StaticFitingTree Update (payload overwrite, no insert path) ----------

@@ -22,7 +22,6 @@
 #include <vector>
 
 #include "concurrency/concurrent_fiting_tree.h"
-#include "concurrency/mutex_fiting_tree.h"
 #include "core/fiting_tree.h"
 #include "core/static_fiting_tree.h"
 #include "storage/disk_fiting_tree.h"
@@ -656,14 +655,6 @@ TEST(StructuralStats, EveryEngineReportsCoreFields) {
   EXPECT_GE(cs.Get("buffered_entries"), 1.0);
   EXPECT_TRUE(cs.Has("epoch_pending"));
   EXPECT_TRUE(cs.Has("merge_queue"));
-
-  fitree::FitingTreeConfig mconfig;
-  mconfig.error = 64.0;
-  const auto mutex_tree =
-      fitree::MutexFitingTree<int64_t>::Create(keys, mconfig);
-  const StructuralStats ms = mutex_tree->Stats();
-  EXPECT_EQ(ms.engine, "buffered");  // delegates to the wrapped tree
-  EXPECT_EQ(ms.Get("keys"), static_cast<double>(keys.size()));
 }
 
 TEST(StructuralStats, DiskEngineReportsIoAndCompaction) {
