@@ -68,6 +68,11 @@
 namespace fitree {
 
 struct ConcurrentFitingTreeConfig {
+  // Not configurable: the in-window search is always SIMD, segmentation is
+  // always the paper's endpoint-line cone, and the directory is the flat
+  // COW snapshot every engine uses (republishing it whole is what makes
+  // readers lock-free).
+
   // Sentinel: size the buffer as max(1, error/2), the paper's default ratio.
   static constexpr size_t kAutoBufferSize = static_cast<size_t>(-1);
 
@@ -76,10 +81,6 @@ struct ConcurrentFitingTreeConfig {
   // tombstones). With a background worker the budget is soft: buffers keep
   // absorbing writes while their merge is queued.
   size_t buffer_size = kAutoBufferSize;
-  // The in-window search is always SIMD, and the directory is the flat COW
-  // snapshot every engine uses; republishing it whole is what makes
-  // readers lock-free.
-  Feasibility feasibility = Feasibility::kEndpointLine;
   // Off: the mutating thread merges inline. On: overflows are queued to a
   // MergeWorker thread and writes return immediately.
   bool background_merge = false;
@@ -474,8 +475,7 @@ class ConcurrentFitingTree {
   void BulkLoad(std::span<const K> keys, std::span<const V> values) {
     auto dir = std::make_unique<Directory>();
     if (!keys.empty()) {
-      const auto models =
-          SegmentShrinkingCone<K>(keys, config_.error, config_.feasibility);
+      const auto models = SegmentShrinkingCone<K>(keys, config_.error);
       std::vector<K> first_keys;
       first_keys.reserve(models.size());
       dir->segments.reserve(models.size());
@@ -661,8 +661,8 @@ class ConcurrentFitingTree {
 
     std::vector<Segment*> replacements;
     if (!merged.empty()) {
-      const auto models = SegmentShrinkingCone<K>(
-          std::span<const K>(merged), config_.error, config_.feasibility);
+      const auto models =
+          SegmentShrinkingCone<K>(std::span<const K>(merged), config_.error);
       stats_created_.fetch_add(models.size(), std::memory_order_relaxed);
       replacements.reserve(models.size());
       for (const fitree::Segment<K>& m : models) {

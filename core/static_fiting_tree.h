@@ -8,8 +8,7 @@
 //
 // The key set is immutable, but each key can carry a 64-bit payload
 // (values()); payloads default to the key's rank — the convention the
-// storage/ serializer shares — and are updatable in place, which is what
-// DiskFitingTree::Compact() rebuilds through.
+// storage/ serializer shares — and are updatable in place.
 
 #ifndef FITREE_CORE_STATIC_FITING_TREE_H_
 #define FITREE_CORE_STATIC_FITING_TREE_H_
@@ -44,20 +43,17 @@ class StaticFitingTree {
   // and the oracle tests pass anything but the SIMD default.
   static std::unique_ptr<StaticFitingTree<K>> Create(
       const std::vector<K>& keys, double error,
-      SearchPolicy policy = SearchPolicy::kSimd,
-      Feasibility feasibility = Feasibility::kEndpointLine) {
-    return Create(keys, {}, error, policy, feasibility);
+      SearchPolicy policy = SearchPolicy::kSimd) {
+    return Create(keys, {}, error, policy);
   }
 
   // Bulk-loads `keys` with explicit rank->payload values (empty = payload
   // is the rank itself, the serializer's default).
   static std::unique_ptr<StaticFitingTree<K>> Create(
       const std::vector<K>& keys, const std::vector<uint64_t>& values,
-      double error, SearchPolicy policy = SearchPolicy::kSimd,
-      Feasibility feasibility = Feasibility::kEndpointLine) {
+      double error, SearchPolicy policy = SearchPolicy::kSimd) {
     auto tree = std::make_unique<StaticFitingTree<K>>();
     tree->policy_ = policy;
-    tree->feasibility_ = feasibility;
     tree->BulkLoad(std::span<const K>(keys), std::span<const uint64_t>(values),
                    error);
     return tree;
@@ -74,7 +70,7 @@ class StaticFitingTree {
     error_ = error;
     data_.assign(keys.begin(), keys.end());
     values_.assign(values.begin(), values.end());
-    segments_ = SegmentShrinkingCone<K>(data_, error, feasibility_);
+    segments_ = SegmentShrinkingCone<K>(data_, error);
     std::vector<K> first_keys;
     first_keys.reserve(segments_.size());
     for (const auto& s : segments_) first_keys.push_back(s.first_key);
@@ -239,7 +235,6 @@ class StaticFitingTree {
 
   double error_ = 0.0;
   SearchPolicy policy_ = SearchPolicy::kBinary;
-  Feasibility feasibility_ = Feasibility::kEndpointLine;
   std::vector<K> data_;
   std::vector<uint64_t> values_;  // empty = payload is the rank
   std::vector<Segment<K>> segments_;

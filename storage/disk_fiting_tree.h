@@ -32,14 +32,19 @@
 //                     leaves + a new segment table at EOF, fsync, then
 //                     republish the meta (next generation, other slot)
 //                     and fsync again. Crash at any point leaves the
-//                     previous generation's meta valid and untouched.
+//                     previous generation's meta valid and untouched. On
+//                     an empty base file, slot 0's overlay becomes the
+//                     file's first segments.
+//
+// Both write through storage/segment_file.h's one page encoder and file
+// writer; this class never sees a page's layout.
 //
 // Incremental compactions are scheduled off the mutation path in the
 // merge_worker style — mutations enqueue (deduplicated) segments whose
-// overlay crossed FITREE_COMPACT_THRESHOLD percent of their length, and
-// each mutation call drains at most one pending segment — except that the
-// drain runs on the OWNER thread, because this engine is single-threaded
-// by contract (a background thread would race every read).
+// overlay crossed Options::compact_threshold_pct percent of their length,
+// and each mutation call drains at most one pending segment — except that
+// the drain runs on the OWNER thread, because this engine is
+// single-threaded by contract (a background thread would race every read).
 //
 // The lookup shares core::ErrorWindow with StaticFitingTree::Bound, so a
 // serialized tree answers every query identically to its in-memory
@@ -73,7 +78,6 @@
 #include "core/flat_directory.h"
 #include "core/search_policy.h"
 #include "core/shrinking_cone.h"
-#include "core/static_fiting_tree.h"
 #include "storage/buffer_pool.h"
 #include "storage/segment_file.h"
 #include "telemetry/phase.h"
@@ -116,9 +120,9 @@ class DiskFitingTree {
     size_t cache_pages = 64;
     // Incremental compaction trigger, percent of segment length; a
     // segment whose overlay reaches max(8, length * pct / 100) entries is
-    // queued and drained one-per-mutation. 0 disables the automatic path
-    // (CompactSegment stays callable).
-    size_t compact_threshold_pct = GlobalOptions().compact_threshold_pct;
+    // queued and drained one-per-mutation (an empty base file's one slot
+    // at 8). 0 disables the automatic path (CompactSegment stays callable).
+    size_t compact_threshold_pct = 0;
     // Test hook, fired after each named compaction step (crash points).
     std::function<void(CompactPoint)> compact_hook;
     // Per-instance read-path overrides; default to the process-wide
@@ -239,8 +243,7 @@ class DiskFitingTree {
     std::vector<uint32_t> staged;
     size_t i = 0;
     while (i < n) {
-      const size_t j =
-          base_size() == 0 ? n : StageChunk(keys, i, n, &staged);
+      const size_t j = StageChunk(keys, i, n, &staged);
       for (size_t k = i; k < j; ++k) out[k] = Lookup(keys[k]);
       UnpinAll(staged);
       staged.clear();
@@ -337,8 +340,8 @@ class DiskFitingTree {
     const size_t first = DeltaSlot(lo);
     const size_t cap = reader_.meta().leaf_capacity;
     size_t rank = LowerBound(lo);
-    std::vector<K> keys;
-    std::vector<uint64_t> values;
+    std::vector<K> keys(cap);
+    std::vector<uint64_t> values(cap);
     size_t emitted = 0;
     for (size_t s = first; s < deltas_.size(); ++s) {
       if (s > first && hi < segments_[s].seg.first_key) break;
@@ -348,31 +351,23 @@ class DiskFitingTree {
         const SegmentRecord<K>& rec = segments_[s];
         rank = std::max(rank, SegStart(rec));
         while (rank < SegEnd(rec)) {
-          const size_t local = rank - SegStart(rec);
-          PinnedPage pin(pool_.get(),
-                         static_cast<uint32_t>(rec.first_leaf_page +
-                                               local / cap));
+          PinnedPage pin(pool_.get(), PageForRank(rec, rank));
           if (!pin) {
             io_error_ = true;
             return emitted;
           }
-          const size_t page_end =
-              std::min(SegEnd(rec), rank - local % cap + cap);
-          keys.clear();
-          values.clear();
-          for (; rank < page_end; ++rank) {
-            const auto entry = LoadAs<LeafEntry<K>>(
-                pin.data() + kPageHeaderBytes +
-                ((rank - SegStart(rec)) % cap) * sizeof(LeafEntry<K>));
-            keys.push_back(entry.key);
-            values.push_back(entry.value);
-          }
+          const size_t slot = (rank - SegStart(rec)) % cap;
+          const size_t n = std::min(SegEnd(rec) - rank, cap - slot);
+          LeafSlots<K>(pin.data(), slot).CopyOut(n, keys.data(),
+                                                 values.data());
+          rank += n;
+          const K last = keys[n - 1];
           const auto e = std::upper_bound(
-              b, delta.end(), keys.back(),
+              b, delta.end(), last,
               [](const K& k, const DeltaEntry& d) { return k < d.key; });
           emitted += fitree::detail::EmitMergedRange<K, uint64_t>(
-              keys.data(), values.data(), keys.size(), {b, e}, lo, hi, fn);
-          if (!(keys.back() < hi)) return emitted;
+              keys.data(), values.data(), n, {b, e}, lo, hi, fn);
+          if (!(last < hi)) return emitted;
           b = e;
         }
       }
@@ -419,8 +414,11 @@ class DiskFitingTree {
       return false;
     }
     const double err = reader_.meta().error;
-    const auto tree = StaticFitingTree<K>::Create(keys, values, err);
-    const auto table = tree->ExportSegmentTable();
+    std::vector<PackedSegment<K>> table;
+    for (const Segment<K>& s :
+         SegmentShrinkingCone<K>(std::span<const K>(keys), err)) {
+      table.push_back(s.Pack());
+    }
     const std::string tmp = path_ + ".compact";
     // Spelled out (not via WriteSegmentFile) so the written-but-not-
     // durable crash point is observable between the page stream and the
@@ -429,11 +427,8 @@ class DiskFitingTree {
       FilePageSink sink(tmp);
       const bool written =
           sink.is_open() &&
-          WriteSegmentFilePages<K>(
-              sink, std::span<const K>(tree->data()),
-              std::span<const uint64_t>(tree->values()),
-              std::span<const PackedSegment<K>>(table), err,
-              reader_.page_bytes());
+          WriteSegmentFilePages<K>(sink, keys, values, table, err,
+                                   reader_.page_bytes());
       if (written) Hook(CompactPoint::kTmpWritten);
       if (!written || !sink.Finish()) {
         std::remove(tmp.c_str());
@@ -475,22 +470,27 @@ class DiskFitingTree {
   // at EOF, fsyncs, then writes the next-generation meta into the other
   // ping-pong slot and fsyncs again. No page referenced by the previous
   // generation is touched, so a crash anywhere rolls back one generation.
-  // Returns false — with the file and all in-memory state unchanged — on
-  // any I/O failure, and also for an all-tombstone segment (that rare case
-  // needs the directory surgery only the full Compact performs).
+  // On an empty base file there is no segment to merge: slot 0's overlay
+  // becomes the file's first segments. Returns false — with the file and
+  // all in-memory state unchanged — on any I/O failure, and also when the
+  // merge leaves no key (an all-tombstone segment needs the directory
+  // surgery only the full Compact performs).
   bool CompactSegment(size_t slot) {
-    if (slot >= segments_.size() || base_size() == 0) return false;
+    if (slot >= deltas_.size()) return false;
     telemetry::ScopedDuration telem(telemetry::Engine::kDisk,
                                     telemetry::Op::kCompact);
     telemetry::ScopedPhase phase(telemetry::Engine::kDisk,
                                  telemetry::Phase::kCompact);
-    const SegmentRecord<K> rec = segments_[slot];
+    // The run the overlay folds into: one segment, or none at all.
+    const size_t replaced = segments_.empty() ? 0 : 1;
+    const SegmentRecord<K> rec =
+        replaced == 0 ? SegmentRecord<K>{} : segments_[slot];
     const size_t start = SegStart(rec);
     const size_t len = static_cast<size_t>(rec.seg.length);
     const size_t cap = reader_.meta().leaf_capacity;
     const DeltaBuffer& overlay = deltas_[slot];
     const size_t consumed = overlay.size();
-    compact_pending_.erase(rec.seg.first_key);
+    compact_pending_.erase(PendingKey(slot));
 
     // 1. Merged view of this one segment: its paged entries merged with its
     // overlay slot, tombstones dropped, overrides applied.
@@ -506,14 +506,9 @@ class DiskFitingTree {
         return false;
       }
       const size_t begin = static_cast<size_t>(p) * cap;
-      const size_t end = std::min(len, begin + cap);
-      for (size_t local = begin; local < end; ++local) {
-        const auto entry = LoadAs<LeafEntry<K>>(
-            pin.data() + kPageHeaderBytes +
-            (local - begin) * sizeof(LeafEntry<K>));
-        paged_keys[local] = entry.key;
-        paged_values[local] = entry.value;
-      }
+      LeafSlots<K>(pin.data(), 0).CopyOut(std::min(cap, len - begin),
+                                          paged_keys.data() + begin,
+                                          paged_values.data() + begin);
     }
     std::vector<K> keys(len + consumed);
     std::vector<uint64_t> values(len + consumed);
@@ -536,7 +531,7 @@ class DiskFitingTree {
     const int64_t d = static_cast<int64_t>(keys.size()) -
                       static_cast<int64_t>(len);
     std::vector<SegmentRecord<K>> records;
-    records.reserve(segments_.size() + local_segs.size() - 1);
+    records.reserve(segments_.size() - replaced + local_segs.size());
     for (size_t i = 0; i < slot; ++i) records.push_back(segments_[i]);
     uint64_t next_page = meta.total_pages;  // appends start past EOF
     for (const auto& ls : local_segs) {
@@ -547,7 +542,7 @@ class DiskFitingTree {
       next_page += PagesForRecords(g.length, cap);
     }
     const uint64_t appended_leaves = next_page - meta.total_pages;
-    for (size_t i = slot + 1; i < segments_.size(); ++i) {
+    for (size_t i = slot + replaced; i < segments_.size(); ++i) {
       SegmentRecord<K> r = segments_[i];
       // Later ranks shift by d; their pages don't move (local addressing
       // is start-relative, invariant under the shift).
@@ -558,57 +553,22 @@ class DiskFitingTree {
     }
 
     // 3. Append: new leaf pages, then the new full segment table.
-    SegmentFileUpdater up;
-    if (!up.Open(path_)) {
-      telem.Cancel();
-      return false;
+    FilePageSink file(path_, FilePageSink::Mode::kUpdate);
+    PageEncoder<K> out(file, meta.page_bytes);
+    for (size_t s = slot; s < slot + local_segs.size(); ++s) {
+      const size_t m = SegStart(records[s]) - start;  // merged-array index
+      out.Leaves(records[s], keys.data() + m, values.data() + m);
     }
-    std::vector<std::byte> page(meta.page_bytes, std::byte{0});
-    bool ok = true;
-    const auto emit = [&](PageType type, uint64_t page_id, uint32_t count) {
-      SealPage(page.data(), page.size(), type,
-               static_cast<uint32_t>(page_id), count);
-      ok = ok && up.WritePageAt(page_id, page.data(), page.size());
-      std::fill(page.begin(), page.end(), std::byte{0});
-    };
-    for (size_t s = 0; s < local_segs.size() && ok; ++s) {
-      const SegmentRecord<K>& nr = records[slot + s];
-      const size_t g_start = SegStart(nr);
-      const size_t g_len = static_cast<size_t>(nr.seg.length);
-      for (uint64_t p = 0; p < PagesForRecords(g_len, cap) && ok; ++p) {
-        const size_t begin = static_cast<size_t>(p) * cap;
-        const size_t end = std::min(g_len, begin + cap);
-        for (size_t l = begin; l < end; ++l) {
-          const size_t m = (g_start - start) + l;  // merged-array index
-          StoreAs(page.data() + kPageHeaderBytes +
-                      (l - begin) * sizeof(LeafEntry<K>),
-                  LeafEntry<K>{keys[m], values[m]});
-        }
-        emit(PageType::kLeaf, nr.first_leaf_page + p,
-             static_cast<uint32_t>(end - begin));
-      }
-    }
-    const uint64_t seg_cap = meta.segment_capacity;
     const uint64_t seg_table_first = next_page;
-    const uint64_t seg_pages = PagesForRecords(records.size(), seg_cap);
-    for (uint64_t p = 0; p < seg_pages && ok; ++p) {
-      const size_t begin = static_cast<size_t>(p * seg_cap);
-      const size_t end =
-          std::min(records.size(), begin + static_cast<size_t>(seg_cap));
-      for (size_t i = begin; i < end; ++i) {
-        StoreAs(page.data() + kPageHeaderBytes +
-                    (i - begin) * sizeof(SegmentRecord<K>),
-                records[i]);
-      }
-      emit(PageType::kSegmentTable, seg_table_first + p,
-           static_cast<uint32_t>(end - begin));
-    }
-    if (!ok) {
+    const uint64_t seg_pages =
+        PagesForRecords(records.size(), meta.segment_capacity);
+    out.SegmentTable(records, seg_table_first);
+    if (!out.ok()) {
       telem.Cancel();
       return false;
     }
     Hook(CompactPoint::kAppendWritten);
-    if (!up.Sync()) {
+    if (!file.Sync()) {
       telem.Cancel();
       return false;
     }
@@ -626,10 +586,9 @@ class DiskFitingTree {
     nm.leaf_page_count =
         meta.leaf_page_count - old_pages + appended_leaves;
     nm.total_pages = seg_table_first + seg_pages;
-    StoreAs(page.data() + kPageHeaderBytes, nm);
-    emit(PageType::kMeta, nm.generation % kNumMetaSlots, 1);
-    if (ok) Hook(CompactPoint::kMetaWritten);
-    if (!ok || !up.Sync()) {
+    out.Meta(nm, static_cast<uint32_t>(nm.generation % kNumMetaSlots));
+    if (out.ok()) Hook(CompactPoint::kMetaWritten);
+    if (!out.ok() || !file.Finish()) {
       telem.Cancel();
       return false;
     }
@@ -640,7 +599,7 @@ class DiskFitingTree {
     // consumed overlay slot disappears, and surviving slots shift around
     // the new segments.
     reader_.set_meta(nm);
-    std::vector<DeltaBuffer> new_deltas(std::max<size_t>(1, records.size()));
+    std::vector<DeltaBuffer> new_deltas(records.size());
     for (size_t i = 0; i < segments_.size(); ++i) {
       if (i == slot) continue;
       new_deltas[i < slot ? i : i + local_segs.size() - 1] =
@@ -795,17 +754,25 @@ class DiskFitingTree {
                             fitree::detail::BufferKeyLess{});
   }
 
+  // The key `slot` is queued under: its segment's first key, not its
+  // index — indexes shift when an earlier republish splits a segment,
+  // first keys don't. An empty base file's one slot is queued under the
+  // lowest key, whose directory floor is slot 0 whatever the file holds.
+  K PendingKey(size_t slot) const {
+    return segments_.empty() ? std::numeric_limits<K>::lowest()
+                             : segments_[slot].seg.first_key;
+  }
+
   // Queues `slot` for incremental compaction once its overlay crosses the
-  // threshold. Keyed by the segment's first key, not its index — indexes
-  // shift when an earlier republish splits a segment, first keys don't.
+  // threshold.
   void MaybeScheduleCompaction(size_t slot) {
-    if (options_.compact_threshold_pct == 0 || base_size() == 0) return;
-    const SegmentRecord<K>& rec = segments_[slot];
+    if (options_.compact_threshold_pct == 0) return;
+    const size_t length =
+        segments_.empty() ? 0 : static_cast<size_t>(segments_[slot].seg.length);
     const size_t threshold = std::max<size_t>(
-        8, static_cast<size_t>(rec.seg.length) *
-               options_.compact_threshold_pct / 100);
+        8, length * options_.compact_threshold_pct / 100);
     if (deltas_[slot].size() >= threshold) {
-      compact_pending_.insert(rec.seg.first_key);
+      compact_pending_.insert(PendingKey(slot));
     }
   }
 
@@ -829,8 +796,7 @@ class DiskFitingTree {
     const size_t rank = PredictedRank(rec, key);
     const size_t cap = reader_.meta().leaf_capacity;
     if (const std::byte* frame = pool_->Peek(PageForRank(rec, rank))) {
-      PrefetchRead(frame + kPageHeaderBytes +
-                   ((rank - SegStart(rec)) % cap) * sizeof(LeafEntry<K>));
+      PrefetchRead(LeafSlots<K>(frame, (rank - SegStart(rec)) % cap).at(0));
     }
   }
 
@@ -927,28 +893,22 @@ class DiskFitingTree {
       // Branchless narrow over the slice, then a strided vector count over
       // the packed {key, payload} records. The slice never crosses the
       // page, so every offset below stays within the pinned frame.
-      const std::byte* slice =
-          pin.data() + kPageHeaderBytes +
-          (slice_begin - page_first) * sizeof(LeafEntry<K>);
+      const LeafSlots<K> slice(pin.data(), slice_begin - page_first);
       size_t b = 0;
       size_t m = slice_end - slice_begin;
       while (m > simd::kSimdWindowKeys) {
         const size_t half = m / 2;
-        b = LoadAs<K>(slice + (b + half - 1) * sizeof(LeafEntry<K>)) < key
-                ? b + half
-                : b;
+        b = slice.key(b + half - 1) < key ? b + half : b;
         m -= half;
       }
       const size_t i = b + simd::CountLessStrided(
-                               slice + b * sizeof(LeafEntry<K>),
-                               sizeof(LeafEntry<K>), m, key);
+                               slice.at(b), LeafSlots<K>::kStride, m, key);
       const size_t rank = slice_begin + i;
       int next = 0;
       if (rank == slice_end) {
         if (step >= 0 && slice_end < end) next = 1;
       } else {
-        const auto entry =
-            LoadAs<LeafEntry<K>>(slice + i * sizeof(LeafEntry<K>));
+        const auto entry = slice.entry(i);
         if (entry.key == key) return {rank, entry.value};
         if (i == 0 && step <= 0 && slice_begin > begin) next = -1;
       }

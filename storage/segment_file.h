@@ -25,11 +25,12 @@
 // one generation. Trailing bytes beyond the live meta's total_pages are
 // interrupted appends and are legal.
 //
-// Bulk writes stream sealed (checksummed) pages through a PageSink; the
-// file sink fsyncs on Finish and checks close(), so ENOSPC can't silently
-// produce a torn index (ISSUE 10 satellite). The reader serves pages back
-// with pread — batched through storage/async_io.h when asked — and
-// verifies every page before exposing it.
+// Only this header knows the page layout. The bulk writer and
+// DiskFitingTree's incremental republish both seal pages with PageEncoder
+// and write them with FilePageSink, which fsyncs and checks close(), so
+// ENOSPC can't silently produce a torn index; every leaf read decodes
+// through LeafSlots. The reader serves pages with pread — batched through
+// storage/async_io.h when asked — and verifies each before exposing it.
 
 #ifndef FITREE_STORAGE_SEGMENT_FILE_H_
 #define FITREE_STORAGE_SEGMENT_FILE_H_
@@ -51,9 +52,14 @@
 
 #include "common/options.h"
 #include "core/shrinking_cone.h"
-#include "core/static_fiting_tree.h"
 #include "storage/async_io.h"
 #include "storage/page.h"
+
+namespace fitree {
+// WriteIndexFile's source; its callers include core/static_fiting_tree.h.
+template <typename K>
+class StaticFitingTree;
+}  // namespace fitree
 
 namespace fitree::storage {
 
@@ -113,14 +119,15 @@ constexpr size_t SegmentCapacity(size_t page_bytes) {
   return (page_bytes - kPageHeaderBytes) / sizeof(SegmentRecord<K>);
 }
 
-// Destination for the writer's sealed-page stream. The file sink below is
-// the real one; tests wrap it to inject write/Finish faults (ENOSPC, kill
-// points) without touching the writer.
+// Destination for sealed pages. FilePageSink below is the real one; tests
+// wrap it to inject write/Finish faults (ENOSPC, kill points) without
+// touching the encoder.
 class PageSink {
  public:
   virtual ~PageSink() = default;
 
-  // Appends one sealed page. Returns false on write failure.
+  // Writes one sealed page at the page id in its header. Returns false on
+  // write failure.
   virtual bool WritePage(const std::byte* page, size_t page_bytes) = 0;
 
   // Flushes to durable media and releases the destination. Returns false
@@ -129,12 +136,19 @@ class PageSink {
   virtual bool Finish() = 0;
 };
 
-// fd-backed sink: write() per page, fsync-then-checked-close on Finish.
+// The one fd-backed page writer: pwrite at page_id * page_bytes (retried
+// on EINTR and short writes), so a page can only land where the reader
+// expects it. Sync() is an fsync barrier between an append and its
+// republish; Finish() fsyncs and checks close().
 class FilePageSink final : public PageSink {
  public:
-  explicit FilePageSink(const std::string& path) {
-    fd_ = ::open(path.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC,
-                 0644);
+  // kCreate creates or truncates `path` for a new file; kUpdate opens an
+  // existing index file for append-and-republish.
+  enum class Mode { kCreate, kUpdate };
+
+  explicit FilePageSink(const std::string& path, Mode mode = Mode::kCreate) {
+    const int flags = mode == Mode::kCreate ? O_CREAT | O_TRUNC : 0;
+    fd_ = ::open(path.c_str(), O_WRONLY | O_CLOEXEC | flags, 0644);
   }
   ~FilePageSink() override {
     if (fd_ >= 0) ::close(fd_);
@@ -144,9 +158,12 @@ class FilePageSink final : public PageSink {
 
   bool WritePage(const std::byte* page, size_t page_bytes) override {
     if (fd_ < 0) return false;
+    const off_t at = static_cast<off_t>(LoadAs<PageHeader>(page).page_id) *
+                     static_cast<off_t>(page_bytes);
     size_t done = 0;
     while (done < page_bytes) {
-      const ssize_t n = ::write(fd_, page + done, page_bytes - done);
+      const ssize_t n = ::pwrite(fd_, page + done, page_bytes - done,
+                                 at + static_cast<off_t>(done));
       if (n <= 0) {
         if (n < 0 && errno == EINTR) continue;
         return false;
@@ -155,6 +172,8 @@ class FilePageSink final : public PageSink {
     }
     return true;
   }
+
+  bool Sync() { return fd_ >= 0 && ::fsync(fd_) == 0; }
 
   bool Finish() override {
     if (fd_ < 0) return false;
@@ -166,6 +185,101 @@ class FilePageSink final : public PageSink {
 
  private:
   int fd_ = -1;
+};
+
+// Builds and seals every page of an index file and hands it to a sink: the
+// bulk writer and DiskFitingTree's incremental republish both emit through
+// it. The buffer is zeroed after each page, so struct padding and a page's
+// unused tail hash deterministically.
+template <typename K>
+class PageEncoder {
+ public:
+  PageEncoder(PageSink& sink, size_t page_bytes)
+      : sink_(sink), page_(page_bytes, std::byte{0}) {}
+
+  // The meta page, into ping-pong slot `slot`.
+  void Meta(const SegmentFileMeta& meta, uint32_t slot) {
+    StoreAs(page_.data() + kPageHeaderBytes, meta);
+    Emit(PageType::kMeta, slot, 1);
+  }
+
+  // `records` as the segment table, packed from page `first_page` on.
+  void SegmentTable(std::span<const SegmentRecord<K>> records,
+                    uint64_t first_page) {
+    Pack(PageType::kSegmentTable, first_page, records.size(),
+         [&](size_t i) { return records[i]; });
+  }
+
+  // The leaf pages of `rec`, from its first_leaf_page on: entry i is
+  // {keys[i], values[i]}, or {keys[i], its rank} when `values` is null.
+  void Leaves(const SegmentRecord<K>& rec, const K* keys,
+              const uint64_t* values) {
+    Pack(PageType::kLeaf, rec.first_leaf_page,
+         static_cast<size_t>(rec.seg.length), [&](size_t i) {
+           return LeafEntry<K>{keys[i], values == nullptr ? rec.seg.start + i
+                                                          : values[i]};
+         });
+  }
+
+  // False once a page write has failed; no later page is written.
+  bool ok() const { return ok_; }
+
+ private:
+  // Packs record(0) .. record(n - 1) as many to a page as fit, the pages
+  // numbered from `page_id` on.
+  template <typename RecordAt>
+  void Pack(PageType type, uint64_t page_id, size_t n, RecordAt record) {
+    using Record = decltype(record(0));
+    const size_t cap = (page_.size() - kPageHeaderBytes) / sizeof(Record);
+    for (size_t begin = 0; begin < n; begin += cap, ++page_id) {
+      const size_t end = std::min(n, begin + cap);
+      for (size_t i = begin; i < end; ++i) {
+        StoreAs(page_.data() + kPageHeaderBytes + (i - begin) * sizeof(Record),
+                record(i));
+      }
+      Emit(type, page_id, end - begin);
+    }
+  }
+
+  void Emit(PageType type, uint64_t page_id, size_t count) {
+    SealPage(page_.data(), page_.size(), type, static_cast<uint32_t>(page_id),
+             static_cast<uint32_t>(count));
+    ok_ = ok_ && sink_.WritePage(page_.data(), page_.size());
+    std::fill(page_.begin(), page_.end(), std::byte{0});
+  }
+
+  PageSink& sink_;
+  std::vector<std::byte> page_;
+  bool ok_ = true;
+};
+
+// Read-side view of a leaf page's packed entries from slot `first` on;
+// every decode of a leaf page goes through it. The page must stay pinned
+// while the view is in use.
+template <typename K>
+class LeafSlots {
+ public:
+  static constexpr size_t kStride = sizeof(LeafEntry<K>);
+
+  LeafSlots(const std::byte* page, size_t first)
+      : base_(page + kPageHeaderBytes + first * kStride) {}
+
+  // Address of entry i, for strided search kernels and prefetches.
+  const std::byte* at(size_t i) const { return base_ + i * kStride; }
+  K key(size_t i) const { return LoadAs<K>(at(i)); }
+  LeafEntry<K> entry(size_t i) const { return LoadAs<LeafEntry<K>>(at(i)); }
+
+  // Copies entries 0 .. n - 1 out as parallel key and payload arrays.
+  void CopyOut(size_t n, K* keys, uint64_t* values) const {
+    for (size_t i = 0; i < n; ++i) {
+      const LeafEntry<K> e = entry(i);
+      keys[i] = e.key;
+      values[i] = e.value;
+    }
+  }
+
+ private:
+  const std::byte* base_;
 };
 
 // Durability of a rename: the new directory entry must itself be fsynced
@@ -246,14 +360,6 @@ bool WriteSegmentFilePages(PageSink& sink, std::span<const K> keys,
   }
   const uint64_t leaf_pages = next_leaf_page - leaf_first;
 
-  std::vector<std::byte> page(page_bytes, std::byte{0});
-  bool ok = true;
-  const auto emit = [&](PageType type, uint32_t page_id, uint32_t count) {
-    SealPage(page.data(), page_bytes, type, page_id, count);
-    ok = ok && sink.WritePage(page.data(), page_bytes);
-    std::fill(page.begin(), page.end(), std::byte{0});
-  };
-
   SegmentFileMeta meta;
   meta.magic = kSegmentFileMagic;
   meta.format_version = kPageFormatVersion;
@@ -271,44 +377,17 @@ bool WriteSegmentFilePages(PageSink& sink, std::span<const K> keys,
   meta.leaf_capacity = static_cast<uint32_t>(leaf_cap);
   meta.segment_capacity = static_cast<uint32_t>(seg_cap);
   meta.error = error;
+
+  PageEncoder<K> out(sink, page_bytes);
   // Both slots carry generation 1 at creation, so slot parity holds from
   // the first republish onward and a fresh file never has a garbage slot.
-  for (uint32_t slot = 0; slot < kNumMetaSlots; ++slot) {
-    StoreAs(page.data() + kPageHeaderBytes, meta);
-    emit(PageType::kMeta, slot, 1);
-  }
-
-  uint32_t page_id = kNumMetaSlots;
-  for (uint64_t p = 0; p < seg_pages; ++p, ++page_id) {
-    const size_t begin = p * seg_cap;
-    const size_t end = std::min(records.size(), begin + seg_cap);
-    for (size_t i = begin; i < end; ++i) {
-      StoreAs(page.data() + kPageHeaderBytes +
-                  (i - begin) * sizeof(SegmentRecord<K>),
-              records[i]);
-    }
-    emit(PageType::kSegmentTable, page_id, static_cast<uint32_t>(end - begin));
-  }
-
+  for (uint32_t slot = 0; slot < kNumMetaSlots; ++slot) out.Meta(meta, slot);
+  out.SegmentTable(records, kNumMetaSlots);
   for (const auto& rec : records) {
-    const size_t seg_begin = static_cast<size_t>(rec.seg.start);
-    const size_t seg_len = static_cast<size_t>(rec.seg.length);
-    const uint64_t pages = PagesForRecords(seg_len, leaf_cap);
-    for (uint64_t p = 0; p < pages; ++p, ++page_id) {
-      const size_t begin = seg_begin + p * leaf_cap;
-      const size_t end = std::min(seg_begin + seg_len, begin + leaf_cap);
-      for (size_t r = begin; r < end; ++r) {
-        const LeafEntry<K> entry{keys[r], values.empty()
-                                              ? static_cast<uint64_t>(r)
-                                              : values[r]};
-        StoreAs(page.data() + kPageHeaderBytes +
-                    (r - begin) * sizeof(LeafEntry<K>),
-                entry);
-      }
-      emit(PageType::kLeaf, page_id, static_cast<uint32_t>(end - begin));
-    }
+    out.Leaves(rec, keys.data() + rec.seg.start,
+               values.empty() ? nullptr : values.data() + rec.seg.start);
   }
-  return ok;
+  return out.ok();
 }
 
 // Path-based form: streams through a FilePageSink (or opts.sink when a
@@ -633,53 +712,6 @@ class SegmentFileReader final : public PageSource {
   std::unique_ptr<BatchReadEngine> engine_;
   bool direct_ = false;
   std::string error_;
-};
-
-// Write-side companion for append-and-republish: positioned page writes
-// into an existing index file (appends at EOF, then the meta slot), with
-// explicit fsync barriers between the append and the republish.
-class SegmentFileUpdater {
- public:
-  SegmentFileUpdater() = default;
-  ~SegmentFileUpdater() { Close(); }
-  SegmentFileUpdater(const SegmentFileUpdater&) = delete;
-  SegmentFileUpdater& operator=(const SegmentFileUpdater&) = delete;
-
-  bool Open(const std::string& path) {
-    Close();
-    fd_ = ::open(path.c_str(), O_WRONLY | O_CLOEXEC);
-    return fd_ >= 0;
-  }
-
-  bool is_open() const { return fd_ >= 0; }
-
-  bool WritePageAt(uint64_t page_id, const std::byte* page,
-                   size_t page_bytes) {
-    if (fd_ < 0) return false;
-    size_t done = 0;
-    while (done < page_bytes) {
-      const ssize_t n = ::pwrite(
-          fd_, page + done, page_bytes - done,
-          static_cast<off_t>(page_id) * static_cast<off_t>(page_bytes) +
-              static_cast<off_t>(done));
-      if (n <= 0) {
-        if (n < 0 && errno == EINTR) continue;
-        return false;
-      }
-      done += static_cast<size_t>(n);
-    }
-    return true;
-  }
-
-  bool Sync() { return fd_ >= 0 && ::fsync(fd_) == 0; }
-
-  void Close() {
-    if (fd_ >= 0) ::close(fd_);
-    fd_ = -1;
-  }
-
- private:
-  int fd_ = -1;
 };
 
 }  // namespace fitree::storage

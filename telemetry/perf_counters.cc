@@ -9,7 +9,7 @@
 #include <cstdlib>
 #include <cstring>
 
-#include "common/options.h"
+#include "common/env.h"
 
 #if defined(__linux__) && __has_include(<linux/perf_event.h>)
 #define FITREE_PERF_SUPPORTED 1
@@ -23,10 +23,9 @@ namespace fitree::telemetry {
 namespace {
 
 // FITREE_PERF: unset -> attempt, "0" -> off. Read live at every PerfRegion
-// construction — NOT through the cached GlobalOptions() snapshot — because
-// the knob gates kernel fd acquisition per-region and long-lived processes
-// (and the unit tests) flip it at runtime. Options::perf carries the same
-// knob's startup value for config reporting.
+// construction — it has no GlobalOptions() field — because the knob gates
+// kernel fd acquisition per-region and long-lived processes (and the unit
+// tests) flip it at runtime.
 bool PerfEnvEnabled() { return GetEnvInt64("FITREE_PERF", 1) != 0; }
 
 #ifdef FITREE_PERF_SUPPORTED

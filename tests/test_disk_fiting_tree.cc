@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
+#include <limits>
 #include <map>
 #include <memory>
 #include <optional>
@@ -263,7 +264,10 @@ TEST(DiskFitingTree, RangeScansOverAnEmptyBaseMatchOracle) {
     oracle.erase(k + 4);
   }
   ASSERT_NO_FATAL_FAILURE(ExpectOverlayScansMatch(*disk, oracle, probes));
-  EXPECT_FALSE(disk->CompactSegment(0));  // no segment to merge into
+  // The overlay becomes the file's first segments.
+  ASSERT_TRUE(disk->CompactSegment(0));
+  EXPECT_EQ(disk->DeltaEntries(), 0u);
+  EXPECT_EQ(disk->base_size(), oracle.size());
   ASSERT_NO_FATAL_FAILURE(ExpectOverlayScansMatch(*disk, oracle, probes));
   ASSERT_TRUE(disk->Compact());
   EXPECT_EQ(disk->DeltaEntries(), 0u);
@@ -554,14 +558,41 @@ TEST(DiskFitingTree, ReopenIsDeterministic) {
 std::unique_ptr<DiskFitingTree<int64_t>> OpenWritable(
     const std::vector<int64_t>& keys, const std::vector<uint64_t>& values,
     double error, size_t cache_pages, const std::string& name,
-    std::string* path_out) {
+    std::string* path_out, size_t compact_threshold_pct = 0,
+    size_t page_bytes = kPageBytes) {
   const auto base = StaticFitingTree<int64_t>::Create(keys, values, error);
   *path_out = TempPath(name + ".fit");
   EXPECT_TRUE(fitree::storage::WriteIndexFile(
-      *path_out, *base, SegmentFileOptions{kPageBytes}));
+      *path_out, *base, SegmentFileOptions{page_bytes}));
   DiskFitingTree<int64_t>::Options options;
   options.cache_pages = cache_pages;
+  options.compact_threshold_pct = compact_threshold_pct;
   return DiskFitingTree<int64_t>::Open(*path_out, options);
+}
+
+// Folds every overlay slot into the file with CompactSegment, last slot
+// first so a split never shifts a slot still to come.
+void FoldEveryOverlay(DiskFitingTree<int64_t>& disk) {
+  for (size_t s = disk.SegmentCount(); s-- > 0;) {
+    ASSERT_TRUE(disk.CompactSegment(s)) << "slot " << s;
+  }
+  ASSERT_EQ(disk.DeltaEntries(), 0u);
+}
+
+// A reopened copy of `path` must hold exactly `oracle`.
+void ExpectReopenedFileMatches(const std::string& path,
+                               const std::map<int64_t, uint64_t>& oracle) {
+  auto reopened = DiskFitingTree<int64_t>::Open(path);
+  ASSERT_NE(reopened, nullptr);
+  EXPECT_EQ(reopened->size(), oracle.size());
+  std::vector<std::pair<int64_t, uint64_t>> got;
+  reopened->ScanRange(std::numeric_limits<int64_t>::lowest(),
+                      std::numeric_limits<int64_t>::max(),
+                      [&](int64_t k, uint64_t v) { got.emplace_back(k, v); });
+  const std::vector<std::pair<int64_t, uint64_t>> want(oracle.begin(),
+                                                       oracle.end());
+  EXPECT_EQ(got, want);
+  EXPECT_FALSE(reopened->io_error());
 }
 
 TEST(DiskFitingTree, InsertUpdateDeleteThroughOverlay) {
@@ -683,6 +714,45 @@ TEST(DiskFitingTree, EmptyFileBootstrapsThroughOverlay) {
   std::remove(path.c_str());
 }
 
+// An empty base file grows through incremental compaction: slot 0's
+// overlay becomes the first segments and later overlays fold into theirs,
+// so the overlay stays a small fraction of the inserts instead of one
+// sorted vector holding them all.
+TEST(DiskFitingTree, EmptyFileBootstrapsThroughIncrementalCompaction) {
+  constexpr size_t kInserts = 100000;
+  std::string path;
+  auto disk = OpenWritable({}, {}, 64.0, 64, "bootstrap", &path,
+                           /*compact_threshold_pct=*/5, /*page_bytes=*/4096);
+  ASSERT_NE(disk, nullptr);
+  std::map<int64_t, uint64_t> oracle;
+  std::mt19937_64 rng(0xB007);
+  for (size_t i = 0; i < kInserts; ++i) {
+    const int64_t key = static_cast<int64_t>(rng() % 1'000'000'000'000ull);
+    const uint64_t value = rng();
+    ASSERT_EQ(disk->Insert(key, value), oracle.emplace(key, value).second);
+  }
+  EXPECT_GT(disk->IncrementalCompactions(), 0u);
+  EXPECT_GT(disk->SegmentCount(), 1u);
+  EXPECT_LT(disk->DeltaEntries(), kInserts / 20);
+  EXPECT_EQ(disk->size(), oracle.size());
+  for (const auto& [k, v] : oracle) {
+    ASSERT_EQ(disk->Lookup(k), std::optional<uint64_t>(v)) << k;
+    ASSERT_EQ(disk->Contains(k + 1), oracle.contains(k + 1)) << k + 1;
+  }
+  std::vector<std::pair<int64_t, uint64_t>> got;
+  disk->ScanRange(std::numeric_limits<int64_t>::lowest(),
+                  std::numeric_limits<int64_t>::max(),
+                  [&](int64_t k, uint64_t v) { got.emplace_back(k, v); });
+  const std::vector<std::pair<int64_t, uint64_t>> want(oracle.begin(),
+                                                       oracle.end());
+  EXPECT_EQ(got, want);
+  EXPECT_FALSE(disk->io_error());
+  ASSERT_NO_FATAL_FAILURE(FoldEveryOverlay(*disk));
+  disk.reset();
+  ASSERT_NO_FATAL_FAILURE(ExpectReopenedFileMatches(path, oracle));
+  std::remove(path.c_str());
+}
+
 TEST(DiskFitingTree, DeleteEverythingCompactsToEmptyFile) {
   const std::vector<int64_t> keys{10, 20, 30, 40};
   std::string path;
@@ -721,6 +791,36 @@ TEST(DiskCrudProperty, DifferentialVsMapOracleWithCompaction) {
   EXPECT_GT(disk->Compactions(), 0u);
   EXPECT_FALSE(disk->io_error());
   std::remove(path.c_str());
+}
+
+// The same driver with no Compact() checkpoint: the threshold trigger
+// alone folds overlays back through append-and-republish, at a page size
+// small enough for many pages and at 4 KiB, where FITREE_IO_DIRECT=1 reads
+// the appended pages with O_DIRECT.
+TEST(DiskCrudProperty, DifferentialWithIncrementalCompaction) {
+  for (const size_t page_bytes : {kPageBytes, size_t{4096}}) {
+    SCOPED_TRACE("page_bytes=" + std::to_string(page_bytes));
+    CrudOptions opt;
+    opt.seed = 0x1C0C;
+    opt.ops = PropertyOps(30000);
+    opt.key_space = 8000;
+    std::map<int64_t, uint64_t> oracle;
+    std::vector<int64_t> keys;
+    std::vector<uint64_t> values;
+    MakeInitialLoad(opt, /*load_every=*/2, &keys, &values, &oracle);
+    std::string path;
+    auto disk = OpenWritable(keys, values, 16.0, 16, "differential_incr",
+                             &path, /*compact_threshold_pct=*/5, page_bytes);
+    ASSERT_NE(disk, nullptr);
+    ASSERT_NO_FATAL_FAILURE(RunCrudDifferential(*disk, oracle, opt));
+    EXPECT_GT(disk->IncrementalCompactions(), 0u);
+    EXPECT_EQ(disk->Compactions(), 0u);
+    EXPECT_FALSE(disk->io_error());
+    ASSERT_NO_FATAL_FAILURE(FoldEveryOverlay(*disk));
+    disk.reset();
+    ASSERT_NO_FATAL_FAILURE(ExpectReopenedFileMatches(path, oracle));
+    std::remove(path.c_str());
+  }
 }
 
 // LookupBatch, the tree's one batched read, must answer every key exactly
