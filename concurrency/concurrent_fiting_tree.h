@@ -68,11 +68,6 @@
 namespace fitree {
 
 struct ConcurrentFitingTreeConfig {
-  // Not configurable: the in-window search is always SIMD, segmentation is
-  // always the paper's endpoint-line cone, and the directory is the flat
-  // COW snapshot every engine uses (republishing it whole is what makes
-  // readers lock-free).
-
   // Sentinel: size the buffer as max(1, error/2), the paper's default ratio.
   static constexpr size_t kAutoBufferSize = static_cast<size_t>(-1);
 

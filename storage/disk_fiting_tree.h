@@ -121,7 +121,8 @@ class DiskFitingTree {
     // Incremental compaction trigger, percent of segment length; a
     // segment whose overlay reaches max(8, length * pct / 100) entries is
     // queued and drained one-per-mutation (an empty base file's one slot
-    // at 8). 0 disables the automatic path (CompactSegment stays callable).
+    // at 8), by the full Compact() once dead pages reach the live ones.
+    // 0 disables the automatic path (CompactSegment stays callable).
     size_t compact_threshold_pct = 0;
     // Test hook, fired after each named compaction step (crash points).
     std::function<void(CompactPoint)> compact_hook;
@@ -173,8 +174,6 @@ class DiskFitingTree {
   size_t DeltaEntries() const { return delta_entries_; }
   uint64_t Compactions() const { return compactions_; }
   uint64_t IncrementalCompactions() const { return incremental_compactions_; }
-  // Segments queued for incremental compaction but not yet drained.
-  size_t CompactPending() const { return compact_pending_.size(); }
 
   // True once any page read has failed verification; results after that
   // point are best-effort (lookups report "absent"). Reads are const per
@@ -245,7 +244,7 @@ class DiskFitingTree {
     while (i < n) {
       const size_t j = StageChunk(keys, i, n, &staged);
       for (size_t k = i; k < j; ++k) out[k] = Lookup(keys[k]);
-      UnpinAll(staged);
+      for (const uint32_t id : staged) (void)pool_->Unpin(id);
       staged.clear();
       i = j;
     }
@@ -781,6 +780,16 @@ class DiskFitingTree {
   // compaction a mutation triggers runs at the start of the next one.
   void DrainOneCompaction() {
     if (compact_pending_.empty()) return;
+    // Republishes never reuse the pages they replace. Once those reach the
+    // live ones, the full rewrite keeps only live pages: the file stays
+    // near twice its live size, each rewrite paid for by the appends.
+    const SegmentFileMeta& m = reader_.meta();
+    if (m.total_pages >=
+        2 * (kNumMetaSlots + m.segment_page_count + m.leaf_page_count)) {
+      compact_pending_.clear();  // folded, or re-queued by later mutations
+      (void)Compact();
+      return;
+    }
     const K key = *compact_pending_.begin();
     compact_pending_.erase(compact_pending_.begin());
     const size_t floor = FloorSlot(key);
@@ -839,10 +848,6 @@ class DiskFitingTree {
     }
     staged->resize(kept);
     return j;
-  }
-
-  void UnpinAll(const std::vector<uint32_t>& ids) const {
-    for (const uint32_t id : ids) (void)pool_->Unpin(id);
   }
 
   // Outcome of one paged search: the lower-bound rank over the base file,
