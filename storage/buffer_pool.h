@@ -9,6 +9,12 @@
 // source (io_uring / pread threads) the faults overlap instead of
 // serializing, while hits are pinned before any I/O starts.
 //
+// Resident pages are found through a flat page table: one uint32_t frame
+// index per file page id, 4 B per file page (16 KiB per GiB of 4 KiB
+// pages), grown only when a page at a higher id is installed. A hit, a
+// miss, an eviction and an Unpin each index it directly, with no hashing
+// and no allocation on the hot path; ids past its end are not resident.
+//
 // Single-threaded by design (matches the per-thread index instances the
 // bench layer uses); no dirty pages because page writes go through the
 // append-and-republish path in segment_file.h, never through the pool.
@@ -20,7 +26,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "common/io_stats.h"
@@ -36,9 +41,7 @@ class BufferPool {
       : source_(source),
         page_bytes_(page_bytes),
         arena_(page_bytes * (frames == 0 ? 1 : frames)),
-        frames_(frames == 0 ? 1 : frames) {
-    map_.reserve(frames_.size());
-  }
+        frames_(frames == 0 ? 1 : frames) {}
 
   BufferPool(const BufferPool&) = delete;
   BufferPool& operator=(const BufferPool&) = delete;
@@ -51,30 +54,32 @@ class BufferPool {
 
   // True when `page_id` is currently resident (test/diagnostic hook; does
   // not touch pins, the clock hand, or the counters).
-  bool Contains(uint32_t page_id) const {
-    return map_.find(page_id) != map_.end();
-  }
+  bool Contains(uint32_t page_id) const { return FrameOf(page_id) != kNoFrame; }
+
+  // Entries in the page table: one past the highest page id ever installed
+  // (diagnostic; lookups of ids past it never grow it).
+  size_t PageTableSize() const { return table_.size(); }
 
   // Resident frame data for `page_id` without pinning or counting, or
   // nullptr on a miss. For prefetch hints only: the frame may be evicted
   // at any later point, so callers must not dereference the pointer —
   // issuing a software prefetch for it is always safe.
   const std::byte* Peek(uint32_t page_id) const {
-    const auto it = map_.find(page_id);
-    if (it == map_.end()) return nullptr;
-    return arena_.data() + it->second * page_bytes_;
+    const uint32_t frame = FrameOf(page_id);
+    if (frame == kNoFrame) return nullptr;
+    return arena_.data() + size_t{frame} * page_bytes_;
   }
 
   // Returns the resident page, pinned (caller must Unpin), or nullptr when
   // the read fails verification or every frame is pinned.
   const std::byte* Fetch(uint32_t page_id) {
-    if (const auto it = map_.find(page_id); it != map_.end()) {
-      Frame& f = frames_[it->second];
+    if (const uint32_t frame = FrameOf(page_id); frame != kNoFrame) {
+      Frame& f = frames_[frame];
       ++f.pins;
       f.referenced = true;
       ++stats_.cache_hits;
       telemetry::CounterAdd(telemetry::CounterId::kIoCacheHits);
-      return FrameData(it->second);
+      return FrameData(frame);
     }
     ++stats_.cache_misses;
     telemetry::CounterAdd(telemetry::CounterId::kIoCacheMisses);
@@ -83,11 +88,11 @@ class BufferPool {
     // (window search self time stays pure compute this way).
     telemetry::ScopedPhase phase(telemetry::Engine::kDisk,
                                  telemetry::Phase::kPageIo);
-    const size_t victim = PickVictim();
+    const uint32_t victim = PickVictim();
     if (victim == kNoFrame) return nullptr;
     Frame& f = frames_[victim];
     if (f.valid) {
-      map_.erase(f.page_id);
+      table_[f.page_id] = kNoFrame;
       f.valid = false;
     }
     if (!source_->ReadPageInto(page_id, FrameData(victim))) return nullptr;
@@ -99,7 +104,7 @@ class BufferPool {
     f.pins = 1;
     f.referenced = true;
     f.valid = true;
-    map_.emplace(page_id, victim);
+    Install(page_id, victim);
     return FrameData(victim);
   }
 
@@ -115,38 +120,38 @@ class BufferPool {
     if (n == 0) return 0;
     struct Miss {
       uint32_t page_id;
-      size_t frame;
+      uint32_t frame;
     };
     std::vector<Miss> misses;
-    std::vector<size_t> frame_of(n, kNoFrame);
+    std::vector<uint32_t> frame_of(n, kNoFrame);
     for (size_t i = 0; i < n; ++i) {
-      if (const auto it = map_.find(page_ids[i]); it != map_.end()) {
+      if (const uint32_t frame = FrameOf(page_ids[i]); frame != kNoFrame) {
         // Resident — or pre-installed by an earlier duplicate in this very
         // batch (frame pending, read not issued yet): pin either way, the
         // post-pass nulls pins on frames whose read then fails.
-        Frame& f = frames_[it->second];
+        Frame& f = frames_[frame];
         ++f.pins;
         f.referenced = true;
         ++stats_.cache_hits;
         telemetry::CounterAdd(telemetry::CounterId::kIoCacheHits);
-        frame_of[i] = it->second;
-        out[i] = FrameData(it->second);
+        frame_of[i] = frame;
+        out[i] = FrameData(frame);
         continue;
       }
       ++stats_.cache_misses;
       telemetry::CounterAdd(telemetry::CounterId::kIoCacheMisses);
-      const size_t victim = PickVictim();
+      const uint32_t victim = PickVictim();
       if (victim == kNoFrame) {
         out[i] = nullptr;  // staged part of the batch still proceeds
         continue;
       }
       Frame& f = frames_[victim];
-      if (f.valid) map_.erase(f.page_id);
+      if (f.valid) table_[f.page_id] = kNoFrame;
       f.page_id = page_ids[i];
       f.pins = 1;
       f.referenced = true;
       f.valid = false;  // pending until its read lands below
-      map_.emplace(page_ids[i], victim);
+      Install(page_ids[i], victim);
       frame_of[i] = victim;
       out[i] = FrameData(victim);
       misses.push_back({page_ids[i], victim});
@@ -178,7 +183,7 @@ class BufferPool {
         } else {
           // Roll the pre-install back; duplicates that pinned this frame
           // get nulled in the post-pass below.
-          map_.erase(f.page_id);
+          table_[f.page_id] = kNoFrame;
           f.pins = 0;
           f.referenced = false;
           f.valid = false;
@@ -202,9 +207,9 @@ class BufferPool {
   // guards vanished in release builds and let pin underflow corrupt the
   // CLOCK state silently).
   [[nodiscard]] bool Unpin(uint32_t page_id) {
-    const auto it = map_.find(page_id);
-    if (it == map_.end()) return false;
-    Frame& f = frames_[it->second];
+    const uint32_t frame = FrameOf(page_id);
+    if (frame == kNoFrame) return false;
+    Frame& f = frames_[frame];
     if (f.pins == 0) return false;
     --f.pins;
     return true;
@@ -218,19 +223,28 @@ class BufferPool {
     bool valid = false;
   };
 
-  static constexpr size_t kNoFrame = static_cast<size_t>(-1);
+  static constexpr uint32_t kNoFrame = UINT32_MAX;
 
-  std::byte* FrameData(size_t frame) {
-    return arena_.data() + frame * page_bytes_;
+  std::byte* FrameData(uint32_t frame) {
+    return arena_.data() + size_t{frame} * page_bytes_;
+  }
+
+  uint32_t FrameOf(uint32_t page_id) const {
+    return page_id < table_.size() ? table_[page_id] : kNoFrame;
+  }
+
+  void Install(uint32_t page_id, uint32_t frame) {
+    if (page_id >= table_.size()) table_.resize(size_t{page_id} + 1, kNoFrame);
+    table_[page_id] = frame;
   }
 
   // CLOCK sweep: invalid frames are taken immediately, pinned frames are
   // skipped, referenced frames get a second chance. Two full laps clear
   // every reference bit, so only an all-pinned pool returns kNoFrame.
-  size_t PickVictim() {
+  uint32_t PickVictim() {
     for (size_t step = 0; step < 2 * frames_.size(); ++step) {
-      const size_t i = hand_;
-      hand_ = (hand_ + 1) % frames_.size();
+      const uint32_t i = hand_;
+      if (++hand_ == frames_.size()) hand_ = 0;
       Frame& f = frames_[i];
       if (!f.valid && f.pins == 0) return i;
       if (f.pins > 0) continue;
@@ -247,8 +261,8 @@ class BufferPool {
   size_t page_bytes_;
   AlignedBytes arena_;
   std::vector<Frame> frames_;
-  std::unordered_map<uint32_t, size_t> map_;
-  size_t hand_ = 0;
+  std::vector<uint32_t> table_;  // page id -> frame, kNoFrame if absent
+  uint32_t hand_ = 0;
   IoStats stats_;
 };
 

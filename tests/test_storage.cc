@@ -9,6 +9,7 @@
 #include <array>
 #include <cstdint>
 #include <cstdio>
+#include <map>
 #include <random>
 #include <set>
 #include <span>
@@ -59,8 +60,39 @@ std::vector<int64_t> EveryThird(size_t n) {
   return keys;
 }
 
+// One accelerated CRC32C kernel and whether this CPU can run it.
+struct Crc32cKernel {
+  const char* name;
+  uint32_t (*fn)(const void*, size_t);
+  bool available;
+};
+
+// Every kernel compiled into this build. Those the CPU lacks are listed
+// but skipped, and each test prints which ran, so a CI log shows whether
+// its runner covered the folding kernel.
+std::vector<Crc32cKernel> AcceleratedKernels() {
+  std::vector<Crc32cKernel> kernels;
+#if defined(FITREE_CRC32C_X86)
+  kernels.push_back({"folding (AVX-512 VPCLMULQDQ)",
+                     fitree::storage::detail::Crc32cFold,
+                     fitree::storage::detail::HaveFold()});
+  kernels.push_back({"SSE4.2 three-stream",
+                     fitree::storage::detail::Crc32cHardware,
+                     fitree::storage::detail::HaveSse42()});
+#endif
+  for (const Crc32cKernel& k : kernels) {
+    std::printf("CRC32C kernel %s: %s\n", k.name,
+                k.available ? "checked" : "skipped, not on this CPU");
+  }
+  if (kernels.empty()) {
+    std::printf("CRC32C: portable build, only the table kernel is compiled\n");
+  }
+  return kernels;
+}
+
 // RFC 3720 (iSCSI) Appendix B.4 CRC32C examples, plus the customary
-// check value of "123456789".
+// check value of "123456789" and buffers long enough to reach every
+// kernel's bulk path.
 TEST(Crc32c, KnownAnswers) {
   std::array<unsigned char, 32> zeros{};
   std::array<unsigned char, 32> ones{};
@@ -72,14 +104,15 @@ TEST(Crc32c, KnownAnswers) {
     descending[i] = static_cast<unsigned char>(31 - i);
   }
   const std::string check = "123456789";
-  const auto expect_all = [](const void* data, size_t n, uint32_t want) {
-    EXPECT_EQ(Crc32c(data, n), want);
+  const auto kernels = AcceleratedKernels();
+  const auto expect_all = [&](const void* data, size_t n, uint32_t want) {
+    EXPECT_EQ(Crc32c(data, n), want) << "n=" << n;
     EXPECT_EQ(fitree::storage::detail::Crc32cSoftware(data, n), want);
-#if defined(FITREE_CRC32C_SSE42)
-    if (fitree::storage::detail::HaveSse42()) {
-      EXPECT_EQ(fitree::storage::detail::Crc32cHardware(data, n), want);
+    for (const Crc32cKernel& k : kernels) {
+      if (k.available) {
+        EXPECT_EQ(k.fn(data, n), want) << k.name << " n=" << n;
+      }
     }
-#endif
   };
   expect_all(zeros.data(), zeros.size(), 0x8A9136AAu);
   expect_all(ones.data(), ones.size(), 0x62A8AB43u);
@@ -87,19 +120,19 @@ TEST(Crc32c, KnownAnswers) {
   expect_all(descending.data(), descending.size(), 0x113FDB5Cu);
   expect_all(check.data(), check.size(), 0xE3069283u);
   expect_all(nullptr, 0, 0u);
+  // 4096 zero bytes and 4096 bytes of "123456789" repeated, as computed by
+  // a bytewise reference outside this code base.
+  std::vector<unsigned char> zero_page(4096, 0);
+  std::vector<unsigned char> digit_page(4096);
+  for (size_t i = 0; i < digit_page.size(); ++i) digit_page[i] = check[i % 9];
+  expect_all(zero_page.data(), zero_page.size(), 0x98F94189u);
+  expect_all(digit_page.data(), digit_page.size(), 0x2FFD48D8u);
 }
 
 // Every buffer is its own exact-size heap allocation so a kernel that reads
 // one byte past the end trips ASan.
 TEST(Crc32c, HardwareAndSoftwareKernelsAgree) {
-#if defined(FITREE_CRC32C_SSE42)
-  const bool have_hardware = fitree::storage::detail::HaveSse42();
-#else
-  const bool have_hardware = false;
-#endif
-  if (!have_hardware) {
-    std::printf("no SSE4.2 kernel on this CPU/build: checking dispatch only\n");
-  }
+  const auto kernels = AcceleratedKernels();
   std::mt19937_64 rng(20260101);
   const auto check = [&](size_t n, size_t misalign) {
     std::vector<unsigned char> buf(misalign + n);
@@ -107,15 +140,24 @@ TEST(Crc32c, HardwareAndSoftwareKernelsAgree) {
     const unsigned char* data = buf.data() + misalign;
     const uint32_t soft = fitree::storage::detail::Crc32cSoftware(data, n);
     EXPECT_EQ(Crc32c(data, n), soft) << "n=" << n << " misalign=" << misalign;
-#if defined(FITREE_CRC32C_SSE42)
-    if (have_hardware) {
-      EXPECT_EQ(fitree::storage::detail::Crc32cHardware(data, n), soft)
-          << "n=" << n << " misalign=" << misalign;
+    for (const Crc32cKernel& k : kernels) {
+      if (k.available) {
+        EXPECT_EQ(k.fn(data, n), soft)
+            << k.name << " n=" << n << " misalign=" << misalign;
+      }
     }
-#endif
   };
   for (size_t n = 0; n <= 1024; ++n) {
     for (size_t misalign = 0; misalign < 8; ++misalign) check(n, misalign);
+  }
+  // The folding kernel's block edges: every multiple of 256 B, and 1-15
+  // bytes either side of it, where the tail switches between the 64 B
+  // folds and the `crc32` words.
+  for (size_t block = 256; block <= 8192; block += 256) {
+    for (size_t d = 0; d < 16; ++d) {
+      check(block + d, d % 8);
+      if (d != 0) check(block - d, d % 8);
+    }
   }
   // Page checksums cover bytes [4, page_bytes): check both the whole page
   // and the checksummed span of every power-of-two page size.
@@ -195,23 +237,26 @@ TEST(Page, OldIeeeChecksumIsRejected) {
 }
 
 // In-memory page source: page i is a sealed leaf page whose first record
-// byte is i. Counts physical reads and can be told to fail specific pages.
+// byte is i (mod 256). Holds pages 0..pages-1 plus any added by id, counts
+// physical reads and can be told to fail specific pages.
 class FakeSource : public PageSource {
  public:
   explicit FakeSource(size_t pages) {
-    for (size_t i = 0; i < pages; ++i) {
-      std::vector<std::byte> page(kPageBytes, std::byte{0});
-      page[kPageHeaderBytes] = std::byte{static_cast<unsigned char>(i)};
-      SealPage(page.data(), kPageBytes, PageType::kLeaf,
-               static_cast<uint32_t>(i), 1);
-      pages_.push_back(std::move(page));
-    }
+    for (size_t i = 0; i < pages; ++i) AddPage(static_cast<uint32_t>(i));
+  }
+
+  void AddPage(uint32_t page_id) {
+    std::vector<std::byte> page(kPageBytes, std::byte{0});
+    page[kPageHeaderBytes] = std::byte{static_cast<unsigned char>(page_id)};
+    SealPage(page.data(), kPageBytes, PageType::kLeaf, page_id, 1);
+    pages_[page_id] = std::move(page);
   }
 
   bool ReadPageInto(uint32_t page_id, std::byte* out) override {
-    if (page_id >= pages_.size() || failing_.count(page_id) != 0) return false;
+    const auto it = pages_.find(page_id);
+    if (it == pages_.end() || failing_.count(page_id) != 0) return false;
     ++reads_;
-    std::copy(pages_[page_id].begin(), pages_[page_id].end(), out);
+    std::copy(it->second.begin(), it->second.end(), out);
     return true;
   }
 
@@ -219,7 +264,7 @@ class FakeSource : public PageSource {
   size_t reads() const { return reads_; }
 
  private:
-  std::vector<std::vector<std::byte>> pages_;
+  std::map<uint32_t, std::vector<std::byte>> pages_;
   std::set<uint32_t> failing_;
   size_t reads_ = 0;
 };
@@ -402,6 +447,70 @@ TEST(BufferPool, FetchBatchMoreMissesThanFramesStagesWhatFits) {
   EXPECT_EQ(out[3], nullptr);
   EXPECT_TRUE(pool.Unpin(0));
   EXPECT_TRUE(pool.Unpin(1));
+}
+
+// Sparse, large page ids on a 2-frame pool: the page table is indexed by
+// page id, so it must grow only when a page is installed, map evicted and
+// failed ids back to absent, and answer ids past its end without growing.
+TEST(BufferPool, SparseLargePageIdsUseThePageTableDirectly) {
+  FakeSource source(1);  // page 0
+  for (const uint32_t id : {7u, 65536u, 1048579u, 2000000u, 3000000u}) {
+    source.AddPage(id);
+  }
+  source.FailPage(2000000);
+  source.FailPage(3000000);
+  BufferPool pool(&source, kPageBytes, 2);
+  EXPECT_EQ(pool.PageTableSize(), 0u);
+
+  const auto touch = [&](uint32_t id) {
+    const std::byte* page = pool.Fetch(id);
+    ASSERT_NE(page, nullptr) << id;
+    EXPECT_EQ(LoadAs<unsigned char>(page + kPageHeaderBytes),
+              static_cast<unsigned char>(id));
+    EXPECT_TRUE(pool.Unpin(id));
+  };
+  touch(0);
+  touch(7);
+  touch(0);  // hit
+  EXPECT_EQ(pool.PageTableSize(), 8u);
+  touch(65536);    // CLOCK clears both reference bits, evicts 0
+  touch(1048579);  // evicts 7
+  touch(65536);    // hit
+  EXPECT_EQ(pool.stats().cache_hits, 2u);
+  EXPECT_EQ(pool.stats().cache_misses, 4u);
+  EXPECT_EQ(source.reads(), 4u);
+  EXPECT_EQ(pool.PageTableSize(), 1048580u);
+  for (const uint32_t evicted : {0u, 7u}) {
+    EXPECT_FALSE(pool.Contains(evicted)) << evicted;
+    EXPECT_EQ(pool.Peek(evicted), nullptr) << evicted;
+    EXPECT_FALSE(pool.Unpin(evicted)) << evicted;
+  }
+  EXPECT_TRUE(pool.Contains(65536));
+  EXPECT_NE(pool.Peek(1048579), nullptr);
+
+  // Ids past the table's end: absent, and the table does not grow.
+  for (const uint32_t past : {1048580u, 2500000u, UINT32_MAX - 1}) {
+    EXPECT_FALSE(pool.Contains(past)) << past;
+    EXPECT_EQ(pool.Peek(past), nullptr) << past;
+    EXPECT_FALSE(pool.Unpin(past)) << past;
+  }
+  EXPECT_EQ(pool.PageTableSize(), 1048580u);
+
+  // A failed read leaves its id unmapped, in Fetch and in FetchBatch.
+  EXPECT_EQ(pool.Fetch(2000000), nullptr);
+  EXPECT_FALSE(pool.Contains(2000000));
+  EXPECT_EQ(pool.Peek(2000000), nullptr);
+  const uint32_t ids[] = {3000000, 7};
+  const std::byte* out[2] = {};
+  EXPECT_EQ(pool.FetchBatch(ids, 2, out), 1u);
+  EXPECT_EQ(out[0], nullptr);
+  ASSERT_NE(out[1], nullptr);
+  EXPECT_FALSE(pool.Contains(3000000));
+  EXPECT_EQ(pool.Peek(3000000), nullptr);
+  EXPECT_FALSE(pool.Unpin(3000000));
+  EXPECT_TRUE(pool.Contains(7));
+  EXPECT_TRUE(pool.Unpin(7));
+  EXPECT_EQ(pool.stats().pages_read, 5u);
 }
 
 TEST(SegmentFile, WriteReopenRoundTripsMetaAndSegments) {
