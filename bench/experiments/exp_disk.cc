@@ -231,7 +231,7 @@ void BenchAsyncReads(Runner& runner, const std::string& method,
                      {"access", set.name},
                      {"cache_frac", frac_cell},
                      {"mode", batched ? "batch" : "sync"},
-                     {"io", batched ? disk->IoBackendName() : "sync"},
+                     {"io", batched ? disk->BatchEngineName() : "sync"},
                      {"io_mode", disk->DirectIo() ? "direct" : "buffered"}},
                     stats,
                     {{"pages_read_per_op", pages_per_op},

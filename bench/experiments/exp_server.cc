@@ -31,9 +31,8 @@
 // Env knobs (see EXPERIMENTS.md): FITREE_BENCH_SCALE / FITREE_BENCH_N /
 // FITREE_BENCH_OPS size the run, FITREE_BENCH_CLIENTS sets the client
 // count (default 4), FITREE_BENCH_WINDOW the open-loop pipeline depth
-// (default 32), FITREE_BENCH_MAX_SHARDS caps the shard sweep (default 4),
-// and FITREE_SHARDS / FITREE_BATCH set the server defaults the non-ablation
-// cells inherit.
+// (default 32), and FITREE_BENCH_MAX_SHARDS caps the shard sweep (default
+// 4). The non-ablation cells inherit Server::Config's drain batch.
 
 #include <algorithm>
 #include <atomic>
@@ -48,7 +47,7 @@
 
 #include "bench/harness/registry.h"
 #include "bench/harness/runner.h"
-#include "common/options.h"
+#include "common/env.h"
 #include "core/fiting_tree.h"
 #include "datasets/datasets.h"
 #include "server/sharded_index.h"
@@ -295,7 +294,7 @@ void RunServer(Runner& runner) {
       std::max(1, GetEnvInt("FITREE_BENCH_WINDOW", 32)));
   const size_t max_shards = static_cast<size_t>(
       std::max(1, GetEnvInt("FITREE_BENCH_MAX_SHARDS", 4)));
-  const size_t default_batch = GlobalOptions().batch;  // FITREE_BATCH
+  const size_t default_batch = Server::Config{}.batch;
   const double error = 128.0;
 
   const auto keys = MemoKeys("real/Weblogs/" + std::to_string(n) + "/11",

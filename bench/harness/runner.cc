@@ -263,8 +263,8 @@ Json StatsToJson(const Stats& stats) {
 namespace {
 
 // The "perf" member every exported record carries: the status string is
-// always present ("ok", "not measured", "disabled (...)", or
-// "unavailable: ..."), counters/derived only when something was counted.
+// always present ("ok", "not measured", or "unavailable: ..."),
+// counters/derived only when something was counted.
 // Events that never scheduled export as absent, not as 0 — a 0 would read
 // as "this code causes no misses", which is a different claim.
 Json PerfSampleToJson(const telemetry::PerfSample& perf, double ops) {

@@ -1,13 +1,12 @@
-// Environment-variable helpers: common/options.h resolves the engine and
-// server knobs through them, and the benchmark binaries scale element
-// counts and thread counts with them without recompiling.
+// Environment-variable helpers: common/options.h resolves the engine knobs
+// through them, and the benchmark binaries scale element counts and thread
+// counts with them without recompiling.
 
 #ifndef FITREE_COMMON_ENV_H_
 #define FITREE_COMMON_ENV_H_
 
 #include <cstdint>
 #include <cstdlib>
-#include <string>
 
 namespace fitree {
 
@@ -24,14 +23,6 @@ inline int64_t GetEnvInt64(const char* name, int64_t def) {
 
 inline int GetEnvInt(const char* name, int def) {
   return static_cast<int>(GetEnvInt64(name, static_cast<int64_t>(def)));
-}
-
-// Returns the value of `name`, or `def` when unset or empty (used by the
-// enum-valued knobs in common/options.h, e.g. FITREE_IO_BACKEND).
-inline std::string GetEnvString(const char* name, const char* def) {
-  const char* value = std::getenv(name);
-  if (value == nullptr || *value == '\0') return def;
-  return value;
 }
 
 }  // namespace fitree

@@ -1,55 +1,38 @@
 // Consolidated process-wide configuration. Every FITREE_* environment knob
-// that tunes engine or server behavior is resolved HERE, exactly once, into
-// one immutable fitree::Options value (GlobalOptions()). Engine and server
-// config structs default their fields from it; nothing outside this header
-// (and the test-only override hooks in telemetry) reads those variables ad
-// hoc anymore, so a knob's default, parse rule, and clamp live in a single
-// place.
+// that tunes engine behavior is resolved HERE, exactly once, into one
+// immutable fitree::Options value (GlobalOptions()). Engine config structs
+// default their fields from it, so a knob's default, parse rule, and clamp
+// live in a single place.
 //
-// Knobs resolved here:
+// Knobs resolved here, each with the caller that needs it:
 //   FITREE_TELEM_SAMPLE   latency sampling period, >= 1         (64)
+//                         bench/e2e/workloads.h restores it after a
+//                         traced window
 //   FITREE_TRACE          0 | 1 trace-ring capture              (0)
-//   FITREE_TRACE_RING     per-thread trace ring slots, >= 16    (4096)
-//   FITREE_SHARDS         server shard count, >= 1              (4)
-//   FITREE_BATCH          server per-shard drain batch, >= 1    (32)
-//   FITREE_IO_BACKEND     auto | threads                        (auto)
+//                         CI's trace leg (the ring dump that
+//                         tools/profile_report.py reads)
 //   FITREE_IO_DIRECT      0 | 1 attempt O_DIRECT reads          (0)
+//                         CI's O_DIRECT disk leg
 //
-// FITREE_PERF is the one exception: telemetry/perf_counters.cc reads it
-// live at every PerfRegion so it can be flipped at runtime. Bench-harness
-// knobs (FITREE_BENCH_*) stay in bench/ — they size workloads, not the
-// engines.
+// Everything else is a constant the code picks for itself: the batched-read
+// engine is io_uring when the kernel allows it, else a pread pool
+// (storage/async_io.h); the server's shard count and drain batch are
+// ShardedIndex::Config defaults; the trace ring holds 4096 records. Bench-
+// harness knobs (FITREE_BENCH_*) stay in bench/ — they size workloads, not
+// the engines.
 
 #ifndef FITREE_COMMON_OPTIONS_H_
 #define FITREE_COMMON_OPTIONS_H_
 
-#include <cstddef>
 #include <cstdint>
-#include <optional>
-#include <string_view>
 
 #include "common/env.h"
 
 namespace fitree {
 
-// How the storage layer executes a batch of page reads
-// (storage/async_io.h): kAuto probes io_uring once and falls back to a
-// pread thread pool when the kernel refuses it; kThreads forces the pool.
-enum class IoBackend : uint8_t { kAuto, kThreads };
-
-inline std::optional<IoBackend> ParseIoBackend(std::string_view s) {
-  if (s == "auto") return IoBackend::kAuto;
-  if (s == "threads") return IoBackend::kThreads;
-  return std::nullopt;
-}
-
 struct Options {
   uint64_t telemetry_sample = 64;  // 1-in-N latency sampling
   bool trace = false;              // trace-ring capture on/off
-  size_t trace_ring = 4096;        // per-thread ring capacity (slots)
-  size_t shards = 4;               // server: shard / worker-thread count
-  size_t batch = 32;               // server: max ops drained per batch
-  IoBackend io_backend = IoBackend::kAuto;  // batched page-read backend
   bool io_direct = false;          // attempt O_DIRECT page reads
 
   // Reads every knob from the environment, applying defaults and clamps.
@@ -58,14 +41,6 @@ struct Options {
     const int64_t sample = GetEnvInt64("FITREE_TELEM_SAMPLE", 64);
     o.telemetry_sample = sample < 1 ? 1u : static_cast<uint64_t>(sample);
     o.trace = GetEnvInt64("FITREE_TRACE", 0) != 0;
-    const int64_t ring = GetEnvInt64("FITREE_TRACE_RING", 4096);
-    o.trace_ring = ring < 16 ? 16u : static_cast<size_t>(ring);
-    const int64_t shards = GetEnvInt64("FITREE_SHARDS", 4);
-    o.shards = shards < 1 ? 1u : static_cast<size_t>(shards);
-    const int64_t batch = GetEnvInt64("FITREE_BATCH", 32);
-    o.batch = batch < 1 ? 1u : static_cast<size_t>(batch);
-    o.io_backend = ParseIoBackend(GetEnvString("FITREE_IO_BACKEND", "auto"))
-                       .value_or(IoBackend::kAuto);
     o.io_direct = GetEnvInt64("FITREE_IO_DIRECT", 0) != 0;
     return o;
   }

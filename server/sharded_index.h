@@ -58,7 +58,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/options.h"
 #include "core/index_api.h"
 #include "server/op_queue.h"
 #include "server/request.h"
@@ -144,9 +143,9 @@ class ShardedIndex {
       const std::vector<Key>&, const std::vector<Payload>&)>;
 
   struct Config {
-    size_t shards = GlobalOptions().shards;  // FITREE_SHARDS
-    size_t batch = GlobalOptions().batch;    // FITREE_BATCH (>= 1)
-    size_t queue_capacity = 4096;            // per-shard ring, rounded to 2^k
+    size_t shards = 4;             // shard / worker-thread count
+    size_t batch = 32;             // max ops drained per batch (>= 1)
+    size_t queue_capacity = 4096;  // per-shard ring, rounded to 2^k
     bool pin_threads = false;  // worker i -> i-th allowed CPU, Linux only
   };
 

@@ -1,4 +1,4 @@
-// Batched page-read backends for the storage layer (ISSUE 10 tentpole).
+// Batched page-read engines for the storage layer.
 //
 // A BatchReadEngine takes a batch of page reads against one fd and resolves
 // all of them, submitting every read before waiting on any, so a batch of
@@ -6,18 +6,15 @@
 //
 //   io_uring  raw io_uring syscalls (no liburing dependency): one
 //             io_uring_enter submits the wave and waits for all of its
-//             completions. Kernels or sandboxes that refuse
-//             io_uring_setup make the factory fall back at runtime.
-//   threads   a small pread thread pool — the portable fallback with the
-//             same submit-all-then-wait shape (hosted CI runners disable
-//             io_uring, so this is the backend CI forces). A one-page
-//             batch runs as a plain pread (SyncReadEngine).
+//             completions.
+//   threads   a small pread thread pool with the same submit-all-then-wait
+//             shape, for kernels or sandboxes that refuse io_uring_setup
+//             (hosted CI runners do).
 //
-// Selection is runtime, via the FITREE_IO_BACKEND knob (common/options.h):
-// kAuto probes io_uring once and falls back to the thread pool; kThreads
-// skips the probe. Engines only move bytes — page verification
-// (CRC/type/id) stays in the caller (SegmentFileReader), exactly as on
-// the synchronous path.
+// There is no selection knob: MakeBatchReadEngine() probes io_uring once
+// and falls back to the pool, and the engine's name() reports which one
+// runs. Engines only move bytes — page verification (CRC/type/id) stays in
+// the caller (SegmentFileReader), exactly as on the synchronous path.
 
 #ifndef FITREE_STORAGE_ASYNC_IO_H_
 #define FITREE_STORAGE_ASYNC_IO_H_
@@ -35,7 +32,6 @@
 #include <thread>
 #include <vector>
 
-#include "common/options.h"
 #include "storage/page.h"
 
 #if defined(__linux__) && __has_include(<linux/io_uring.h>)
@@ -71,22 +67,6 @@ class BatchReadEngine {
                          size_t n) = 0;
 };
 
-// Sequential preads: the thread pool's one-page path.
-class SyncReadEngine final : public BatchReadEngine {
- public:
-  const char* name() const override { return "sync"; }
-
-  void ReadBatch(int fd, size_t page_bytes, PageReadRequest* reqs,
-                 size_t n) override {
-    for (size_t i = 0; i < n; ++i) {
-      const off_t off = static_cast<off_t>(reqs[i].page_id) *
-                        static_cast<off_t>(page_bytes);
-      reqs[i].ok = ::pread(fd, reqs[i].out, page_bytes, off) ==
-                   static_cast<ssize_t>(page_bytes);
-    }
-  }
-};
-
 // pread thread pool: submit-all-then-wait with portable syscalls. Threads
 // start lazily on the first batch, so instances that never batch (or pools
 // over in-memory fakes) cost nothing.
@@ -108,10 +88,6 @@ class ThreadPoolReadEngine final : public BatchReadEngine {
   void ReadBatch(int fd, size_t page_bytes, PageReadRequest* reqs,
                  size_t n) override {
     if (n == 0) return;
-    if (n == 1) {  // no overlap to win; skip the handoff
-      SyncReadEngine{}.ReadBatch(fd, page_bytes, reqs, n);
-      return;
-    }
     Start();
     {
       std::lock_guard<std::mutex> lock(mu_);
@@ -318,15 +294,11 @@ class UringReadEngine final : public BatchReadEngine {
 
 #endif  // FITREE_HAS_IO_URING
 
-// Runtime backend selection with graceful degradation: kAuto probes
-// io_uring and falls back to the thread pool when the kernel or sandbox
-// refuses it (hosted CI runners do).
-inline std::unique_ptr<BatchReadEngine> MakeBatchReadEngine(
-    [[maybe_unused]] IoBackend requested) {
+// Probes io_uring and falls back to the thread pool when the kernel or
+// sandbox refuses it.
+inline std::unique_ptr<BatchReadEngine> MakeBatchReadEngine() {
 #if FITREE_HAS_IO_URING
-  if (requested == IoBackend::kAuto) {
-    if (auto uring = UringReadEngine::TryCreate()) return uring;
-  }
+  if (auto uring = UringReadEngine::TryCreate()) return uring;
 #endif
   return std::make_unique<ThreadPoolReadEngine>();
 }

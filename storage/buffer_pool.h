@@ -3,11 +3,11 @@
 // knob the disk benches sweep — frames * page_bytes is the fraction of the
 // file allowed to stay resident, and IoStats turns that into pages-read/op.
 //
-// FetchBatch is the async entry point (ISSUE 10): it classifies a whole
-// batch of pages first, assigns victim frames to every miss, and hands all
-// the misses to PageSource::ReadPagesInto in one call — so with a batched
-// source (io_uring / pread threads) the faults overlap instead of
-// serializing, while hits are pinned before any I/O starts.
+// FetchBatch is the async entry point: it pins a whole batch's hits first,
+// claims a victim frame for every distinct miss, and hands all the misses
+// to PageSource::ReadPagesInto in one call — so with a batched source
+// (io_uring / pread threads) the faults overlap instead of serializing. A
+// miss enters the page table only after its read verifies, as in Fetch.
 //
 // Resident pages are found through a flat page table: one uint32_t frame
 // index per file page id, 4 B per file page (16 KiB per GiB of 4 KiB
@@ -24,6 +24,7 @@
 #ifndef FITREE_STORAGE_BUFFER_POOL_H_
 #define FITREE_STORAGE_BUFFER_POOL_H_
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -117,86 +118,91 @@ class BufferPool {
   // non-null entries.
   size_t FetchBatch(const uint32_t* page_ids, size_t n,
                     const std::byte** out) {
-    if (n == 0) return 0;
+    // Hits pin first, so no miss below can pick one of them as its victim.
     struct Miss {
       uint32_t page_id;
-      uint32_t frame;
+      uint32_t slot;  // index into page_ids / out
     };
-    std::vector<Miss> misses;
-    std::vector<uint32_t> frame_of(n, kNoFrame);
+    std::vector<Miss> pending;
+    size_t staged = 0;
     for (size_t i = 0; i < n; ++i) {
-      if (const uint32_t frame = FrameOf(page_ids[i]); frame != kNoFrame) {
-        // Resident — or pre-installed by an earlier duplicate in this very
-        // batch (frame pending, read not issued yet): pin either way, the
-        // post-pass nulls pins on frames whose read then fails.
-        Frame& f = frames_[frame];
-        ++f.pins;
-        f.referenced = true;
+      const uint32_t frame = FrameOf(page_ids[i]);
+      if (frame == kNoFrame) {
+        out[i] = nullptr;
+        pending.push_back({page_ids[i], static_cast<uint32_t>(i)});
+        continue;
+      }
+      Frame& f = frames_[frame];
+      ++f.pins;
+      f.referenced = true;
+      ++stats_.cache_hits;
+      telemetry::CounterAdd(telemetry::CounterId::kIoCacheHits);
+      out[i] = FrameData(frame);
+      ++staged;
+    }
+    if (pending.empty()) return staged;
+
+    // In-batch duplicates sort next to their first occurrence: each run of
+    // one id claims one victim frame and one read; the rest count as hits
+    // on it. A claimed frame is pinned but not yet in the page table.
+    std::sort(pending.begin(), pending.end(), [](const Miss& a, const Miss& b) {
+      return a.page_id != b.page_id ? a.page_id < b.page_id : a.slot < b.slot;
+    });
+    std::vector<PageReadRequest> reqs;
+    struct Claim {
+      uint32_t frame;
+      uint32_t first;  // the run's first index into pending
+    };
+    std::vector<Claim> claims;  // parallel to reqs
+    for (size_t j = 0; j < pending.size(); ++j) {
+      if (j > 0 && pending[j].page_id == pending[j - 1].page_id) {
         ++stats_.cache_hits;
         telemetry::CounterAdd(telemetry::CounterId::kIoCacheHits);
-        frame_of[i] = frame;
-        out[i] = FrameData(frame);
         continue;
       }
       ++stats_.cache_misses;
       telemetry::CounterAdd(telemetry::CounterId::kIoCacheMisses);
       const uint32_t victim = PickVictim();
-      if (victim == kNoFrame) {
-        out[i] = nullptr;  // staged part of the batch still proceeds
-        continue;
-      }
+      if (victim == kNoFrame) continue;  // the staged part still proceeds
       Frame& f = frames_[victim];
       if (f.valid) table_[f.page_id] = kNoFrame;
-      f.page_id = page_ids[i];
-      f.pins = 1;
+      f.valid = false;
+      f.pins = 1;  // claimed: later PickVictim calls skip it
+      reqs.push_back({pending[j].page_id, FrameData(victim), false});
+      claims.push_back({victim, static_cast<uint32_t>(j)});
+    }
+    if (reqs.empty()) return staged;
+
+    telemetry::ScopedPhase phase(telemetry::Engine::kDisk,
+                                 telemetry::Phase::kPageIoBatch);
+    telemetry::CounterAdd(telemetry::CounterId::kIoBatches);
+    telemetry::GaugeAdd(telemetry::GaugeId::kIoInflight,
+                        static_cast<int64_t>(reqs.size()));
+    source_->ReadPagesInto(reqs.data(), reqs.size());
+    telemetry::GaugeAdd(telemetry::GaugeId::kIoInflight,
+                        -static_cast<int64_t>(reqs.size()));
+    for (size_t r = 0; r < reqs.size(); ++r) {
+      Frame& f = frames_[claims[r].frame];
+      if (!reqs[r].ok) {
+        f.pins = 0;
+        f.referenced = false;
+        continue;
+      }
+      ++stats_.pages_read;
+      stats_.bytes_read += page_bytes_;
+      telemetry::CounterAdd(telemetry::CounterId::kIoPagesRead);
+      telemetry::CounterAdd(telemetry::CounterId::kIoBytesRead, page_bytes_);
+      f.page_id = reqs[r].page_id;
+      f.pins = 0;
       f.referenced = true;
-      f.valid = false;  // pending until its read lands below
-      Install(page_ids[i], victim);
-      frame_of[i] = victim;
-      out[i] = FrameData(victim);
-      misses.push_back({page_ids[i], victim});
-    }
-
-    if (!misses.empty()) {
-      telemetry::ScopedPhase phase(telemetry::Engine::kDisk,
-                                   telemetry::Phase::kPageIoBatch);
-      telemetry::CounterAdd(telemetry::CounterId::kIoBatches);
-      telemetry::GaugeAdd(telemetry::GaugeId::kIoInflight,
-                          static_cast<int64_t>(misses.size()));
-      std::vector<PageReadRequest> reqs(misses.size());
-      for (size_t j = 0; j < misses.size(); ++j) {
-        reqs[j].page_id = misses[j].page_id;
-        reqs[j].out = FrameData(misses[j].frame);
+      f.valid = true;
+      Install(f.page_id, claims[r].frame);
+      for (size_t j = claims[r].first;
+           j < pending.size() && pending[j].page_id == f.page_id; ++j) {
+        ++f.pins;
+        out[pending[j].slot] = reqs[r].out;
+        ++staged;
       }
-      source_->ReadPagesInto(reqs.data(), reqs.size());
-      telemetry::GaugeAdd(telemetry::GaugeId::kIoInflight,
-                          -static_cast<int64_t>(misses.size()));
-      for (size_t j = 0; j < misses.size(); ++j) {
-        Frame& f = frames_[misses[j].frame];
-        if (reqs[j].ok) {
-          f.valid = true;
-          ++stats_.pages_read;
-          stats_.bytes_read += page_bytes_;
-          telemetry::CounterAdd(telemetry::CounterId::kIoPagesRead);
-          telemetry::CounterAdd(telemetry::CounterId::kIoBytesRead,
-                                page_bytes_);
-        } else {
-          // Roll the pre-install back; duplicates that pinned this frame
-          // get nulled in the post-pass below.
-          table_[f.page_id] = kNoFrame;
-          f.pins = 0;
-          f.referenced = false;
-          f.valid = false;
-        }
-      }
-    }
-
-    size_t staged = 0;
-    for (size_t i = 0; i < n; ++i) {
-      if (frame_of[i] != kNoFrame && !frames_[frame_of[i]].valid) {
-        out[i] = nullptr;
-      }
-      if (out[i] != nullptr) ++staged;
     }
     return staged;
   }

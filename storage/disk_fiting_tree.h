@@ -126,11 +126,10 @@ class DiskFitingTree {
     size_t compact_threshold_pct = 0;
     // Test hook, fired after each named compaction step (crash points).
     std::function<void(CompactPoint)> compact_hook;
-    // Per-instance read-path overrides; default to the process-wide
-    // FITREE_IO_* knobs. `io_direct` lets a single tree attempt the
-    // O_DIRECT reopen (page-cache-free reads) while others stay buffered
-    // — the exp_disk multiget cells need both in one process.
-    IoBackend io_backend = GlobalOptions().io_backend;
+    // Per-instance read-path override; defaults to the process-wide
+    // FITREE_IO_DIRECT knob. It lets a single tree attempt the O_DIRECT
+    // reopen (page-cache-free reads) while others stay buffered — the
+    // exp_disk multiget cells need both in one process.
     bool io_direct = GlobalOptions().io_direct;
   };
 
@@ -198,8 +197,9 @@ class DiskFitingTree {
   const IoStats& io() const { return pool_->stats(); }
   void ResetIoStats() { pool_->ResetStats(); }
 
-  // Batched-read backend actually serving this instance's page faults.
-  const char* IoBackendName() const { return reader_.io_backend_name(); }
+  // Batched-read engine ("uring" or "threads") serving this instance's
+  // page faults.
+  const char* BatchEngineName() const { return reader_.batch_engine_name(); }
   bool DirectIo() const { return reader_.direct_io(); }
 
   // Rank of the first key >= `key` in the BASE FILE (insertion point over
@@ -690,7 +690,6 @@ class DiskFitingTree {
   // overlay. Compactions_ survives; everything else derives from the file.
   bool Load(const std::string& path) {
     typename SegmentFileReader<K>::IoOptions io;
-    io.backend = options_.io_backend;
     io.direct = options_.io_direct;
     if (!reader_.Open(path, io)) return false;
     if (!reader_.ReadSegmentTable(&segments_)) return false;

@@ -428,13 +428,12 @@ bool WriteIndexFile(const std::string& path, const StaticFitingTree<K>& tree,
 // pread-based reader. Open() picks the newest valid meta slot and
 // validates it; every subsequent page read re-verifies checksum, type, and
 // id, so a corrupted or misdirected page is rejected instead of served.
-// Batched reads go through a storage/async_io.h engine (io_uring or pread
-// threads per FITREE_IO_BACKEND), created lazily on the first real batch.
+// Batched reads go through a storage/async_io.h engine (io_uring, else
+// pread threads), created lazily on the first real batch.
 template <typename K>
 class SegmentFileReader final : public PageSource {
  public:
   struct IoOptions {
-    IoBackend backend = GlobalOptions().io_backend;
     // Attempt O_DIRECT (only when page_bytes is a kDirectIoAlignment
     // multiple; falls back to buffered reads when the filesystem refuses).
     // With direct reads in effect every destination buffer must be
@@ -452,7 +451,6 @@ class SegmentFileReader final : public PageSource {
 
   bool Open(const std::string& path, const IoOptions& io) {
     Close();
-    io_options_ = io;
     fd_ = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
     if (fd_ < 0) return Fail("open() failed");
 
@@ -577,9 +575,9 @@ class SegmentFileReader final : public PageSource {
   uint64_t page_count() const { return meta_.total_pages; }
   bool direct_io() const { return direct_; }
 
-  // Backend actually in effect for batched reads ("none" until the first
+  // Engine in effect for batched reads ("none" until the first
   // real batch instantiates the engine).
-  const char* io_backend_name() const {
+  const char* batch_engine_name() const {
     return engine_ == nullptr ? "none" : engine_->name();
   }
 
@@ -606,40 +604,21 @@ class SegmentFileReader final : public PageSource {
   // Batched reads: submit every page before waiting on any (async_io.h),
   // then verify each completed page exactly as the serial path does.
   void ReadPagesInto(PageReadRequest* reqs, size_t n) override {
-    if (fd_ < 0) {
-      for (size_t i = 0; i < n; ++i) reqs[i].ok = false;
-      return;
-    }
-    if (n <= 1) {
+    if (n <= 1 || fd_ < 0) {
       for (size_t i = 0; i < n; ++i) {
         reqs[i].ok = ReadPageInto(reqs[i].page_id, reqs[i].out);
       }
       return;
     }
-    bool bounded = true;
-    for (size_t i = 0; i < n; ++i) {
-      if (reqs[i].page_id >= page_count()) {
-        reqs[i].ok = false;
-        bounded = false;
-      }
-    }
-    if (engine_ == nullptr) {
-      engine_ = MakeBatchReadEngine(io_options_.backend);
-    }
-    if (!bounded) {
-      // Mixed batch: serve the in-range subset serially (rare error path).
-      for (size_t i = 0; i < n; ++i) {
-        if (reqs[i].page_id < page_count()) {
-          reqs[i].ok = ReadPageInto(reqs[i].page_id, reqs[i].out);
-        }
-      }
-      return;
-    }
+    if (engine_ == nullptr) engine_ = MakeBatchReadEngine();
     engine_->ReadBatch(fd_, meta_.page_bytes, reqs, n);
+    // The bounds check comes after the read: an id past page_count() may
+    // still land on the full, CRC-valid page of an interrupted republish.
     for (size_t i = 0; i < n; ++i) {
-      if (!reqs[i].ok) continue;
-      reqs[i].ok = VerifyPage(reqs[i].out, meta_.page_bytes,
-                              ExpectedType(reqs[i].page_id), reqs[i].page_id);
+      const uint32_t id = reqs[i].page_id;
+      reqs[i].ok = reqs[i].ok && id < page_count() &&
+                   VerifyPage(reqs[i].out, meta_.page_bytes, ExpectedType(id),
+                              id);
     }
   }
 
@@ -708,7 +687,6 @@ class SegmentFileReader final : public PageSource {
 
   int fd_ = -1;
   SegmentFileMeta meta_{};
-  IoOptions io_options_{};
   std::unique_ptr<BatchReadEngine> engine_;
   bool direct_ = false;
   std::string error_;

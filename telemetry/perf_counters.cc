@@ -6,10 +6,7 @@
 
 #include <cerrno>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
-
-#include "common/env.h"
 
 #if defined(__linux__) && __has_include(<linux/perf_event.h>)
 #define FITREE_PERF_SUPPORTED 1
@@ -21,12 +18,6 @@
 namespace fitree::telemetry {
 
 namespace {
-
-// FITREE_PERF: unset -> attempt, "0" -> off. Read live at every PerfRegion
-// construction — it has no GlobalOptions() field — because the knob gates
-// kernel fd acquisition per-region and long-lived processes (and the unit
-// tests) flip it at runtime.
-bool PerfEnvEnabled() { return GetEnvInt64("FITREE_PERF", 1) != 0; }
 
 #ifdef FITREE_PERF_SUPPORTED
 
@@ -86,10 +77,6 @@ long ParanoidLevel() {
 
 PerfRegion::PerfRegion() {
   for (int i = 0; i < kNumPerfEvents; ++i) fds_[i] = -1;
-  if (!PerfEnvEnabled()) {
-    status_ = "disabled (FITREE_PERF=0)";
-    return;
-  }
 #ifndef FITREE_PERF_SUPPORTED
   status_ = "unavailable: perf_event_open not supported on this platform";
 #else

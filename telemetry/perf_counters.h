@@ -21,7 +21,6 @@
 // >= 3, ENOENT/ENODEV for unsupported events, ENOSYS under seccomp). A
 // PerfRegion that cannot open its events stays inert and Stop() returns a
 // sample whose status says why — the export records it, nothing crashes.
-// FITREE_PERF=0 skips the syscall entirely.
 //
 // This stays fully functional under -DFITREE_NO_TELEMETRY (it is cold-path
 // bench machinery, not hot-path instrumentation), matching the metrics.h
@@ -37,7 +36,7 @@ namespace fitree::telemetry {
 
 // Scaled counter deltas over one Start()/Stop() region. `ok` is true when
 // the region actually measured; otherwise `status` carries the reason
-// ("disabled (FITREE_PERF=0)", "unavailable: ...", "not measured").
+// ("unavailable: ...", "not measured").
 // Individual counters the kernel refused stay at -1 even when ok.
 struct PerfSample {
   std::string status = "not measured";

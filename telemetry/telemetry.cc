@@ -73,8 +73,7 @@ struct TraceState {
 TraceState& State() {
   static TraceState* state = [] {
     auto* s = new TraceState();
-    s->enabled = GlobalOptions().trace;            // FITREE_TRACE
-    s->ring_capacity = GlobalOptions().trace_ring;  // FITREE_TRACE_RING
+    s->enabled = GlobalOptions().trace;  // FITREE_TRACE
     return s;
   }();
   return *state;

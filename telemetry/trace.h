@@ -3,7 +3,7 @@
 // Tracing is off unless the FITREE_TRACE env knob is set (non-zero); when
 // on, the sampled op timers in registry.h — and every merge/compaction —
 // emit one 24-byte TraceRecord into the calling thread's ring. Rings are
-// fixed-capacity (FITREE_TRACE_RING, default 4096 records) and wrap,
+// fixed-capacity (4096 records; ConfigOverride sets another) and wrap,
 // keeping the newest records; memory is bounded at threads * capacity * 24
 // bytes no matter how long the process runs.
 //
@@ -140,8 +140,8 @@ void EmitPhase(Engine engine, Op op, Phase phase, uint64_t arg);
 // Snapshot of every registered ring, merged and time-sorted.
 TraceDump Collect();
 
-// Test/tool hook: overrides the cached FITREE_TRACE / FITREE_TRACE_RING
-// values and drops all previously registered rings. Not thread-safe
+// Test/tool hook: overrides the cached FITREE_TRACE value and the ring
+// capacity, and drops all previously registered rings. Not thread-safe
 // against concurrent Emit — call from quiesced code only.
 void ConfigOverride(bool enabled, size_t ring_capacity);
 

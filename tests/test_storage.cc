@@ -3,12 +3,15 @@
 // semantics, and segment-file write/reopen round-trips down to the raw
 // page level.
 
+#include <fcntl.h>
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <array>
 #include <cstdint>
 #include <cstdio>
+#include <filesystem>
 #include <map>
 #include <random>
 #include <set>
@@ -18,6 +21,7 @@
 
 #include "common/io_stats.h"
 #include "core/static_fiting_tree.h"
+#include "storage/async_io.h"
 #include "storage/buffer_pool.h"
 #include "storage/disk_fiting_tree.h"
 #include "storage/page.h"
@@ -28,7 +32,9 @@ namespace {
 using fitree::IoStats;
 using fitree::PackedSegment;
 using fitree::StaticFitingTree;
+using fitree::storage::BatchReadEngine;
 using fitree::storage::BufferPool;
+using fitree::storage::CompactPoint;
 using fitree::storage::Crc32c;
 using fitree::storage::DiskFitingTree;
 using fitree::storage::kPageHeaderBytes;
@@ -37,6 +43,7 @@ using fitree::storage::LeafEntry;
 using fitree::storage::LoadAs;
 using fitree::storage::MakeFixedSegments;
 using fitree::storage::PageHeader;
+using fitree::storage::PageReadRequest;
 using fitree::storage::PageSource;
 using fitree::storage::PageType;
 using fitree::storage::PinnedPage;
@@ -46,6 +53,7 @@ using fitree::storage::SegmentFileOptions;
 using fitree::storage::SegmentFileReader;
 using fitree::storage::SegmentRecord;
 using fitree::storage::StoreAs;
+using fitree::storage::ThreadPoolReadEngine;
 using fitree::storage::VerifyPage;
 
 constexpr size_t kPageBytes = 256;  // small pages force multi-page files
@@ -496,7 +504,8 @@ TEST(BufferPool, SparseLargePageIdsUseThePageTableDirectly) {
   }
   EXPECT_EQ(pool.PageTableSize(), 1048580u);
 
-  // A failed read leaves its id unmapped, in Fetch and in FetchBatch.
+  // A failed read leaves its id unmapped and the table unchanged, in
+  // Fetch and in FetchBatch.
   EXPECT_EQ(pool.Fetch(2000000), nullptr);
   EXPECT_FALSE(pool.Contains(2000000));
   EXPECT_EQ(pool.Peek(2000000), nullptr);
@@ -505,6 +514,7 @@ TEST(BufferPool, SparseLargePageIdsUseThePageTableDirectly) {
   EXPECT_EQ(pool.FetchBatch(ids, 2, out), 1u);
   EXPECT_EQ(out[0], nullptr);
   ASSERT_NE(out[1], nullptr);
+  EXPECT_EQ(pool.PageTableSize(), 1048580u);
   EXPECT_FALSE(pool.Contains(3000000));
   EXPECT_EQ(pool.Peek(3000000), nullptr);
   EXPECT_FALSE(pool.Unpin(3000000));
@@ -594,6 +604,20 @@ TEST(SegmentFile, CustomPayloadsRoundTrip) {
   std::remove(path.c_str());
 }
 
+// Flips one payload byte in the middle of page `page_id` of `path`.
+void CorruptPage(const std::string& path, uint32_t page_id) {
+  std::FILE* f = std::fopen(path.c_str(), "r+b");
+  ASSERT_NE(f, nullptr);
+  const long offset =
+      static_cast<long>(page_id) * kPageBytes + kPageBytes / 2;
+  ASSERT_EQ(std::fseek(f, offset, SEEK_SET), 0);
+  const int byte = std::fgetc(f);
+  ASSERT_NE(byte, EOF);
+  ASSERT_EQ(std::fseek(f, offset, SEEK_SET), 0);
+  std::fputc(byte ^ 0x01, f);
+  std::fclose(f);
+}
+
 TEST(SegmentFile, CorruptedPageIsRejectedByReaderAndPool) {
   const auto keys = EveryThird(600);
   const auto tree = StaticFitingTree<int64_t>::Create(keys, 8.0);
@@ -605,18 +629,7 @@ TEST(SegmentFile, CorruptedPageIsRejectedByReaderAndPool) {
   ASSERT_TRUE(reader.Open(path));
   const uint32_t victim = reader.LeafPageId(1);
   reader.Close();
-
-  // Flip one payload byte in the middle of that leaf page on disk.
-  std::FILE* f = std::fopen(path.c_str(), "r+b");
-  ASSERT_NE(f, nullptr);
-  const long offset =
-      static_cast<long>(victim) * kPageBytes + kPageBytes / 2;
-  ASSERT_EQ(std::fseek(f, offset, SEEK_SET), 0);
-  const int byte = std::fgetc(f);
-  ASSERT_NE(byte, EOF);
-  ASSERT_EQ(std::fseek(f, offset, SEEK_SET), 0);
-  std::fputc(byte ^ 0x01, f);
-  std::fclose(f);
+  CorruptPage(path, victim);
 
   ASSERT_TRUE(reader.Open(path));  // meta page is intact
   std::vector<std::byte> page(kPageBytes);
@@ -629,6 +642,139 @@ TEST(SegmentFile, CorruptedPageIsRejectedByReaderAndPool) {
   EXPECT_EQ(pool.Fetch(victim), nullptr);
   EXPECT_FALSE(pool.Contains(victim));
   std::remove(path.c_str());
+}
+
+// One batch mixes good leaves, a corrupted leaf, and an id past
+// page_count() that lands on a CRC-valid leaf appended by a republish
+// interrupted before its meta write. Only the good ids come back ok: the
+// stray page passes VerifyPage, so the bounds check alone rejects it.
+TEST(SegmentFile, ReadPagesIntoRejectsCorruptAndOutOfRangePages) {
+  const auto keys = EveryThird(3000);
+  const auto tree = StaticFitingTree<int64_t>::Create(keys, 8.0);
+  const std::string path = TempPath("torn_batch.fit");
+  const std::string torn = TempPath("torn_batch_copy.fit");
+  ASSERT_TRUE(fitree::storage::WriteIndexFile(path, *tree,
+                                              SegmentFileOptions{kPageBytes}));
+  {
+    DiskFitingTree<int64_t>::Options options;
+    options.compact_hook = [&](CompactPoint point) {
+      if (point != CompactPoint::kAppendSynced) return;
+      std::filesystem::copy_file(
+          path, torn, std::filesystem::copy_options::overwrite_existing);
+    };
+    auto disk = DiskFitingTree<int64_t>::Open(path, options);
+    ASSERT_NE(disk, nullptr);
+    for (int64_t k = 1; k < 600; k += 3) disk->Insert(k, 7);
+    ASSERT_TRUE(disk->CompactSegment(0));
+  }
+
+  SegmentFileReader<int64_t> reader;
+  ASSERT_TRUE(reader.Open(torn)) << reader.error_message();
+  const uint32_t victim = reader.LeafPageId(1);
+  const uint64_t file_pages = std::filesystem::file_size(torn) / kPageBytes;
+  ASSERT_GT(file_pages, reader.page_count());
+  std::vector<std::byte> page(kPageBytes);
+  uint32_t stray = 0;
+  std::FILE* f = std::fopen(torn.c_str(), "rb");
+  ASSERT_NE(f, nullptr);
+  for (uint64_t id = reader.page_count(); id < file_pages && stray == 0;
+       ++id) {
+    ASSERT_EQ(std::fseek(f, static_cast<long>(id * kPageBytes), SEEK_SET), 0);
+    ASSERT_EQ(std::fread(page.data(), 1, kPageBytes, f), kPageBytes);
+    if (VerifyPage(page.data(), kPageBytes, PageType::kLeaf,
+                   static_cast<uint32_t>(id))) {
+      stray = static_cast<uint32_t>(id);
+    }
+  }
+  std::fclose(f);
+  ASSERT_NE(stray, 0u) << "the republish appended no leaf page";
+  reader.Close();
+  CorruptPage(torn, victim);
+
+  ASSERT_TRUE(reader.Open(torn)) << reader.error_message();
+  const uint32_t ids[] = {reader.LeafPageId(0), victim, stray,
+                          reader.LeafPageId(2), reader.LeafPageId(3)};
+  const bool want_ok[] = {true, false, false, true, true};
+  constexpr size_t kN = sizeof(ids) / sizeof(ids[0]);
+  std::vector<std::vector<std::byte>> bytes(
+      kN, std::vector<std::byte>(kPageBytes));
+  PageReadRequest reqs[kN];
+  for (size_t i = 0; i < kN; ++i) reqs[i] = {ids[i], bytes[i].data(), false};
+  reader.ReadPagesInto(reqs, kN);
+  for (size_t i = 0; i < kN; ++i) {
+    EXPECT_EQ(reqs[i].ok, want_ok[i]) << "page " << ids[i];
+    if (!want_ok[i]) continue;
+    ASSERT_TRUE(reader.ReadPageInto(ids[i], page.data()));
+    EXPECT_EQ(bytes[i], page) << "page " << ids[i];
+  }
+  std::remove(path.c_str());
+  std::remove(torn.c_str());
+}
+
+// Both batch engines return what a serial pread returns, byte for byte and
+// flag for flag: a one-page batch, kIoDepth + 3 pages (two io_uring
+// waves), and a batch holding one id past the end of the file.
+void ExpectEngineMatchesPread(BatchReadEngine& engine, int fd,
+                              const std::vector<uint32_t>& ids) {
+  std::vector<std::vector<std::byte>> got(
+      ids.size(), std::vector<std::byte>(kPageBytes));
+  std::vector<PageReadRequest> reqs(ids.size());
+  // ok starts true, so a request the engine never resolves shows up.
+  for (size_t i = 0; i < ids.size(); ++i) {
+    reqs[i] = {ids[i], got[i].data(), true};
+  }
+  engine.ReadBatch(fd, kPageBytes, reqs.data(), reqs.size());
+  std::vector<std::byte> want(kPageBytes);
+  for (size_t i = 0; i < ids.size(); ++i) {
+    const bool want_ok =
+        ::pread(fd, want.data(), kPageBytes,
+                static_cast<off_t>(ids[i]) * kPageBytes) ==
+        static_cast<ssize_t>(kPageBytes);
+    EXPECT_EQ(reqs[i].ok, want_ok) << engine.name() << " page " << ids[i];
+    if (want_ok) {
+      EXPECT_EQ(got[i], want) << engine.name() << " page " << ids[i];
+    }
+  }
+}
+
+void ExpectEngineMatchesPreadOnAllBatches(BatchReadEngine& engine) {
+  const auto tree = StaticFitingTree<int64_t>::Create(EveryThird(3000), 8.0);
+  const std::string path = TempPath(engine.name());
+  ASSERT_TRUE(fitree::storage::WriteIndexFile(path, *tree,
+                                              SegmentFileOptions{kPageBytes}));
+  const auto file_pages =
+      static_cast<uint32_t>(std::filesystem::file_size(path) / kPageBytes);
+  const size_t waves = fitree::storage::kIoDepth + 3;
+  ASSERT_GE(file_pages, waves);
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  ASSERT_GE(fd, 0);
+
+  ExpectEngineMatchesPread(engine, fd, {file_pages / 2});
+  std::vector<uint32_t> ids;
+  for (size_t i = 0; i < waves; ++i) {
+    ids.push_back(static_cast<uint32_t>((i * 37) % file_pages));
+  }
+  ExpectEngineMatchesPread(engine, fd, ids);
+  ExpectEngineMatchesPread(engine, fd, {2, file_pages + 5, file_pages - 1});
+  ::close(fd);
+  std::remove(path.c_str());
+}
+
+TEST(AsyncIo, ThreadPoolEngineMatchesPread) {
+  ThreadPoolReadEngine engine;
+  ExpectEngineMatchesPreadOnAllBatches(engine);
+}
+
+TEST(AsyncIo, UringEngineMatchesPread) {
+  // The factory takes io_uring whenever UringReadEngine::TryCreate()
+  // succeeds, so a pool here means the kernel or sandbox refused it.
+  const auto engine = fitree::storage::MakeBatchReadEngine();
+  if (std::string(engine->name()) != "uring") {
+    GTEST_SKIP() << "io_uring_setup is refused here (kernel without "
+                    "io_uring, or a seccomp sandbox); the probe fell back "
+                    "to the pread pool";
+  }
+  ExpectEngineMatchesPreadOnAllBatches(*engine);
 }
 
 TEST(SegmentFile, CorruptedMetaFailsOpenOnlyWhenBothSlotsDie) {

@@ -15,7 +15,6 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <random>
 #include <string>
 #include <thread>
@@ -582,8 +581,7 @@ TEST(PerfCounters, RegionDegradesGracefullyEverywhere) {
   } else {
     EXPECT_FALSE(sample.ok);
     // The status names the failure, never a bare error code.
-    EXPECT_TRUE(sample.status.find("unavailable") != std::string::npos ||
-                sample.status.find("disabled") != std::string::npos)
+    EXPECT_NE(sample.status.find("unavailable"), std::string::npos)
         << sample.status;
   }
 }
@@ -595,18 +593,6 @@ TEST(PerfCounters, StopWithoutStartIsNotMeasured) {
   if (region.available()) {
     EXPECT_EQ(sample.status, "not measured");
   }
-}
-
-TEST(PerfCounters, EnvKnobDisablesCollection) {
-  ASSERT_EQ(setenv("FITREE_PERF", "0", /*overwrite=*/1), 0);
-  {
-    PerfRegion region;
-    EXPECT_FALSE(region.available());
-    EXPECT_EQ(region.status(), "disabled (FITREE_PERF=0)");
-    region.Start();
-    EXPECT_FALSE(region.Stop().ok);
-  }
-  unsetenv("FITREE_PERF");
 }
 
 // --- engine Stats() snapshots ---------------------------------------------
