@@ -7,7 +7,7 @@
 //   off     — period 65536: spans effectively never arm (the baseline;
 //             bounded, not 2^62, so the thread's sample countdown recovers
 //             for experiments that run after this one)
-//   sampled — the configured FITREE_TELEM_SAMPLE period (production cost)
+//   sampled — the default sample period, 64 (production cost)
 //   full    — period 1: every op sampled, every span timed
 // The off/sampled/full ns/op columns are the same-process overhead A/B
 // quoted in EXPERIMENTS.md; the full-mode registry delta yields the

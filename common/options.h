@@ -4,22 +4,21 @@
 // default their fields from it, so a knob's default, parse rule, and clamp
 // live in a single place.
 //
-// Knobs resolved here, each with the caller that needs it:
-//   FITREE_TELEM_SAMPLE   latency sampling period, >= 1         (64)
-//                         bench/e2e/workloads.h restores it after a
-//                         traced window
+// Knobs resolved here, each with the caller that sets it:
 //   FITREE_TRACE          0 | 1 trace-ring capture              (0)
 //                         CI's trace leg (the ring dump that
 //                         tools/profile_report.py reads)
 //   FITREE_IO_DIRECT      0 | 1 attempt O_DIRECT reads          (0)
 //                         CI's O_DIRECT disk leg
 //
-// Everything else is a constant the code picks for itself: the batched-read
-// engine is io_uring when the kernel allows it, else a pread pool
-// (storage/async_io.h); the server's shard count and drain batch are
-// ShardedIndex::Config defaults; the trace ring holds 4096 records. Bench-
-// harness knobs (FITREE_BENCH_*) stay in bench/ — they size workloads, not
-// the engines.
+// Everything else is a constant the code picks for itself: the latency
+// sampling period is 64 (telemetry_sample; bench/e2e reads it to restore the
+// period after a traced window, tests change it with
+// telemetry::SetSamplePeriodForTest); the batched-read engine is io_uring
+// when the kernel allows it, else a pread pool (storage/async_io.h); the
+// server's shard count and drain batch are ShardedIndex::Config defaults;
+// the trace ring holds 4096 records. Bench-harness knobs (FITREE_BENCH_*)
+// stay in bench/ — they size workloads, not the engines.
 
 #ifndef FITREE_COMMON_OPTIONS_H_
 #define FITREE_COMMON_OPTIONS_H_
@@ -35,11 +34,9 @@ struct Options {
   bool trace = false;              // trace-ring capture on/off
   bool io_direct = false;          // attempt O_DIRECT page reads
 
-  // Reads every knob from the environment, applying defaults and clamps.
+  // Reads the environment knobs; other fields keep their defaults.
   static Options FromEnvironment() {
     Options o;
-    const int64_t sample = GetEnvInt64("FITREE_TELEM_SAMPLE", 64);
-    o.telemetry_sample = sample < 1 ? 1u : static_cast<uint64_t>(sample);
     o.trace = GetEnvInt64("FITREE_TRACE", 0) != 0;
     o.io_direct = GetEnvInt64("FITREE_IO_DIRECT", 0) != 0;
     return o;

@@ -15,7 +15,7 @@
 // Requests are tiny PODs copied by value through the queue; only the slot
 // pointer crosses back. `enqueue_ns` doubles as the sampling flag: the
 // client stamps it only for requests that won the telemetry sampling draw
-// (one in FITREE_TELEM_SAMPLE), and the worker derives queue-wait and
+// (one in SamplePeriod()), and the worker derives queue-wait and
 // whole-request latencies from it. Zero means "not sampled, don't time".
 
 #ifndef FITREE_SERVER_REQUEST_H_

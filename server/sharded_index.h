@@ -38,7 +38,7 @@
 // Telemetry: requests count exactly (server rows in the [engine][op]
 // grid measure the request path — submit to publish — on top of whatever
 // engine the shards run); latencies are sampled via the same
-// 1-in-FITREE_TELEM_SAMPLE countdown the engines use, and sampled
+// 1-in-SamplePeriod() countdown the engines use, and sampled
 // requests decompose into the kShardRoute / kShardQueueWait / kShardExec
 // phases. Those spans cross threads (route on the client, wait/exec on
 // the worker), so they are recorded straight into the phase grid rather

@@ -8,8 +8,9 @@
 //             io_uring_enter submits the wave and waits for all of its
 //             completions.
 //   threads   a small pread thread pool with the same submit-all-then-wait
-//             shape, for kernels or sandboxes that refuse io_uring_setup
-//             (hosted CI runners do).
+//             shape, for kernels or sandboxes that refuse io_uring_setup.
+//             Where io_uring works, only AsyncIo.ThreadPoolEngineMatchesPread
+//             (tests/test_storage.cc) runs the pool.
 //
 // There is no selection knob: MakeBatchReadEngine() probes io_uring once
 // and falls back to the pool, and the engine's name() reports which one

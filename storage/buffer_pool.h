@@ -144,7 +144,8 @@ class BufferPool {
 
     // In-batch duplicates sort next to their first occurrence: each run of
     // one id claims one victim frame and one read; the rest count as hits
-    // on it. A claimed frame is pinned but not yet in the page table.
+    // on it, or as misses when the run got no frame. A claimed frame is
+    // pinned but not yet in the page table.
     std::sort(pending.begin(), pending.end(), [](const Miss& a, const Miss& b) {
       return a.page_id != b.page_id ? a.page_id < b.page_id : a.slot < b.slot;
     });
@@ -154,16 +155,20 @@ class BufferPool {
       uint32_t first;  // the run's first index into pending
     };
     std::vector<Claim> claims;  // parallel to reqs
+    bool claimed = false;       // the current run's first copy got a frame
     for (size_t j = 0; j < pending.size(); ++j) {
-      if (j > 0 && pending[j].page_id == pending[j - 1].page_id) {
+      const bool dup = j > 0 && pending[j].page_id == pending[j - 1].page_id;
+      if (dup && claimed) {
         ++stats_.cache_hits;
         telemetry::CounterAdd(telemetry::CounterId::kIoCacheHits);
         continue;
       }
       ++stats_.cache_misses;
       telemetry::CounterAdd(telemetry::CounterId::kIoCacheMisses);
+      if (dup) continue;  // its first copy found no frame; neither would it
       const uint32_t victim = PickVictim();
-      if (victim == kNoFrame) continue;  // the staged part still proceeds
+      claimed = victim != kNoFrame;
+      if (!claimed) continue;  // the staged part still proceeds
       Frame& f = frames_[victim];
       if (f.valid) table_[f.page_id] = kNoFrame;
       f.valid = false;

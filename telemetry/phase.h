@@ -8,7 +8,7 @@
 // registry and, when FITREE_TRACE is on, phase-tagged trace records.
 //
 // Cost model: phases piggyback on the op sampling countdown. A ScopedOp
-// that wins the 1-in-FITREE_TELEM_SAMPLE draw (or a ScopedDuration, which
+// that wins the 1-in-SamplePeriod() draw (or a ScopedDuration, which
 // always times) marks the thread "phase timing active"; every ScopedPhase
 // inside that op then counts and times itself, and every ScopedPhase
 // outside one is a single thread-local load + branch (measured in
@@ -103,7 +103,7 @@ struct PhaseContext {
 };
 inline constinit thread_local PhaseContext g_phase_ctx;
 
-// Cold path (runs 1-in-FITREE_TELEM_SAMPLE ops per span): folds one
+// Cold path (runs 1-in-SamplePeriod() ops per span): folds one
 // finished span into the registry's phase grid and, when tracing is on,
 // the calling thread's trace ring. Defined in telemetry.cc.
 void RecordPhaseSample(Engine engine, Phase phase, Op op, uint64_t self_ns);

@@ -14,7 +14,7 @@
 //   - op *counts* are exact: every call does one sharded relaxed
 //     fetch_add (~1-3 ns, no cross-thread line sharing),
 //   - op *latencies* are sampled: a thread_local countdown fires the
-//     clock + histogram record once per FITREE_TELEM_SAMPLE calls
+//     clock + histogram record once per SamplePeriod() calls
 //     (default 64), amortizing two steady_clock reads to well under a
 //     nanosecond per op,
 //   - merges and compactions (rare, long) are always timed via
@@ -210,8 +210,8 @@ inline void RecordDuration(Engine e, Op o, uint64_t ns) {
   Registry::Get().op_latency(e, o).Record(ns);
 }
 
-// Latency sample period (FITREE_TELEM_SAMPLE, default 64, min 1; cached at
-// first use). Defined in telemetry.cc.
+// Latency sample period (Options::telemetry_sample, 64, unless a test sets
+// another; cached at first use). Defined in telemetry.cc.
 uint64_t SamplePeriod();
 // Test hook: forces the period (1 == time every op) for deterministic
 // histogram population. Affects threads' countdowns lazily.

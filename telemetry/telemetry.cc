@@ -29,7 +29,7 @@ std::atomic<uint64_t> g_sample_period{0};  // 0 == not yet initialised
 uint64_t SamplePeriod() {
   uint64_t p = g_sample_period.load(std::memory_order_relaxed);
   if (p == 0) {
-    p = GlobalOptions().telemetry_sample;  // FITREE_TELEM_SAMPLE, >= 1
+    p = GlobalOptions().telemetry_sample;  // 64
     g_sample_period.store(p, std::memory_order_relaxed);
   }
   return p;

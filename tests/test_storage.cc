@@ -444,15 +444,19 @@ TEST(BufferPool, FetchBatchFailedReadRollsBackItsFrame) {
 TEST(BufferPool, FetchBatchMoreMissesThanFramesStagesWhatFits) {
   FakeSource source(8);
   BufferPool pool(&source, kPageBytes, 2);
-  const uint32_t ids[] = {0, 1, 2, 3};
-  const std::byte* out[4] = {};
+  const uint32_t ids[] = {0, 1, 2, 3, 2};
+  const std::byte* out[5] = {};
   // Two frames, four distinct pages: the first two stage pinned, the rest
-  // report failure instead of evicting pinned frames.
-  EXPECT_EQ(pool.FetchBatch(ids, 4, out), 2u);
+  // report failure instead of evicting pinned frames. The duplicate of an
+  // unstaged page is unstaged too, and counts as a miss, not a hit.
+  EXPECT_EQ(pool.FetchBatch(ids, 5, out), 2u);
   ASSERT_NE(out[0], nullptr);
   ASSERT_NE(out[1], nullptr);
   EXPECT_EQ(out[2], nullptr);
   EXPECT_EQ(out[3], nullptr);
+  EXPECT_EQ(out[4], nullptr);
+  EXPECT_EQ(pool.stats().cache_hits, 0u);
+  EXPECT_EQ(pool.stats().cache_misses, 5u);
   EXPECT_TRUE(pool.Unpin(0));
   EXPECT_TRUE(pool.Unpin(1));
 }
