@@ -1,4 +1,4 @@
-// Optional background merge thread for the concurrent FITing-Tree.
+// Optional background merge thread for ConcurrentFitingTree.
 //
 // With the worker enabled, an inserting thread that fills a segment's delta
 // buffer does not pay for the merge-and-resegment itself: it enqueues the
@@ -6,14 +6,9 @@
 // (buffers may transiently overshoot their budget — a soft limit, which is
 // exactly the paper's tolerance for delayed merges). The queue is
 // deliberately generic (void* items + a handler installed at Start) so this
-// header has no dependency on the tree type; deduplication is the
-// handler's job via the segment's own retired/pending flags.
-//
-// The disk tree's incremental compactor (storage/disk_fiting_tree.h)
-// reuses this enqueue/dedup/bounded-drain shape without the thread: the
-// disk engine is single-writer by contract, so a background worker would
-// race it. There the queue is a deduplicating set of segment first-keys
-// drained one segment per subsequent mutation on the owner thread.
+// header has no dependency on the tree type; the segment's own pending
+// and retired flags deduplicate (the Concurrent policy in
+// concurrency/concurrent_fiting_tree.h).
 
 #ifndef FITREE_CONCURRENCY_MERGE_WORKER_H_
 #define FITREE_CONCURRENCY_MERGE_WORKER_H_

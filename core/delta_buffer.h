@@ -1,15 +1,16 @@
 // The sorted delta buffer every mutable engine keeps per segment (paper
 // Sec 4.2), and the two kernels that apply it to a sorted page: one for
-// scans, one for merges. FitingTree, ConcurrentFitingTree and
-// DiskFitingTree share the record, its ordering and both kernels; they
-// differ only in which entries their buffers may hold (see each class
-// comment).
+// scans, one for merges. FitingTree (under either sync policy) and
+// DiskFitingTree share the record, its ordering and both kernels.
 //
 // A buffer is a std::vector of BufferEntry sorted by key, at most one entry
 // per key. Against its page, an entry means:
 //   - a tombstone hides the page key it equals;
 //   - a live entry equal to a page key replaces that key's payload;
 //   - any other live entry is a key the page does not hold yet.
+// FitingTree writes a paged key's new payload into its page, so its live
+// entries are all of the last kind; DiskFitingTree's pages are read-only
+// and its overlay holds replacements too.
 
 #ifndef FITREE_CORE_DELTA_BUFFER_H_
 #define FITREE_CORE_DELTA_BUFFER_H_
@@ -49,13 +50,23 @@ struct BufferKeyLess {
   }
 };
 
+// Reads a paged payload as it is; engines whose payloads change under
+// lock-free readers pass an atomic load instead.
+struct PlainLoad {
+  template <typename V>
+  const V& operator()(const V& v) const {
+    return v;
+  }
+};
+
 // The scan kernel: calls fn(key) or fn(key, value) for every live entry of
 // the sorted page (keys, values, n) with its sorted buffer applied, over
-// [lo, hi] in key order, and returns the number emitted.
-template <typename K, typename V, typename Fn>
+// [lo, hi] in key order, and returns the number emitted. Page payloads are
+// read through `load`.
+template <typename K, typename V, typename Fn, typename Load = PlainLoad>
 size_t EmitMergedRange(const K* keys, const V* values, size_t n,
                        std::span<const BufferEntry<K, V>> buffer, const K& lo,
-                       const K& hi, Fn& fn) {
+                       const K& hi, Fn& fn, Load load = {}) {
   size_t emitted = 0;
   const K* k = std::lower_bound(keys, keys + n, lo);
   const K* const k_end = keys + n;
@@ -63,7 +74,7 @@ size_t EmitMergedRange(const K* keys, const V* values, size_t n,
   while (k != k_end || b != buffer.end()) {
     if (b == buffer.end() || (k != k_end && *k < b->key)) {
       if (hi < *k) break;
-      EmitEntry(fn, *k, values[k - keys]);
+      EmitEntry(fn, *k, load(values[k - keys]));
       ++emitted;
       ++k;
       continue;

@@ -8,16 +8,21 @@
 // place (the page's keys are what the models predict, payloads are free to
 // change). When a buffer exceeds its budget the segment merges buffer and
 // page — dropping tombstoned keys — and re-runs the shrinking cone over the
-// surviving keys, replacing itself with however many segments the data now
-// needs. This is the data-aware split that distinguishes FITing-Tree from
-// fixed paging; a merge that deletes every key retires the segment
+// surviving keys, replacing itself with however many new segments the data
+// now needs. This is the data-aware split that distinguishes FITing-Tree
+// from fixed paging; a merge that deletes every key retires the segment
 // outright.
 //
 // The segment directory is a flat sorted array of each segment's first key
-// with a parallel array of segment pointers (core/flat_directory.h), spliced
-// in place when a merge replaces or retires a segment. Read operations are
-// const and safe for concurrent readers; writers need exclusive access (the
-// arena's chunk free list is the only state shared between trees).
+// with a parallel array of segment pointers (core/flat_directory.h).
+//
+// The Sync policy carries everything thread safety changes: the reader
+// guard, the segment latch and its empty-buffer elision, the directory
+// publish, reclamation, the arena lock and merge scheduling. Under
+// SingleThread (below) reads are const and safe for concurrent readers,
+// writers need exclusive access, and every hook is empty or immediate, so
+// it compiles to plain loads and stores. Concurrent
+// (concurrency/concurrent_fiting_tree.h) makes ConcurrentFitingTree.
 //
 // Buffer invariants (checked by tests/oracle.h's differential driver):
 //   - at most one buffer entry per key;
@@ -29,7 +34,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
@@ -79,7 +83,75 @@ struct FitingTreeStats {
   uint64_t tombstones_cleared = 0;  // deleted keys resolved by merges
 };
 
-template <typename K, typename V = uint64_t>
+// The single-writer policy: no guard, no latch, in-place directory splices,
+// immediate frees and inline merges.
+struct SingleThread {
+  using Config = FitingTreeConfig;
+  static constexpr telemetry::Engine kEngine = telemetry::Engine::kBuffered;
+  // A value one thread may change while others read it: the counters and
+  // a segment's page pointer.
+  template <typename T>
+  using Cell = T;
+
+  template <typename V>
+  static V LoadPayload(const V& v) { return v; }
+  template <typename V>
+  static void StorePayload(V& slot, const V& v) { slot = v; }
+
+  // Per-segment synchronization state: none.
+  struct SegmentSync {
+    struct Hold {  // the latch, over a read of the buffer or payloads
+      explicit Hold(SegmentSync&) {}
+    };
+    bool BufferSurelyEmpty() const { return false; }
+    bool LockLive() { return true; }
+    void Unlock(size_t /*buffered*/) {}
+    template <typename E>
+    std::span<const E> Snapshot(const std::vector<E>& buffer,
+                                std::vector<E>* /*scratch*/) {
+      return buffer;
+    }
+    template <typename E>
+    bool BeginMerge(const std::vector<E>& /*buffer*/) { return true; }
+  };
+
+  // Tree-wide state: the directory itself, which owns the segments.
+  template <typename Dir>
+  class Shared {
+   public:
+    Shared() = default;
+    Shared(const Shared&) = delete;
+    Shared& operator=(const Shared&) = delete;
+    ~Shared() {
+      for (size_t i = 0; i < dir_.size(); ++i) delete dir_.value_at(i);
+    }
+
+    struct ReadGuard {
+      explicit ReadGuard(const Shared&) {}
+    };
+    struct ArenaLock {
+      explicit ArenaLock(const Shared&) {}
+      template <typename Fn>
+      void Retire(Fn fn) { fn(); }
+    };
+
+    const Dir& directory() const { return dir_; }
+    template <typename Fn>
+    bool Publish(Fn edit) { return edit(dir_); }
+    template <typename Fn>
+    void Retire(Fn fn) const { fn(); }
+    template <typename Handler>
+    void StartMerges(const Config&, Handler&&) {}
+    template <typename Seg, typename Fn>
+    void ScheduleMerge(Seg*, Fn merge_now) { merge_now(); }
+    void AddStats(telemetry::StructuralStats*) const {}
+
+   private:
+    Dir dir_;
+  };
+};
+
+template <typename K, typename V = uint64_t, typename Sync = SingleThread>
 class FitingTree {
   // Pages live as raw arena bytes: copied with memcpy, never destroyed.
   static_assert(std::is_trivially_copyable_v<K> &&
@@ -88,9 +160,10 @@ class FitingTree {
  public:
   using Key = K;
   using Payload = V;
+  using Config = typename Sync::Config;
 
   static std::unique_ptr<FitingTree> Create(const std::vector<K>& keys,
-                                            const FitingTreeConfig& config) {
+                                            const Config& config) {
     return Create(keys, {}, config);
   }
 
@@ -98,7 +171,7 @@ class FitingTree {
   // payloads). Keys must be sorted and duplicate-free.
   static std::unique_ptr<FitingTree> Create(const std::vector<K>& keys,
                                             const std::vector<V>& values,
-                                            const FitingTreeConfig& config) {
+                                            const Config& config) {
     assert(values.empty() || values.size() == keys.size());
     auto tree = std::make_unique<FitingTree>();
     tree->config_ = config;
@@ -107,10 +180,14 @@ class FitingTree {
             ? std::max<size_t>(1, static_cast<size_t>(config.error / 2.0))
             : config.buffer_size;
     tree->BulkLoad(std::span<const K>(keys), std::span<const V>(values));
+    tree->sync_.StartMerges(config, [t = tree.get()](void* seg) {
+      ReadGuard guard(t->sync_);
+      t->MergeSegment(static_cast<SegmentData*>(seg));
+    });
     return tree;
   }
 
-  size_t size() const { return size_; }
+  size_t size() const { return counts_.size; }
 
   bool Contains(const K& key) const { return Lookup(key).has_value(); }
 
@@ -118,19 +195,13 @@ class FitingTree {
   // override the page: a tombstone hides the paged key until the next merge
   // physically drops it.
   std::optional<V> Lookup(const K& key) const {
-    telemetry::ScopedOp telem(telemetry::Engine::kBuffered,
-                              telemetry::Op::kLookup);
+    telemetry::ScopedOp telem(Sync::kEngine, telemetry::Op::kLookup);
+    ReadGuard guard(sync_);
     const SegmentData* seg = LocateSegment(key);
     if (seg == nullptr) return std::nullopt;
     // Start the page lines travelling while the buffer probe runs.
     PrefetchPredicted(*seg, key);
-    if (const BufferEntry* entry = FindBuffer(*seg, key)) {
-      if (entry->tombstone) return std::nullopt;
-      return entry->value;
-    }
-    const size_t i = SearchSegment(*seg, key);
-    if (i == kNotFound) return std::nullopt;
-    return seg->values()[i];
+    return Find(*seg, key);
   }
 
   // Contains() that also accrues the time spent descending the directory
@@ -139,20 +210,14 @@ class FitingTree {
                              int64_t* page_ns) const {
     // Count-only: this path already times itself at finer grain, and a
     // sampled ScopedOp timer would perturb the breakdown it measures.
-    telemetry::CountOp(telemetry::Engine::kBuffered, telemetry::Op::kLookup);
+    telemetry::CountOp(Sync::kEngine, telemetry::Op::kLookup);
+    ReadGuard guard(sync_);
     Timer timer;
     const SegmentData* seg = LocateSegment(key);
     if (seg != nullptr) PrefetchPredicted(*seg, key);
     *tree_ns += timer.ElapsedNs();
     timer.Reset();
-    bool found = false;
-    if (seg != nullptr) {
-      if (const BufferEntry* entry = FindBuffer(*seg, key)) {
-        found = !entry->tombstone;
-      } else {
-        found = SearchSegment(*seg, key) != kNotFound;
-      }
-    }
+    const bool found = seg != nullptr && Find(*seg, key).has_value();
     *page_ns += timer.ElapsedNs();
     return found;
   }
@@ -162,58 +227,40 @@ class FitingTree {
   // lands in its floor segment's buffer; a full buffer triggers
   // merge-and-resegment.
   bool Insert(const K& key, const V& value = V{}) {
-    telemetry::ScopedOp telem(telemetry::Engine::kBuffered,
-                              telemetry::Op::kInsert);
-    ++stats_.inserts;
-    SegmentData* seg = LocateSegmentMutable(key);
-    if (seg == nullptr) {
-      // First key of an empty tree.
-      SegmentData* ptr = NewSegment();
-      ptr->first_key = key;
-      StoreBlock(*ptr, std::span<const K>(&key, 1),
-                 std::span<const V>(&value, 1));
-      directory_.Splice(0, 0, std::span<const K>(&key, 1),
-                        std::span<SegmentData* const>(&ptr, 1));
-      ++size_;
-      return true;
-    }
-    auto pos = BufferPos(*seg, key);
-    if (pos != seg->buffer.end() && pos->key == key) {
-      if (!pos->tombstone) return false;  // live duplicate
-      // Delete-then-reinsert: the key still sits in the page; drop the
-      // tombstone and refresh the paged payload in place.
-      const size_t i = SearchSegment(*seg, key);
-      assert(i != kNotFound);
-      seg->values()[i] = value;
-      seg->buffer.erase(pos);
-      ++size_;
-      return true;
-    }
-    if (SearchSegment(*seg, key) != kNotFound) return false;
-    seg->buffer.insert(pos, BufferEntry{key, value, false});
-    ++size_;
-    if (seg->buffer.size() > effective_buffer_) MergeSegment(seg);
-    return true;
+    telemetry::ScopedOp telem(Sync::kEngine, telemetry::Op::kInsert);
+    ++counts_.inserts;
+    return Write(key, &value, [&](SegmentData& seg, size_t i, auto pos) {
+      if (pos != seg.buffer.end() && pos->key == key) {
+        if (!pos->tombstone) return WriteResult{};  // live duplicate
+        // Delete-then-reinsert: the key still sits in the page; drop the
+        // tombstone and refresh the paged payload in place.
+        Sync::StorePayload(PageValues(seg)[i], value);
+        seg.buffer.erase(pos);
+      } else if (i != kNotFound) {
+        return WriteResult{};
+      } else {
+        seg.buffer.insert(pos, BufferEntry{key, value, false});
+      }
+      ++counts_.size;
+      return WriteResult{true, seg.buffer.size() > effective_buffer_};
+    });
   }
 
   // Replaces the payload of a present key. Returns false when absent.
   bool Update(const K& key, const V& value) {
-    telemetry::ScopedOp telem(telemetry::Engine::kBuffered,
-                              telemetry::Op::kUpdate);
-    SegmentData* seg = LocateSegmentMutable(key);
-    if (seg == nullptr) return false;
-    auto pos = BufferPos(*seg, key);
-    if (pos != seg->buffer.end() && pos->key == key) {
-      if (pos->tombstone) return false;
-      pos->value = value;
-      ++stats_.updates;
-      return true;
-    }
-    const size_t i = SearchSegment(*seg, key);
-    if (i == kNotFound) return false;
-    seg->values()[i] = value;
-    ++stats_.updates;
-    return true;
+    telemetry::ScopedOp telem(Sync::kEngine, telemetry::Op::kUpdate);
+    return Write(key, nullptr, [&](SegmentData& seg, size_t i, auto pos) {
+      if (pos != seg.buffer.end() && pos->key == key) {
+        if (pos->tombstone) return WriteResult{};
+        pos->value = value;
+      } else if (i != kNotFound) {
+        Sync::StorePayload(PageValues(seg)[i], value);
+      } else {
+        return WriteResult{};
+      }
+      ++counts_.updates;
+      return WriteResult{true, false};
+    });
   }
 
   // Removes `key`. Returns false when absent. A paged key gets a tombstone
@@ -223,30 +270,22 @@ class FitingTree {
   // whose every key is tombstoned merges (and retires) at once, so its
   // page goes back to the arena.
   bool Delete(const K& key) {
-    telemetry::ScopedOp telem(telemetry::Engine::kBuffered,
-                              telemetry::Op::kDelete);
-    SegmentData* seg = LocateSegmentMutable(key);
-    if (seg == nullptr) return false;
-    auto pos = BufferPos(*seg, key);
-    if (pos != seg->buffer.end() && pos->key == key) {
-      if (pos->tombstone) return false;
-      seg->buffer.erase(pos);
-      --size_;
-      ++stats_.deletes;
-      return true;
-    }
-    if (SearchSegment(*seg, key) == kNotFound) return false;
-    seg->buffer.insert(pos, BufferEntry{key, V{}, true});
-    --size_;
-    ++stats_.deletes;
-    // Each tombstone hides a distinct paged key, so n all-tombstone
-    // entries mean the segment is empty.
-    const bool emptied =
-        seg->buffer.size() == seg->n &&
-        std::all_of(seg->buffer.begin(), seg->buffer.end(),
-                    [](const BufferEntry& e) { return e.tombstone; });
-    if (seg->buffer.size() > effective_buffer_ || emptied) MergeSegment(seg);
-    return true;
+    telemetry::ScopedOp telem(Sync::kEngine, telemetry::Op::kDelete);
+    return Write(key, nullptr, [&](SegmentData& seg, size_t i, auto pos) {
+      bool merge = false;
+      if (pos != seg.buffer.end() && pos->key == key) {
+        if (pos->tombstone) return WriteResult{};
+        seg.buffer.erase(pos);
+      } else if (i != kNotFound) {
+        seg.buffer.insert(pos, BufferEntry{key, V{}, true});
+        merge = seg.buffer.size() > effective_buffer_ || AllTombstones(seg);
+      } else {
+        return WriteResult{};
+      }
+      --counts_.size;
+      ++counts_.deletes;
+      return WriteResult{true, merge};
+    });
   }
 
   // Calls fn(key) or fn(key, value) for every live entry in [lo, hi] in
@@ -255,17 +294,25 @@ class FitingTree {
   // (IndexApi contract, core/index_api.h).
   template <typename Fn>
   size_t ScanRange(const K& lo, const K& hi, Fn fn) const {
-    telemetry::ScopedOp telem(telemetry::Engine::kBuffered,
-                              telemetry::Op::kScan);
-    if (directory_.empty() || hi < lo) return 0;
-    const size_t floor = directory_.FloorIndex(lo);
+    telemetry::ScopedOp telem(Sync::kEngine, telemetry::Op::kScan);
+    if (hi < lo) return 0;
+    ReadGuard guard(sync_);
+    const Directory& dir = sync_.directory();
+    if (dir.empty()) return 0;
+    const size_t floor = dir.FloorIndex(lo);
     size_t emitted = 0;
+    std::vector<BufferEntry> scratch;
     for (size_t i = floor == Directory::kNone ? 0 : floor;
-         i < directory_.size() && !(hi < directory_.key_at(i)); ++i) {
-      const SegmentData& seg = *directory_.value_at(i);
-      assert(LiveEntriesUnpaged(seg));
-      emitted += detail::EmitMergedRange<K, V>(seg.keys, seg.values(), seg.n,
-                                               seg.buffer, lo, hi, fn);
+         i < dir.size() && !(hi < dir.key_at(i)); ++i) {
+      const SegmentData& seg = *dir.value_at(i);
+      const std::span<const BufferEntry> buffer =
+          seg.sync.Snapshot(seg.buffer, &scratch);
+      // The page is loaded after the buffer (see PageValues).
+      K* keys = seg.keys;
+      assert(LiveEntriesUnpaged(keys, seg.n, buffer));
+      emitted += detail::EmitMergedRange<K, V>(
+          keys, BlockValues(keys, seg.n), seg.n, buffer, lo, hi, fn,
+          [](const V& v) { return Sync::LoadPayload(v); });
     }
     return emitted;
   }
@@ -273,53 +320,81 @@ class FitingTree {
   // Directory arrays plus per-segment model metadata (the key pages and
   // buffers are the data, not the index).
   size_t IndexSizeBytes() const {
-    return directory_.MemoryBytes() + directory_.size() * kSegmentMetaBytes;
+    ReadGuard guard(sync_);
+    const Directory& dir = sync_.directory();
+    return dir.MemoryBytes() + dir.size() * kSegmentMetaBytes;
   }
 
-  size_t SegmentCount() const { return directory_.size(); }
+  size_t SegmentCount() const {
+    ReadGuard guard(sync_);
+    return sync_.directory().size();
+  }
 
   // The sorted page of the segment at directory position `i` (< the
-  // segment count); its buffered mutations are not included.
+  // segment count); its buffered mutations are not included. Only for a
+  // tree no other thread is writing.
   std::span<const K> PageKeys(size_t i) const {
-    const SegmentData& seg = *directory_.value_at(i);
-    return {seg.keys, seg.n};
+    const SegmentData& seg = *sync_.directory().value_at(i);
+    K* keys = seg.keys;
+    return {keys, seg.n};
   }
-  const FitingTreeStats& stats() const { return stats_; }
-  const FitingTreeConfig& config() const { return config_; }
+
+  FitingTreeStats stats() const {
+    return {counts_.inserts, counts_.updates, counts_.deletes,
+            counts_.merges,  counts_.created, counts_.retired,
+            counts_.tombstones};
+  }
+  const Config& config() const { return config_; }
+
+  // Concurrent policy only: its epoch manager, and a wait for queued
+  // background merges (tests and benches call it before validating).
+  auto& epoch() { return sync_.epoch(); }
+  void QuiesceMerges() { sync_.QuiesceMerges(); }
 
   // Structural snapshot (telemetry tentpole): segment shape plus pending
   // delta-buffer occupancy against the per-segment budget, the lifetime
-  // merge counters this instance has accrued, and its segment arena.
+  // merge counters this instance has accrued, its segment arena, and what
+  // the sync policy adds.
   telemetry::StructuralStats Stats() const {
     telemetry::StructuralStats st;
-    st.engine = telemetry::EngineName(telemetry::Engine::kBuffered);
-    st.Add("keys", static_cast<double>(size_));
-    st.Add("segments", static_cast<double>(directory_.size()));
+    st.engine = telemetry::EngineName(Sync::kEngine);
+    ReadGuard guard(sync_);
+    const Directory& dir = sync_.directory();
+    size_t buffered = 0, max_buffer = 0;
+    std::vector<BufferEntry> scratch;
+    for (size_t i = 0; i < dir.size(); ++i) {
+      const SegmentData& seg = *dir.value_at(i);
+      const size_t n = seg.sync.Snapshot(seg.buffer, &scratch).size();
+      buffered += n;
+      max_buffer = std::max(max_buffer, n);
+    }
+    st.Add("keys", static_cast<double>(size()));
+    st.Add("segments", static_cast<double>(dir.size()));
     st.Add("error", config_.error);
     st.Add("buffer_capacity", static_cast<double>(effective_buffer_));
-    size_t buffered = 0, max_buffer = 0;
-    for (const auto& seg : segments_) {
-      buffered += seg->buffer.size();
-      max_buffer = std::max(max_buffer, seg->buffer.size());
-    }
     st.Add("buffered_entries", static_cast<double>(buffered));
     st.Add("buffer_max", static_cast<double>(max_buffer));
     st.Add("buffer_occupancy",
-           directory_.empty() || effective_buffer_ == 0
+           dir.empty() || effective_buffer_ == 0
                ? 0.0
                : static_cast<double>(buffered) /
-                     (static_cast<double>(directory_.size()) *
+                     (static_cast<double>(dir.size()) *
                       static_cast<double>(effective_buffer_)));
-    st.Add("merges", static_cast<double>(stats_.segment_merges));
-    st.Add("segments_created", static_cast<double>(stats_.segments_created));
-    st.Add("segments_retired", static_cast<double>(stats_.segments_retired));
+    st.Add("merges", static_cast<double>(counts_.merges));
+    st.Add("segments_created", static_cast<double>(counts_.created));
+    st.Add("segments_retired", static_cast<double>(counts_.retired));
     st.Add("index_bytes", static_cast<double>(IndexSizeBytes()));
-    st.Add("arena_chunks", static_cast<double>(arena_.chunks()));
-    st.Add("arena_mapped_bytes", static_cast<double>(arena_.mapped_bytes()));
-    st.Add("arena_live_bytes", static_cast<double>(arena_.live_bytes()));
-    st.Add("arena_relocations", static_cast<double>(arena_.relocations()));
+    {
+      ArenaLock lock(sync_);
+      st.Add("arena_chunks", static_cast<double>(arena_.chunks()));
+      st.Add("arena_mapped_bytes",
+             static_cast<double>(arena_.mapped_bytes()));
+      st.Add("arena_live_bytes", static_cast<double>(arena_.live_bytes()));
+      st.Add("arena_relocations", static_cast<double>(arena_.relocations()));
+    }
     st.Add("arena_free_chunks",
            static_cast<double>(SegmentArena::FreeChunks()));  // process-wide
+    sync_.AddStats(&st);
     return st;
   }
 
@@ -327,6 +402,14 @@ class FitingTree {
   static constexpr size_t kNotFound = static_cast<size_t>(-1);
 
   using BufferEntry = detail::BufferEntry<K, V>;
+  using SegmentSync = typename Sync::SegmentSync;
+  template <typename T>
+  using Cell = typename Sync::template Cell<T>;
+
+  struct WriteResult {
+    bool done = false;   // the key was inserted, updated or deleted
+    bool merge = false;  // the segment's buffer wants a merge
+  };
 
   // Where a page's payloads start in its block: after its n keys and, in
   // ASan builds, a poisoned gap, so reading keys[n] reports.
@@ -341,60 +424,58 @@ class FitingTree {
                                 ValuesOffset(n));
   }
 
-  // One cache line for 8-byte keys: the model, the page block and the
-  // delta buffer.
+  // One cache line for 8-byte keys under SingleThread: the model, the page
+  // block and the delta buffer. Only the last three change once published.
   struct alignas(64) SegmentData {
     K first_key{};
     double slope = 0.0;
-    double intercept = 0.0;  // predicted index into `keys` at first_key
-    K* keys = nullptr;       // arena block: n sorted keys, then n payloads
+    double intercept = 0.0;  // predicted index into the page at first_key
+    // Arena block: n sorted keys, then n payloads. An arena compaction
+    // may move it; the keys never change.
+    typename Sync::template Cell<K*> keys{};
     uint32_t n = 0;
-    uint32_t slot = 0;       // index in segments_
+    [[no_unique_address]] mutable SegmentSync sync;
     std::vector<BufferEntry> buffer;  // sorted delta buffer
 
-    V* values() const { return BlockValues(keys, n); }
     double Predict(const K& key) const {
       return intercept + slope * (static_cast<double>(key) -
                                   static_cast<double>(first_key));
     }
   };
-  static_assert(sizeof(K) > 8 || sizeof(SegmentData) == 64);
+  static_assert(sizeof(K) > 8 || !std::is_empty_v<SegmentSync> ||
+                sizeof(SegmentData) == 64);
 
   static constexpr size_t kSegmentMetaBytes =
       sizeof(K) + 2 * sizeof(double) + sizeof(void*);
 
   using Directory = FlatDirectory<K, SegmentData*>;
+  using Shared = typename Sync::template Shared<Directory>;
+  using ReadGuard = typename Shared::ReadGuard;
+  using ArenaLock = typename Shared::ArenaLock;
+
+  struct Counters {
+    Cell<size_t> size{};
+    Cell<uint64_t> inserts{}, updates{}, deletes{};
+    Cell<uint64_t> merges{}, created{}, retired{}, tombstones{};
+  };
 
   void BulkLoad(std::span<const K> keys, std::span<const V> values) {
-    size_ = keys.size();
+    counts_.size += keys.size();
     if (keys.empty()) return;
     const auto models =
         SegmentShrinkingCone<K>(keys, config_.error, config_.feasibility);
-    std::vector<K> first_keys;
-    std::vector<SegmentData*> ptrs;
-    first_keys.reserve(models.size());
-    ptrs.reserve(models.size());
-    segments_.reserve(models.size());
     size_t total = 0;
     for (const Segment<K>& m : models) {
       total += SegmentArena::SpanOf(BlockBytes(m.length));
     }
-    arena_.ExpectBytes(total);
-    for (const Segment<K>& m : models) {
-      SegmentData* data = NewSegment();
-      SetModel(*data, m);
-      StoreBlock(*data, keys.subspan(m.start, m.length),
-                 values.empty() ? values : values.subspan(m.start, m.length));
-      first_keys.push_back(m.first_key);
-      ptrs.push_back(data);
-    }
-    directory_.BulkLoad(std::move(first_keys), std::move(ptrs));
-  }
-
-  SegmentData* NewSegment() {
-    segments_.push_back(std::make_unique<SegmentData>());
-    segments_.back()->slot = static_cast<uint32_t>(segments_.size() - 1);
-    return segments_.back().get();
+    arena_.ExpectBytes(total);  // unlocked: no other thread has the tree yet
+    std::vector<K> first_keys;
+    std::vector<SegmentData*> ptrs;
+    NewSegments(models, keys, values, &first_keys, &ptrs);
+    sync_.Publish([&](Directory& dir) {
+      dir.BulkLoad(std::move(first_keys), std::move(ptrs));
+      return true;
+    });
   }
 
   // Points `seg` at model `m`, with its intercept rebased to the page.
@@ -404,83 +485,129 @@ class FitingTree {
     seg.intercept = m.intercept - static_cast<double>(m.start);
   }
 
-  // An uninitialized arena block for an n-key page owned by `owner`: its
-  // keys start the block, its payloads start at ValuesOffset(n).
-  K* NewBlock(size_t n, SegmentData* owner) {
+  // One new segment per model over the sorted `keys` and their `values`
+  // (empty = value-initialized), each with a page of its own; appends their
+  // first keys and pointers.
+  void NewSegments(const std::vector<Segment<K>>& models,
+                   std::span<const K> keys, std::span<const V> values,
+                   std::vector<K>* first_keys,
+                   std::vector<SegmentData*>* ptrs) {
+    first_keys->reserve(models.size());
+    ptrs->reserve(models.size());
+    for (const Segment<K>& m : models) {
+      auto* seg = new SegmentData;
+      SetModel(*seg, m);
+      K* block = NewBlock(m.length);
+      std::memcpy(block, keys.data() + m.start, m.length * sizeof(K));
+      V* dst = BlockValues(block, m.length);
+      if (values.empty()) {
+        std::fill_n(dst, m.length, V{});
+      } else {
+        std::memcpy(dst, values.data() + m.start, m.length * sizeof(V));
+      }
+      Adopt(*seg, block, m.length);
+      first_keys->push_back(m.first_key);
+      ptrs->push_back(seg);
+    }
+  }
+
+  // An uninitialized block for an n-key page, which no compaction moves
+  // until Adopt gives it an owner. The caller holds the arena lock.
+  K* AllocateBlock(size_t n) {
     assert(n > 0 && n <= UINT32_MAX);
-    auto* block = static_cast<char*>(arena_.Allocate(BlockBytes(n), owner));
+    auto* block = static_cast<char*>(arena_.Allocate(BlockBytes(n)));
     SegmentArena::PoisonGap(block + n * sizeof(K),
                             ValuesOffset(n) - n * sizeof(K));
     return reinterpret_cast<K*>(block);
   }
 
-  // Makes the filled n-key `block` (from NewBlock(n, &seg)) `seg`'s page
-  // and frees the block it had.
-  void AdoptBlock(SegmentData& seg, K* block, size_t n) {
-    if (seg.keys != nullptr) arena_.Free(seg.keys);
+  K* NewBlock(size_t n) {
+    ArenaLock lock(sync_);
+    return AllocateBlock(n);
+  }
+
+  // Makes the filled n-key `block` the page of `seg`, which has none yet.
+  void Adopt(SegmentData& seg, K* block, size_t n) {
+    ArenaLock lock(sync_);
+    SegmentArena::SetOwner(block, &seg);
     seg.keys = block;
     seg.n = static_cast<uint32_t>(n);
   }
 
-  // Gives `seg` a fresh arena block holding `keys` and their payloads
-  // (`values` empty = value-initialized), then frees the block it had. The
-  // sources may be that old block: it is freed only after the copy.
-  void StoreBlock(SegmentData& seg, std::span<const K> keys,
-                  std::span<const V> values) {
-    const size_t n = keys.size();
-    K* block = NewBlock(n, &seg);
-    std::memcpy(block, keys.data(), n * sizeof(K));
-    V* dst = BlockValues(block, n);
-    if (values.empty()) {
-      std::fill_n(dst, n, V{});
-    } else {
-      std::memcpy(dst, values.data(), n * sizeof(V));
+  void FreeBlock(K* block) {
+    ArenaLock lock(sync_);
+    arena_.Free(block);
+  }
+
+  void FreeSegment(SegmentData* seg) {
+    {
+      ArenaLock lock(sync_);  // a compaction may be moving the page
+      arena_.Free(seg->keys);
     }
-    AdoptBlock(seg, block, n);
+    delete seg;
   }
 
   // Keeps merge churn from growing the arena without bound (see
-  // SegmentArena::Compact): moved pages are copied to fresh blocks.
+  // SegmentArena::Compact): a moved page is copied to a fresh block, and
+  // the old block is pinned and retired (freed at once under
+  // SingleThread, once no reader can hold it under Concurrent).
   void CompactArena() {
-    const size_t moved = arena_.Compact([this](void* owner) {
+    ArenaLock lock(sync_);
+    const size_t moved = arena_.Compact([&](void* owner) {
       SegmentData& seg = *static_cast<SegmentData*>(owner);
-      StoreBlock(seg, std::span<const K>(seg.keys, seg.n),
-                 std::span<const V>(seg.values(), seg.n));
+      // The latch keeps in-place payload writes out of the copy.
+      typename SegmentSync::Hold hold(seg.sync);
+      K* old = seg.keys;
+      K* block = AllocateBlock(seg.n);
+      std::memcpy(block, old, seg.n * sizeof(K));
+      std::memcpy(BlockValues(block, seg.n), BlockValues(old, seg.n),
+                  seg.n * sizeof(V));
+      SegmentArena::SetOwner(block, &seg);
+      seg.keys = block;
+      SegmentArena::SetOwner(old, nullptr);
+      lock.Retire([this, old] { FreeBlock(old); });
     });
     telemetry::CounterAdd(telemetry::CounterId::kArenaRelocations, moved);
   }
 
-  const SegmentData* LocateSegment(const K& key) const {
-    telemetry::ScopedPhase phase(telemetry::Engine::kBuffered,
+  SegmentData* LocateSegment(const K& key) const {
+    telemetry::ScopedPhase phase(Sync::kEngine,
                                  telemetry::Phase::kDirectoryDescent);
-    if (directory_.empty()) return nullptr;
-    const size_t i = directory_.FloorIndex(key);
+    const Directory& dir = sync_.directory();
+    if (dir.empty()) return nullptr;
+    const size_t i = dir.FloorIndex(key);
     // Below-leftmost keys fall to the first segment.
-    return directory_.value_at(i == Directory::kNone ? 0 : i);
+    return dir.value_at(i == Directory::kNone ? 0 : i);
   }
 
   // Prefetch the predicted in-page position (keys and payloads) so the
   // lines arrive while the buffer probe between descent and page search is
   // still executing.
   void PrefetchPredicted(const SegmentData& seg, const K& key) const {
+    K* keys = seg.keys;
     const size_t n = seg.n;
     const double pred = seg.Predict(key);
     const size_t hint =
         pred <= 0.0 ? 0 : std::min(n - 1, static_cast<size_t>(pred));
-    PrefetchRead(seg.keys + hint);
-    PrefetchRead(seg.values() + hint);
+    PrefetchRead(keys + hint);
+    PrefetchRead(BlockValues(keys, n) + hint);
   }
 
-  SegmentData* LocateSegmentMutable(const K& key) {
-    return const_cast<SegmentData*>(LocateSegment(key));
+  // The payloads of `seg`'s page. A reader loads them after its buffer
+  // probe: a compaction may have moved the page since the probe began, and
+  // an in-place write the probe saw lands only in the moved copy.
+  static V* PageValues(const SegmentData& seg) {
+    return BlockValues(seg.keys, seg.n);
   }
 
   // Error-bounded search of the segment page for an exact match, through
-  // the same ErrorWindow as the disk-resident and concurrent lookup paths.
+  // the same ErrorWindow as the disk-resident lookup path. The keys never
+  // change while a segment is live, so writers search before latching.
   // Returns the in-page index of `key`, or kNotFound.
   size_t SearchSegment(const SegmentData& seg, const K& key) const {
-    telemetry::ScopedPhase phase(telemetry::Engine::kBuffered,
+    telemetry::ScopedPhase phase(Sync::kEngine,
                                  telemetry::Phase::kWindowSearch);
+    const K* keys = seg.keys;
     const size_t n = seg.n;
     const double pred = seg.Predict(key);
     // A key below the leftmost segment (floor fallback) predicts far
@@ -488,128 +615,178 @@ class FitingTree {
     if (pred + config_.error + 2.0 < 0.0) return kNotFound;
     const auto [begin, end] = ErrorWindow(pred, config_.error, 0, n);
     const size_t hint = static_cast<size_t>(std::max(0.0, pred));
-    const size_t i = detail::BoundedLowerBound(
-        seg.keys, begin, end, hint, key, config_.search_policy);
-    return i < n && seg.keys[i] == key ? i : kNotFound;
+    const size_t i = detail::BoundedLowerBound(keys, begin, end, hint, key,
+                                               config_.search_policy);
+    return i < n && keys[i] == key ? i : kNotFound;
   }
 
-  typename std::vector<BufferEntry>::iterator BufferPos(SegmentData& seg,
-                                                        const K& key) const {
+  // Sorted position of `key` in `seg`'s buffer; the caller holds the latch.
+  template <typename Seg>
+  static auto BufferPos(Seg& seg, const K& key) {
     return std::lower_bound(seg.buffer.begin(), seg.buffer.end(), key,
                             detail::BufferKeyLess{});
   }
 
-  const BufferEntry* FindBuffer(const SegmentData& seg, const K& key) const {
-    telemetry::ScopedPhase phase(telemetry::Engine::kBuffered,
-                                 telemetry::Phase::kBufferProbe);
-    auto pos = std::lower_bound(seg.buffer.begin(), seg.buffer.end(), key,
-                                detail::BufferKeyLess{});
-    if (pos == seg.buffer.end() || pos->key != key) return nullptr;
-    return &*pos;
+  // `key`'s payload in `seg`: its buffer entry, else its page slot.
+  std::optional<V> Find(const SegmentData& seg, const K& key) const {
+    {
+      telemetry::ScopedPhase phase(Sync::kEngine,
+                                   telemetry::Phase::kBufferProbe);
+      if (!seg.sync.BufferSurelyEmpty()) {
+        typename SegmentSync::Hold hold(seg.sync);
+        const auto pos = BufferPos(seg, key);
+        if (pos != seg.buffer.end() && pos->key == key) {
+          if (pos->tombstone) return std::nullopt;
+          return pos->value;
+        }
+      }
+    }
+    const size_t i = SearchSegment(seg, key);
+    if (i == kNotFound) return std::nullopt;
+    return Sync::LoadPayload(PageValues(seg)[i]);
+  }
+
+  // The write skeleton: `edit(seg, i, pos)` applies the write under the
+  // latch, given `key`'s page index `i` (or kNotFound) and buffer position
+  // `pos`. A segment frozen by a merge sends the write back to a fresh
+  // directory; an empty tree takes `*first`, if given, as its first key.
+  template <typename Edit>
+  bool Write(const K& key, const V* first, Edit edit) {
+    ReadGuard guard(sync_);
+    for (;;) {
+      SegmentData* seg = LocateSegment(key);
+      if (seg == nullptr) {
+        if (first == nullptr) return false;
+        if (InsertIntoEmpty(key, *first)) return true;
+        continue;  // another writer published the first segment
+      }
+      const size_t i = SearchSegment(*seg, key);
+      if (!seg->sync.LockLive()) continue;
+      const WriteResult result = edit(*seg, i, BufferPos(*seg, key));
+      seg->sync.Unlock(seg->buffer.size());
+      if (result.merge) sync_.ScheduleMerge(seg, [&] { MergeSegment(seg); });
+      return result.done;
+    }
+  }
+
+  // Each tombstone hides a distinct paged key, so n all-tombstone entries
+  // mean the segment is empty.
+  static bool AllTombstones(const SegmentData& seg) {
+    return seg.buffer.size() == seg.n &&
+           std::all_of(seg.buffer.begin(), seg.buffer.end(),
+                       [](const BufferEntry& e) { return e.tombstone; });
   }
 
   // The buffer invariant the merge sizing relies on: a live entry is a
   // pending insert, never a key its page already holds.
-  static bool LiveEntriesUnpaged(const SegmentData& seg) {
-    return std::none_of(seg.buffer.begin(), seg.buffer.end(),
+  static bool LiveEntriesUnpaged(const K* keys, size_t n,
+                                 std::span<const BufferEntry> buffer) {
+    return std::none_of(buffer.begin(), buffer.end(),
                         [&](const BufferEntry& e) {
                           return !e.tombstone &&
-                                 std::binary_search(seg.keys,
-                                                    seg.keys + seg.n, e.key);
+                                 std::binary_search(keys, keys + n, e.key);
                         });
+  }
+
+  // First key of an empty tree. False when another writer published a
+  // segment first.
+  bool InsertIntoEmpty(const K& key, const V& value) {
+    const bool published = sync_.Publish([&](Directory& dir) {
+      if (!dir.empty()) return false;
+      std::vector<K> first_keys;
+      std::vector<SegmentData*> ptrs;
+      NewSegments({Segment<K>{key, 0.0, 0.0, 0, 1}}, {&key, 1}, {&value, 1},
+                  &first_keys, &ptrs);
+      dir.Splice(0, 0, first_keys, ptrs);
+      return true;
+    });
+    if (published) ++counts_.size;
+    return published;
+  }
+
+  // Publishes `ptrs`, whose first keys are `keys`, in place of `seg`'s
+  // directory entry. The replacements span the same key range in order,
+  // so the splice is positional.
+  void Replace(const SegmentData* seg, std::span<const K> keys,
+               std::span<SegmentData* const> ptrs) {
+    sync_.Publish([&](Directory& dir) {
+      // Exact-match floor: a merged segment stays in the directory until
+      // its own merge replaces it.
+      const size_t pos = dir.FloorIndex(seg->first_key);
+      assert(pos != Directory::kNone && dir.value_at(pos) == seg);
+      dir.Splice(pos, 1, keys, ptrs);
+      return true;
+    });
   }
 
   // Merges `seg`'s buffer into its page — applying pending inserts and
   // dropping tombstoned keys — and re-segments the surviving keys with the
-  // shrinking cone, replacing one directory entry with possibly several
-  // (paper Sec 4.2.2). A merge that leaves no keys retires the segment.
+  // shrinking cone, replacing one directory entry with possibly several new
+  // segments (paper Sec 4.2.2), then retires `seg` and its page. A merge
+  // that leaves no keys only removes the entry: its key range falls to the
+  // left neighbor by the floor rule.
   void MergeSegment(SegmentData* seg) {
     // Merges are rare and long: always timed (no sampling), so the merge
-    // histogram sees every event.
-    telemetry::ScopedDuration telem(telemetry::Engine::kBuffered,
-                                    telemetry::Op::kMerge);
-    telemetry::ScopedPhase phase(telemetry::Engine::kBuffered,
+    // histogram sees every event; cancelled when no merge happens.
+    telemetry::ScopedDuration telem(Sync::kEngine, telemetry::Op::kMerge);
+    telemetry::ScopedPhase phase(Sync::kEngine,
                                  telemetry::Phase::kMergeResegment);
-    ++stats_.segment_merges;
+    // From here on the buffer and the payloads stay as they are.
+    if (!seg->sync.BeginMerge(seg->buffer)) {
+      telem.Cancel();
+      return;
+    }
+    ++counts_.merges;
     // Each tombstone drops its paged key and each live entry adds a key
     // (live entries are never paged), which sizes the merged page exactly.
     const size_t tombstones = static_cast<size_t>(
         std::count_if(seg->buffer.begin(), seg->buffer.end(),
                       [](const BufferEntry& e) { return e.tombstone; }));
     const size_t n = seg->n + seg->buffer.size() - 2 * tombstones;
-    stats_.tombstones_cleared += tombstones;
-
-    // Exact-match floor: the merged segment's directory slot, spliced below
-    // once the replacement set is known.
-    const size_t fpos = directory_.FloorIndex(seg->first_key);
-    assert(fpos != Directory::kNone &&
-           directory_.key_at(fpos) == seg->first_key);
+    counts_.tombstones += tombstones;
     if (n == 0) {
-      // Every key of this segment was deleted: retire and free it. Its key
-      // range is absorbed by the floor rule (lookups fall to the left
-      // neighbor). Swap-and-pop keeps sustained delete/reinsert churn from
-      // growing segments_ without bound.
-      arena_.Free(seg->keys);
-      const size_t slot = seg->slot;
-      std::swap(segments_[slot], segments_.back());
-      segments_[slot]->slot = static_cast<uint32_t>(slot);
-      segments_.pop_back();
-      directory_.Splice(fpos, 1, {}, {});
-      ++stats_.segments_retired;
-      CompactArena();
-      return;
+      ++counts_.retired;
+      Replace(seg, {}, {});
+    } else {
+      // Merge straight into a block a new segment can own: when the cone
+      // keeps the merged keys in one model, that block becomes its page.
+      K* const old = seg->keys;
+      K* block = NewBlock(n);
+      V* values = BlockValues(block, n);
+      [[maybe_unused]] const size_t merged = detail::MergePageWithBuffer<K, V>(
+          old, BlockValues(old, seg->n), seg->n, seg->buffer, block, values);
+      assert(merged == n);
+      const auto models = SegmentShrinkingCone<K>(
+          std::span<const K>(block, n), config_.error, config_.feasibility);
+      counts_.created += models.size();
+      if (models.size() == 1) {
+        auto* head = new SegmentData;
+        SetModel(*head, models[0]);
+        Adopt(*head, block, n);
+        Replace(seg, std::span<const K>(&head->first_key, 1),
+                std::span<SegmentData* const>(&head, 1));
+      } else {
+        // A split: each model copies its range into a block of its own,
+        // and the merge block goes.
+        std::vector<K> first_keys;
+        std::vector<SegmentData*> ptrs;
+        NewSegments(models, std::span<const K>(block, n),
+                    std::span<const V>(values, n), &first_keys, &ptrs);
+        FreeBlock(block);
+        Replace(seg, first_keys, ptrs);
+      }
     }
-
-    // Merge straight into a block the segment can own: when the cone keeps
-    // the merged keys in one model, that block becomes the new page.
-    K* block = NewBlock(n, seg);
-    V* values = BlockValues(block, n);
-    [[maybe_unused]] const size_t merged = detail::MergePageWithBuffer<K, V>(
-        seg->keys, seg->values(), seg->n, seg->buffer, block, values);
-    assert(merged == n);
-    seg->buffer.clear();
-    seg->buffer.shrink_to_fit();
-    const auto models = SegmentShrinkingCone<K>(
-        std::span<const K>(block, n), config_.error, config_.feasibility);
-    stats_.segments_created += models.size();
-    if (models.size() == 1) {
-      SetModel(*seg, models[0]);
-      AdoptBlock(*seg, block, n);
-      directory_.Splice(fpos, 1, std::span<const K>(&seg->first_key, 1),
-                        std::span<SegmentData* const>(&seg, 1));
-      CompactArena();
-      return;
-    }
-
-    // A split: each model copies its range into a block of its own, the
-    // first reusing the merged segment's slot, and the merge block goes.
-    std::vector<K> new_keys;
-    std::vector<SegmentData*> new_ptrs;
-    new_keys.reserve(models.size());
-    new_ptrs.reserve(models.size());
-    for (size_t m = 0; m < models.size(); ++m) {
-      SegmentData* target = m == 0 ? seg : NewSegment();
-      const Segment<K>& model = models[m];
-      SetModel(*target, model);
-      StoreBlock(*target, std::span<const K>(block + model.start, model.length),
-                 std::span<const V>(values + model.start, model.length));
-      new_keys.push_back(model.first_key);
-      new_ptrs.push_back(target);
-    }
-    arena_.Free(block);
-    // The replacement models span the same key range in order, so the
-    // splice is positional.
-    directory_.Splice(fpos, 1, new_keys, new_ptrs);
+    sync_.Retire([this, seg] { FreeSegment(seg); });
     CompactArena();
   }
 
-  FitingTreeConfig config_;
+  Config config_;
   size_t effective_buffer_ = 0;
   SegmentArena arena_;  // every segment's page block
-  std::vector<std::unique_ptr<SegmentData>> segments_;
-  Directory directory_;
-  size_t size_ = 0;
-  FitingTreeStats stats_;
+  Counters counts_;
+  // The directory plus the policy's tree-wide state. Last, so its teardown
+  // (finishing queued merges, deleting the live segments) sees the rest.
+  Shared sync_;
 };
 
 }  // namespace fitree

@@ -1,8 +1,16 @@
-// The unified engine contract (ISSUE 9 api_redesign): one documented
-// surface that every FITing-Tree engine — static, buffered, concurrent,
-// disk — exposes identically, so generic layers (the sharded server in
-// server/, the differential oracle in tests/oracle.h) compile against a
-// concept instead of a particular tree.
+// The unified engine contract: one documented surface that every
+// FITing-Tree engine exposes identically, so generic layers (the sharded
+// server in server/, the differential oracle in tests/oracle.h) compile
+// against a concept instead of a particular tree. The engines:
+//   StaticFitingTree       read-only pages (core/static_fiting_tree.h);
+//   FitingTree             per-segment delta buffers, single writer
+//                          (core/fiting_tree.h);
+//   ConcurrentFitingTree   the same tree under the Concurrent sync policy:
+//                          lock-free readers, latched writers
+//                          (concurrency/concurrent_fiting_tree.h);
+//   DiskFitingTree         pages in a file behind a buffer pool, with an
+//                          in-memory delta overlay
+//                          (storage/disk_fiting_tree.h).
 //
 // The read surface (IndexApi):
 //   using Key / using Payload     the key and payload value types

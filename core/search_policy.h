@@ -16,8 +16,8 @@
 // remaining <=128-key run is resolved by counting keys below the probe with
 // vector compares — AVX2 on x86-64 (picked at runtime via
 // __builtin_cpu_supports, so a baseline -march build still ships the fast
-// kernel), NEON on aarch64, and a portable scalar count everywhere else
-// (including -DFITREE_NO_SIMD / the FITREE_PORTABLE CMake option, which CI
+// kernel) and a portable scalar count everywhere else, aarch64 included
+// (and under -DFITREE_NO_SIMD / the FITREE_PORTABLE CMake option, which CI
 // builds to keep the fallback compiled and tested).
 
 #ifndef FITREE_CORE_SEARCH_POLICY_H_
@@ -35,9 +35,6 @@
     (defined(__GNUC__) || defined(__clang__))
 #define FITREE_SIMD_AVX2 1
 #include <immintrin.h>
-#elif !defined(FITREE_NO_SIMD) && defined(__aarch64__) && defined(__ARM_NEON)
-#define FITREE_SIMD_NEON 1
-#include <arm_neon.h>
 #endif
 
 namespace fitree {
@@ -224,96 +221,13 @@ __attribute__((target("avx2"))) inline size_t CountGreater32Avx2(
   return count;
 }
 
-#elif defined(FITREE_SIMD_NEON)
-
-// aarch64 baseline always has NEON: no runtime dispatch needed.
-inline size_t CountLess64Neon(const void* data, size_t n, uint64_t key,
-                              uint64_t bias) {
-  const auto* p = static_cast<const unsigned char*>(data);
-  const int64x2_t kv = vdupq_n_s64(static_cast<int64_t>(key ^ bias));
-  const int64x2_t bv = vdupq_n_s64(static_cast<int64_t>(bias));
-  int64x2_t acc = vdupq_n_s64(0);
-  size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    int64x2_t v = vreinterpretq_s64_u8(vld1q_u8(p + i * 8));
-    v = veorq_s64(v, bv);
-    // The compare mask is all-ones (-1) per matching lane; subtracting it
-    // accumulates the count branchlessly.
-    acc = vsubq_s64(acc, vreinterpretq_s64_u64(vcltq_s64(v, kv)));
-  }
-  size_t count =
-      static_cast<size_t>(vgetq_lane_s64(acc, 0) + vgetq_lane_s64(acc, 1));
-  for (; i < n; ++i) {
-    uint64_t x;
-    std::memcpy(&x, p + i * 8, 8);
-    count += static_cast<int64_t>(x ^ bias) <
-                     static_cast<int64_t>(key ^ bias)
-                 ? 1
-                 : 0;
-  }
-  return count;
-}
-
-inline size_t CountGreater64Neon(const void* data, size_t n, uint64_t key,
-                                 uint64_t bias) {
-  const auto* p = static_cast<const unsigned char*>(data);
-  const int64x2_t kv = vdupq_n_s64(static_cast<int64_t>(key ^ bias));
-  const int64x2_t bv = vdupq_n_s64(static_cast<int64_t>(bias));
-  int64x2_t acc = vdupq_n_s64(0);
-  size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    int64x2_t v = vreinterpretq_s64_u8(vld1q_u8(p + i * 8));
-    v = veorq_s64(v, bv);
-    acc = vsubq_s64(acc, vreinterpretq_s64_u64(vcgtq_s64(v, kv)));
-  }
-  size_t count =
-      static_cast<size_t>(vgetq_lane_s64(acc, 0) + vgetq_lane_s64(acc, 1));
-  for (; i < n; ++i) {
-    uint64_t x;
-    std::memcpy(&x, p + i * 8, 8);
-    count += static_cast<int64_t>(x ^ bias) >
-                     static_cast<int64_t>(key ^ bias)
-                 ? 1
-                 : 0;
-  }
-  return count;
-}
-
-// {64-bit key, 64-bit payload} records: vld2q deinterleaves the stride.
-inline size_t CountLessPairs64Neon(const void* data, size_t n, uint64_t key,
-                                   uint64_t bias) {
-  const auto* p = static_cast<const uint64_t*>(data);
-  const int64x2_t kv = vdupq_n_s64(static_cast<int64_t>(key ^ bias));
-  const int64x2_t bv = vdupq_n_s64(static_cast<int64_t>(bias));
-  int64x2_t acc = vdupq_n_s64(0);
-  size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    const uint64x2x2_t rec = vld2q_u64(p + i * 2);
-    int64x2_t v = veorq_s64(vreinterpretq_s64_u64(rec.val[0]), bv);
-    acc = vsubq_s64(acc, vreinterpretq_s64_u64(vcltq_s64(v, kv)));
-  }
-  size_t count =
-      static_cast<size_t>(vgetq_lane_s64(acc, 0) + vgetq_lane_s64(acc, 1));
-  for (; i < n; ++i) {
-    uint64_t x;
-    std::memcpy(&x, p + i * 2, 8);
-    count += static_cast<int64_t>(x ^ bias) <
-                     static_cast<int64_t>(key ^ bias)
-                 ? 1
-                 : 0;
-  }
-  return count;
-}
-
-#endif  // FITREE_SIMD_AVX2 / FITREE_SIMD_NEON
+#endif  // FITREE_SIMD_AVX2
 
 // The instruction set the vector kernels actually run with on this machine
 // (captured in bench metadata so ablation numbers are attributable).
 inline const char* IsaName() {
 #if defined(FITREE_SIMD_AVX2)
   return HaveAvx2() ? "avx2" : "scalar";
-#elif defined(FITREE_SIMD_NEON)
-  return "neon";
 #else
   return "scalar";
 #endif
@@ -330,8 +244,6 @@ inline size_t CountLess(const K* data, size_t n, const K& key) {
     if (HaveAvx2()) {
       return CountLess64Avx2(data, n, static_cast<uint64_t>(key), Bias64<K>());
     }
-#elif defined(FITREE_SIMD_NEON)
-    return CountLess64Neon(data, n, static_cast<uint64_t>(key), Bias64<K>());
 #endif
   } else if constexpr (std::is_integral_v<K> && sizeof(K) == 4) {
 #if defined(FITREE_SIMD_AVX2)
@@ -355,9 +267,6 @@ inline size_t CountLessEq(const K* data, size_t n, const K& key) {
       return n - CountGreater64Avx2(data, n, static_cast<uint64_t>(key),
                                     Bias64<K>());
     }
-#elif defined(FITREE_SIMD_NEON)
-    return n - CountGreater64Neon(data, n, static_cast<uint64_t>(key),
-                                  Bias64<K>());
 #endif
   } else if constexpr (std::is_integral_v<K> && sizeof(K) == 4) {
 #if defined(FITREE_SIMD_AVX2)
@@ -387,9 +296,6 @@ inline size_t CountLessStrided(const void* base, size_t stride_bytes, size_t n,
         return CountLessPairs64Avx2(base, n, static_cast<uint64_t>(key),
                                     Bias64<K>());
       }
-#elif defined(FITREE_SIMD_NEON)
-      return CountLessPairs64Neon(base, n, static_cast<uint64_t>(key),
-                                  Bias64<K>());
 #endif
     }
   }

@@ -8,15 +8,16 @@
 // Allocation bumps through the tree's current chunk, or through the tail of
 // the chunk filled before it when the block still fits there. Each chunk
 // counts its live bytes, and a 16-byte header before each block names the
-// block's owner. A freed block's space is not reused: its chunk is
-// released once its last block goes. Released 2 MiB chunks go to one
+// block's owner, if it has one. A freed block's space is not reused: its
+// chunk is released once its last block goes. Released 2 MiB chunks go to one
 // process-wide free list (mutex-guarded, capped at the process's peak live
 // arena bytes), so a rebuilt tree takes its pages from the one dropped
 // before it instead of faulting fresh memory. Merge churn would otherwise
 // leave many sparsely filled chunks behind: when a tree's mapped bytes
 // exceed twice its live bytes plus kSlackBytes, Compact has the owners of
 // the sparsest chunk's blocks move them (FitingTree calls it after every
-// merge).
+// merge). A block without an owner stays where it is: one still being
+// filled, or one that waits to be freed until no reader can hold it.
 //
 // A block larger than one chunk gets a chunk of its own, sized to fit. A
 // bulk load announces its total (ExpectBytes) so its final, partly filled
@@ -27,8 +28,9 @@
 // chunk's unallocated tail, every freed block, and a kRedzoneBytes gap
 // after every block, so an over-read past a page still reports.
 //
-// A SegmentArena is single-threaded, like the tree that owns it; only the
-// process-wide free list is shared.
+// A SegmentArena is not thread-safe: a tree that shares one between threads
+// serializes every call (the concurrent tree holds a mutex). Only the
+// process-wide free list is shared between arenas.
 
 #ifndef FITREE_CORE_SEGMENT_ARENA_H_
 #define FITREE_CORE_SEGMENT_ARENA_H_
@@ -257,9 +259,8 @@ class SegmentArena {
   // left stays on 4 KiB pages. The announcement lapses once they are.
   void ExpectBytes(size_t bytes) { expected_ = bytes; }
 
-  // A block of `bytes` > 0 bytes, 16-byte aligned, owned by `owner`
-  // (handed back by Compact when the block has to move).
-  void* Allocate(size_t bytes, void* owner) {
+  // A block of `bytes` > 0 bytes, 16-byte aligned, without an owner.
+  void* Allocate(size_t bytes) {
     constexpr size_t kUsable = kChunkBytes - arena_detail::kLineBytes;
     const size_t span = SpanOf(bytes);
     // The chunk an announced bulk load will not fill stays on 4 KiB pages.
@@ -289,16 +290,22 @@ class SegmentArena {
     c->live += span;
     live_ += span;
     arena_detail::Unpoison(start, sizeof(BlockHeader) + bytes);
-    new (start) BlockHeader{owner, span};
+    new (start) BlockHeader{nullptr, span};
     return start + sizeof(BlockHeader);
+  }
+
+  // Names the owner Compact hands `block` back to when it has to move;
+  // nullptr pins the block where it is.
+  static void SetOwner(void* block, void* owner) {
+    HeaderOfBlock(block)->owner = owner;
   }
 
   void Free(void* block) {
     BlockHeader* h = HeaderOfBlock(block);
     ChunkHeader* c = arena_detail::HeaderOf(h);
     const size_t span = h->span;
-    assert(h->owner != nullptr && c->live >= span && live_ >= span);
-    h->owner = nullptr;
+    assert(h->owner != FreedTag() && c->live >= span && live_ >= span);
+    h->owner = FreedTag();
     arena_detail::Poison(block, span - sizeof(BlockHeader));
     c->live -= span;
     live_ -= span;
@@ -315,11 +322,13 @@ class SegmentArena {
   }
 
   // Holds mapped bytes to twice the live bytes plus kSlackBytes: while
-  // over, calls move(owner) for every live block of the sparsest chunk,
+  // over, calls move(owner) for every owned block of the sparsest chunk,
   // and each call must give its block a fresh allocation and free the old
-  // one, which releases the chunk. Returns the number of chunks emptied.
-  // A chunk qualifies only when less than half full, so each move frees
-  // more than it fills and the loop ends within one pass over the chunks.
+  // one (or pin it, to free later), which releases the chunk once nothing
+  // pinned is left in it. Returns the number of chunks moved out of. A
+  // chunk qualifies only when less than half full, so each move frees
+  // more than it fills and the loop ends within one pass over the chunks;
+  // it ends early at a chunk that holds only pinned blocks.
   template <typename Move>
   size_t Compact(Move move) {
     size_t moved = 0;
@@ -327,7 +336,9 @@ class SegmentArena {
          rounds > 0 && mapped_ > 2 * live_ + kSlackBytes; --rounds) {
       const ChunkHeader* victim = SparsestChunk();
       if (victim == nullptr) break;
-      for (void* owner : Owners(victim)) move(owner);
+      const std::vector<void*> owners = Owners(victim);
+      if (owners.empty()) break;
+      for (void* owner : owners) move(owner);
       ++moved;
     }
     relocations_ += moved;
@@ -353,9 +364,14 @@ class SegmentArena {
 
   // Precedes every block; never poisoned, so Owners can walk a chunk.
   struct BlockHeader {
-    void* owner;  // nullptr once freed
+    void* owner;  // nullptr while pinned, FreedTag() once freed
     size_t span;
   };
+
+  static void* FreedTag() {
+    static char tag;
+    return &tag;
+  }
 
   // The 2 MiB chunk whose blocks are cheapest to move, skipping the two
   // being filled and any at least half full (moving those frees nothing);
@@ -377,7 +393,9 @@ class SegmentArena {
     for (size_t at = arena_detail::kLineBytes; at < c->used;) {
       const auto* h = reinterpret_cast<const BlockHeader*>(
           reinterpret_cast<const char*>(c) + at);
-      if (h->owner != nullptr) owners.push_back(h->owner);
+      if (h->owner != nullptr && h->owner != FreedTag()) {
+        owners.push_back(h->owner);
+      }
       at += h->span;
     }
     return owners;

@@ -1,7 +1,7 @@
 // ShardedIndex<Engine>: a batched, range-partitioned index server over any
 // engine modeling MutableIndexApi (core/index_api.h).
 //
-// Architecture (ISSUE 9 tentpole):
+// Architecture:
 //
 //   client threads                 shard workers (one thread per shard)
 //   --------------                 -----------------------------------

@@ -214,9 +214,8 @@ class BufferPool {
 
   // Drops one pin. Returns false — leaving all pool state untouched — when
   // `page_id` is not resident or has no outstanding pin. Misuse is a hard
-  // error in every build type (ISSUE 10 satellite: the old assert-only
-  // guards vanished in release builds and let pin underflow corrupt the
-  // CLOCK state silently).
+  // error in every build type: an assert-only guard would vanish in
+  // release builds and let pin underflow corrupt the CLOCK state silently.
   [[nodiscard]] bool Unpin(uint32_t page_id) {
     const uint32_t frame = FrameOf(page_id);
     if (frame == kNoFrame) return false;

@@ -39,12 +39,11 @@
 // Both write through storage/segment_file.h's one page encoder and file
 // writer; this class never sees a page's layout.
 //
-// Incremental compactions are scheduled off the mutation path in the
-// merge_worker style — mutations enqueue (deduplicated) segments whose
-// overlay crossed Options::compact_threshold_pct percent of their length,
-// and each mutation call drains at most one pending segment — except that
-// the drain runs on the OWNER thread, because this engine is
-// single-threaded by contract (a background thread would race every read).
+// Incremental compactions run inside the mutation whose overlay entry
+// brings its segment's overlay to Options::compact_threshold_pct percent
+// of the segment's length, on the caller's thread: this engine is
+// single-threaded by contract, so there is no other thread to hand the
+// work to, and queueing it would only defer it to the next mutation.
 //
 // The lookup shares core::ErrorWindow with StaticFitingTree::Bound, so a
 // serialized tree answers every query identically to its in-memory
@@ -65,7 +64,6 @@
 #include <limits>
 #include <memory>
 #include <optional>
-#include <set>
 #include <span>
 #include <string>
 #include <type_traits>
@@ -118,10 +116,10 @@ class DiskFitingTree {
     // neighbour only when the answer lies past that page's slice of the
     // error window.
     size_t cache_pages = 64;
-    // Incremental compaction trigger, percent of segment length; a
-    // segment whose overlay reaches max(8, length * pct / 100) entries is
-    // queued and drained one-per-mutation (an empty base file's one slot
-    // at 8), by the full Compact() once dead pages reach the live ones.
+    // Incremental compaction trigger, percent of segment length: the
+    // mutation that brings a segment's overlay to max(8, length * pct /
+    // 100) entries (an empty base file's one slot: 8) compacts it, with
+    // the full Compact() once dead pages reach the live ones.
     // 0 disables the automatic path (CompactSegment stays callable).
     size_t compact_threshold_pct = 0;
     // Test hook, fired after each named compaction step (crash points).
@@ -254,7 +252,6 @@ class DiskFitingTree {
   // key was new (set semantics); inserting a key present in the base file
   // or overlay returns false without touching anything.
   bool Insert(const K& key, const Payload& value) {
-    DrainOneCompaction();
     telemetry::ScopedOp telem(telemetry::Engine::kDisk,
                               telemetry::Op::kInsert);
     const size_t slot = DeltaSlot(key);
@@ -271,14 +268,13 @@ class DiskFitingTree {
     delta.insert(it, DeltaEntry{key, value, false});
     ++delta_entries_;
     ++size_;
-    MaybeScheduleCompaction(slot);
+    MaybeCompact(slot);
     return true;
   }
 
   // Replaces the payload of a present key (a paged key gets a live
   // override in the overlay). Returns false when absent.
   bool Update(const K& key, const Payload& value) {
-    DrainOneCompaction();
     telemetry::ScopedOp telem(telemetry::Engine::kDisk,
                               telemetry::Op::kUpdate);
     const size_t slot = DeltaSlot(key);
@@ -292,14 +288,13 @@ class DiskFitingTree {
     if (!BaseLookup(key).has_value()) return false;
     delta.insert(it, DeltaEntry{key, value, false});
     ++delta_entries_;
-    MaybeScheduleCompaction(slot);
+    MaybeCompact(slot);
     return true;
   }
 
   // Removes `key`. A paged key gets a tombstone (cleared by compaction);
   // an overlay-only key is dropped outright. Returns false when absent.
   bool Delete(const K& key) {
-    DrainOneCompaction();
     telemetry::ScopedOp telem(telemetry::Engine::kDisk,
                               telemetry::Op::kDelete);
     const size_t slot = DeltaSlot(key);
@@ -320,7 +315,7 @@ class DiskFitingTree {
     delta.insert(it, DeltaEntry{key, 0, true});
     ++delta_entries_;
     --size_;
-    MaybeScheduleCompaction(slot);
+    MaybeCompact(slot);
     return true;
   }
 
@@ -489,7 +484,6 @@ class DiskFitingTree {
     const size_t cap = reader_.meta().leaf_capacity;
     const DeltaBuffer& overlay = deltas_[slot];
     const size_t consumed = overlay.size();
-    compact_pending_.erase(PendingKey(slot));
 
     // 1. Merged view of this one segment: its paged entries merged with its
     // overlay slot, tombstones dropped, overrides applied.
@@ -657,7 +651,6 @@ class DiskFitingTree {
     st.Add("compactions", static_cast<double>(compactions_));
     st.Add("incremental_compactions",
            static_cast<double>(incremental_compactions_));
-    st.Add("compact_pending", static_cast<double>(compact_pending_.size()));
     st.Add("last_compact_ns", static_cast<double>(last_compact_ns_));
     st.Add("compact_pages_rewritten",
            static_cast<double>(compact_pages_rewritten_));
@@ -698,7 +691,6 @@ class DiskFitingTree {
         std::max<size_t>(1, options_.cache_pages));
     RebuildDirectory();
     deltas_.assign(std::max<size_t>(1, segments_.size()), DeltaBuffer{});
-    compact_pending_.clear();
     delta_entries_ = 0;
     size_ = reader_.meta().key_count;
     return true;
@@ -752,47 +744,24 @@ class DiskFitingTree {
                             fitree::detail::BufferKeyLess{});
   }
 
-  // The key `slot` is queued under: its segment's first key, not its
-  // index — indexes shift when an earlier republish splits a segment,
-  // first keys don't. An empty base file's one slot is queued under the
-  // lowest key, whose directory floor is slot 0 whatever the file holds.
-  K PendingKey(size_t slot) const {
-    return segments_.empty() ? std::numeric_limits<K>::lowest()
-                             : segments_[slot].seg.first_key;
-  }
-
-  // Queues `slot` for incremental compaction once its overlay crosses the
-  // threshold.
-  void MaybeScheduleCompaction(size_t slot) {
+  // Compacts `slot` once its overlay reaches the threshold. Republishes
+  // never reuse the pages they replace; once those reach the live ones,
+  // the full rewrite keeps only live pages: the file stays near twice its
+  // live size, each rewrite paid for by the appends.
+  void MaybeCompact(size_t slot) {
     if (options_.compact_threshold_pct == 0) return;
     const size_t length =
         segments_.empty() ? 0 : static_cast<size_t>(segments_[slot].seg.length);
     const size_t threshold = std::max<size_t>(
         8, length * options_.compact_threshold_pct / 100);
-    if (deltas_[slot].size() >= threshold) {
-      compact_pending_.insert(PendingKey(slot));
-    }
-  }
-
-  // Drains at most ONE pending segment (merge_worker-style bounded drain,
-  // on the owner thread): called at the top of every mutation, so the
-  // compaction a mutation triggers runs at the start of the next one.
-  void DrainOneCompaction() {
-    if (compact_pending_.empty()) return;
-    // Republishes never reuse the pages they replace. Once those reach the
-    // live ones, the full rewrite keeps only live pages: the file stays
-    // near twice its live size, each rewrite paid for by the appends.
+    if (deltas_[slot].size() < threshold) return;
     const SegmentFileMeta& m = reader_.meta();
     if (m.total_pages >=
         2 * (kNumMetaSlots + m.segment_page_count + m.leaf_page_count)) {
-      compact_pending_.clear();  // folded, or re-queued by later mutations
       (void)Compact();
-      return;
+    } else {
+      (void)CompactSegment(slot);
     }
-    const K key = *compact_pending_.begin();
-    compact_pending_.erase(compact_pending_.begin());
-    const size_t floor = FloorSlot(key);
-    (void)CompactSegment(floor == kNoSlot ? 0 : floor);
   }
 
   // Prefetch the predicted rank's position in its resident pool frame (if
@@ -930,7 +899,6 @@ class DiskFitingTree {
   std::vector<SegmentRecord<K>> segments_;
   FlatKeyIndex<K> directory_;  // segment first keys; floor index = id
   std::vector<DeltaBuffer> deltas_;  // parallel to segments_ (>= 1 slot)
-  std::set<K> compact_pending_;   // first keys of queued segments (dedup)
   size_t delta_entries_ = 0;      // live + tombstone entries across slots
   size_t size_ = 0;               // live keys: base + inserts - deletes
   uint64_t compactions_ = 0;

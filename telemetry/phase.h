@@ -15,7 +15,7 @@
 // EXPERIMENTS.md "Profiling"). Phase counts are therefore *sample* counts
 // — the same population the op latency histograms describe — not exact
 // call counts; that is what keeps 3-4 spans per op inside the +10-20
-// ns/op instrumentation envelope established in PR 7.
+// ns/op instrumentation envelope.
 //
 // Nesting: spans form a stack per thread, and a span records its SELF
 // time — wall time minus enclosed child spans — so the phases of one op

@@ -2,8 +2,9 @@
 // sequence-validated segment latch, the background merge worker, and the
 // ConcurrentFitingTree itself — sequential CRUD correctness against the
 // shared differential driver (tests/oracle.h), multi-threaded partitioned
-// CRUD stress with exact per-thread oracles, and a no-leak shutdown
-// assertion for the epoch retire list.
+// CRUD stress with exact per-thread oracles, arena relocations under
+// lock-free readers, and a no-leak shutdown assertion for the epoch
+// retire list.
 
 #include <gtest/gtest.h>
 
@@ -277,6 +278,60 @@ TEST(ConcurrentCrudProperty, PartitionedStressBackgroundMerge) {
   RunStress(true);
 }
 
+// Four writers churn small segments until the segment arena has to move
+// pages (SegmentArena::Compact) while the same threads keep looking them
+// up and scanning them. A relocation must copy the page and retire the old
+// block through the epoch: a reader still searching it would otherwise
+// read freed (ASan) or rewritten (TSan) memory. With the background
+// worker, its queue holds raw segment pointers that a relocation must not
+// free either.
+void RunArenaStress(bool background_merge) {
+  constexpr int kThreads = 4;
+  CrudOptions opt;
+  opt.seed = 0xA7E4A;
+  opt.ops = PropertyOps(60000);
+  opt.key_space = 40000;
+  opt.mix = {.insert = 0.3, .update = 0.1, .del = 0.25, .lookup = 0.15,
+             .scan = 0.2};
+  opt.scan_span = 256;
+
+  std::vector<int64_t> keys;
+  std::vector<uint64_t> values;
+  std::vector<std::map<int64_t, uint64_t>> oracles;
+  MakePartitionedLoad(opt, kThreads, /*load_every=*/2, &keys, &values,
+                      &oracles);
+
+  ConcurrentFitingTreeConfig config;
+  config.error = 4.0;
+  config.buffer_size = 4;
+  config.background_merge = background_merge;
+  auto tree = ConcurrentFitingTree<int64_t>::Create(keys, values, config);
+
+  ASSERT_NO_FATAL_FAILURE(RunPartitionedCrud(
+      *tree, kThreads, opt, std::move(oracles),
+      [&] { tree->QuiesceMerges(); }));
+
+  // Compaction stops at a chunk whose moved blocks still wait for
+  // readers, so once those are freed the arena may hold one chunk more
+  // than the single-threaded bound.
+  EXPECT_TRUE(tree->epoch().DrainAll());
+  EXPECT_EQ(tree->epoch().retired_count(), tree->epoch().freed_count());
+  const auto stats = tree->Stats();
+  EXPECT_GT(stats.Get("arena_relocations"), 0.0);
+  EXPECT_LE(stats.Get("arena_mapped_bytes"),
+            2.0 * stats.Get("arena_live_bytes") +
+                static_cast<double>(fitree::SegmentArena::kSlackBytes +
+                                    fitree::SegmentArena::kChunkBytes));
+}
+
+TEST(ConcurrentArena, RelocationUnderReadersInlineMerge) {
+  RunArenaStress(false);
+}
+
+TEST(ConcurrentArena, RelocationUnderReadersBackgroundMerge) {
+  RunArenaStress(true);
+}
+
 // The single-threaded differential stream, same driver as the core and
 // disk suites: exact op-by-op agreement with std::map, merges included.
 TEST(ConcurrentCrudProperty, DifferentialVsMapOracle) {
@@ -306,14 +361,14 @@ TEST(ConcurrentFitingTree, DeleteThenReinsertAndBufferOnlyUpdate) {
   EXPECT_TRUE(tree->Delete(30));
   EXPECT_FALSE(tree->Delete(30));
   EXPECT_EQ(tree->Lookup(30), std::nullopt);
-  EXPECT_TRUE(tree->Insert(30, 77));  // tombstone flips to live override
+  EXPECT_TRUE(tree->Insert(30, 77));  // drops the tombstone, new payload
   EXPECT_EQ(tree->Lookup(30), std::optional<uint64_t>(77));
   EXPECT_EQ(tree->size(), 5u);
   // Update of a key living only in the delta buffer.
   ASSERT_TRUE(tree->Insert(25, 1));
   EXPECT_TRUE(tree->Update(25, 2));
   EXPECT_EQ(tree->Lookup(25), std::optional<uint64_t>(2));
-  // Update of a paged key writes a live override (page is immutable).
+  // Update of a paged key rewrites its payload in the page.
   EXPECT_TRUE(tree->Update(20, 9));
   EXPECT_EQ(tree->Lookup(20), std::optional<uint64_t>(9));
   EXPECT_FALSE(tree->Update(99, 1));

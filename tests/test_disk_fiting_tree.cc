@@ -730,8 +730,8 @@ TEST(DiskFitingTree, EmptyFileBootstrapsThroughIncrementalCompaction) {
     const int64_t key = static_cast<int64_t>(rng() % 1'000'000'000'000ull);
     const uint64_t value = rng();
     ASSERT_EQ(disk->Insert(key, value), oracle.emplace(key, value).second);
-    // Republishes orphan the pages they replace; the drain's full rewrite
-    // keeps the file within 4x the 16-byte entries inserted so far.
+    // Republishes orphan the pages they replace; the threshold's full
+    // rewrite keeps the file within 4x the 16-byte entries inserted so far.
     if (i % 4096 == 4095) {
       ASSERT_LE(disk->FileBytes(), 64 * (i + 1)) << i;
     }
@@ -818,7 +818,7 @@ TEST(DiskCrudProperty, DifferentialWithIncrementalCompaction) {
     auto disk = OpenWritable(keys, values, 16.0, 16, "differential_incr",
                              &path, /*compact_threshold_pct=*/5, page_bytes);
     ASSERT_NE(disk, nullptr);
-    // The checkpoint bounds the file: until the next drain the dead pages
+    // The checkpoint bounds the file: until the next compaction the dead pages
     // stay below the live ones (two meta slots, a table no larger than the
     // leaves, the leaves), and one republish adds at most as many again.
     opt.checkpoint = [&] {

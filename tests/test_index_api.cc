@@ -98,8 +98,9 @@ TEST(IndexApiContract, ConcurrentEngineMatchesOracle) {
   std::vector<uint64_t> values;
   std::map<int64_t, uint64_t> oracle;
   MakeInitialLoad(opt, /*load_every=*/4, &keys, &values, &oracle);
-  auto tree = Concurrent::Create(keys, values,
-                                 ConcurrentFitingTreeConfig{.error = 32.0});
+  ConcurrentFitingTreeConfig config;
+  config.error = 32.0;
+  auto tree = Concurrent::Create(keys, values, config);
   opt.checkpoint = [&] { tree->QuiesceMerges(); };
   ASSERT_NO_FATAL_FAILURE(RunCrudDifferential(*tree, oracle, opt));
 }
@@ -142,8 +143,9 @@ TEST(IndexApiContract, ScanRangeReturnsEmittedCount) {
   for (int64_t i = 0; i < 512; ++i) keys.push_back(i * 3);
   auto buffered = Buffered::Create(keys, {}, FitingTreeConfig{.error = 16.0});
   auto statict = Static::Create(keys, /*error=*/16.0);
-  auto concurrent =
-      Concurrent::Create(keys, {}, ConcurrentFitingTreeConfig{.error = 16.0});
+  ConcurrentFitingTreeConfig config;
+  config.error = 16.0;
+  auto concurrent = Concurrent::Create(keys, {}, config);
   ExpectScanCountsMatch(*buffered, 30, 300);
   ExpectScanCountsMatch(*statict, 30, 300);
   ExpectScanCountsMatch(*concurrent, 30, 300);

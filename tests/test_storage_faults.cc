@@ -1,4 +1,4 @@
-// Failure-path coverage for the storage layer (ISSUE 10): fault-injected
+// Failure-path coverage for the storage layer: fault-injected
 // writes through the PageSink seam, torn and truncated index files against
 // SegmentFileReader::Open / ReadPageInto, crash-leftover resolution for
 // the full-rewrite temp file, and a fork-based kill-at-point replay that
@@ -378,26 +378,33 @@ TEST(CrashReplay, IncrementalMetaSynced) {
 }
 
 // The threshold-driven path reaches the same incremental machinery from a
-// plain mutation: queue a segment by routing enough overlay entries at it,
-// then crash inside the drain that the NEXT mutation performs.
-TEST(CrashReplay, ThresholdDrivenDrainSurvivesKillAtMetaWritten) {
+// plain mutation: route overlay entries at one segment until one brings
+// its overlay to the threshold, and crash inside the compaction that very
+// mutation runs.
+TEST(CrashReplay, ThresholdDrivenCompactionSurvivesKillAtMetaWritten) {
   const std::string path = TempPath("crash_threshold.fit");
   ASSERT_TRUE(WriteBaseFile(path, kCrashKeys));
   const pid_t pid = fork();
   ASSERT_GE(pid, 0);
   if (pid == 0) {
+    // max(8, len/100): the 8th overlay entry crosses the threshold.
+    constexpr int64_t kCrossing = 7;
+    int64_t in_flight = -1;  // index of the Update being applied
     typename DiskFitingTree<int64_t>::Options options;
     options.cache_pages = 64;
-    options.compact_threshold_pct = 1;  // max(8, len/100): 8 entries queue it
-    options.compact_hook = [](CompactPoint p) {
-      if (p == CompactPoint::kMetaWritten) _exit(0);
+    options.compact_threshold_pct = 1;
+    options.compact_hook = [&in_flight](CompactPoint p) {
+      if (p != CompactPoint::kMetaWritten) return;
+      // Compacted by the wrong mutation: the trigger is off by some.
+      _exit(in_flight == kCrossing ? 0 : 5);
     };
     auto tree = DiskFitingTree<int64_t>::Open(path, options);
     if (tree == nullptr) _exit(3);
     for (int64_t k = 0; k < 64; ++k) {
+      in_flight = k;
       if (!tree->Update(k * 10, 1)) _exit(4);
     }
-    _exit(1);  // never drained a compaction: the trigger is broken
+    _exit(1);  // never ran a compaction: the trigger is broken
   }
   int status = 0;
   ASSERT_EQ(waitpid(pid, &status, 0), pid);
