@@ -167,83 +167,6 @@ void BenchConfig(Runner& runner, const std::string& method,
   }
 }
 
-// Multiget cells, run at cache fractions far below 1 where nearly every
-// probe faults: identical 64-key batches served two ways, a serial Lookup
-// loop (one predicted-page fault at a time) vs LookupBatch (which
-// overlaps all of a batch's misses in one submission). IOPS here is data
-// pages actually read per second of wall time, so a mode that reads MORE
-// pages but stalls less shows up honestly on both axes.
-void BenchAsyncReads(Runner& runner, const std::string& method,
-                     const std::string& param, const std::string& path,
-                     const StaticFitingTree<int64_t>& oracle,
-                     const ProbeSet& set,
-                     std::span<const double> cache_fractions,
-                     uint64_t leaf_pages) {
-  constexpr size_t kBatch = 64;
-  for (const double fraction : cache_fractions) {
-    const size_t cache_pages = std::max<uint64_t>(
-        4, static_cast<uint64_t>(fraction * static_cast<double>(leaf_pages)));
-    const std::string frac_cell = TablePrinter::Fmt(fraction, 2);
-
-    // Both modes attempt O_DIRECT: on a freshly written file every
-    // buffered read is a warm page-cache hit, which measures syscall +
-    // checksum CPU rather than I/O — the axis the async path exists for.
-    // Falls back to buffered (and says so in io_mode) where the
-    // filesystem or page size refuses direct reads.
-    for (const bool batched : {false, true}) {
-      DiskFitingTree<int64_t>::Options options;
-      options.cache_pages = cache_pages;
-      options.io_direct = true;
-      auto disk = DiskFitingTree<int64_t>::Open(path, options);
-      if (disk == nullptr) Die("disk: cannot open " + path);
-      const std::string label = method + " " + param +
-                                (batched ? " multiget=batch" : " multiget=sync");
-      ValidateOrDie(*disk, oracle, *set.probes, label);
-      const std::vector<int64_t>& probes = *set.probes;
-      const size_t batches = probes.size() / kBatch;
-      if (batches == 0) break;
-      const size_t ops = batches * kBatch;
-      std::vector<std::optional<uint64_t>> out(kBatch);
-      IoStats io{};
-      const Stats stats = runner.CollectReps([&] {
-        disk->ResetIoStats();
-        const double ns_per_batch = TimedLoopNsPerOp(batches, [&](size_t b) {
-          const int64_t* chunk = probes.data() + b * kBatch;
-          uint64_t sum = 0;
-          if (batched) {
-            disk->LookupBatch(chunk, kBatch, out.data());
-            for (const auto& v : out) sum += v.value_or(0);
-          } else {
-            for (size_t i = 0; i < kBatch; ++i) {
-              sum += disk->Lookup(chunk[i]).value_or(0);
-            }
-          }
-          return sum;
-        });
-        io = disk->io();
-        return ns_per_batch / static_cast<double>(kBatch);  // ns per key
-      }, /*warmup=*/false);
-      const double pages_per_op =
-          static_cast<double>(io.pages_read) / static_cast<double>(ops);
-      runner.Report({{"op", "multiget"},
-                     {"method", method},
-                     {"param", param},
-                     {"access", set.name},
-                     {"cache_frac", frac_cell},
-                     {"mode", batched ? "batch" : "sync"},
-                     {"io", batched ? disk->BatchEngineName() : "sync"},
-                     {"io_mode", disk->DirectIo() ? "direct" : "buffered"}},
-                    stats,
-                    {{"pages_read_per_op", pages_per_op},
-                     {"hit_rate", io.HitRate()},
-                     {"io_per_sec", stats.mean > 0.0
-                                        ? pages_per_op / stats.mean * 1e9
-                                        : 0.0}});
-      if (disk->io_error()) Die("disk: I/O error in " + label);
-    }
-  }
-}
-
 void ReportFileShape(Runner& runner, const std::string& method,
                      const std::string& param, const std::string& path) {
   auto disk = DiskFitingTree<int64_t>::Open(path);
@@ -301,13 +224,6 @@ void RunDisk(Runner& runner) {
     ReportFileShape(runner, "FITing-Tree", param, path);
     BenchConfig(runner, "FITing-Tree", param, path, *oracle, probe_sets,
                 cache_fractions, cache_override, leaf_pages);
-    // The async-read cells live where the cache is far smaller than the
-    // data (fractions << 1); one error point keeps the sweep bounded.
-    if (error == 128.0 && cache_override == 0) {
-      const std::vector<double> cold_fractions{0.02, 0.10};
-      BenchAsyncReads(runner, "FITing-Tree", param, path, *oracle,
-                      probe_sets[0], cold_fractions, leaf_pages);
-    }
   }
 
   // Fixed paging: one data-blind segment per leaf page; the stored error

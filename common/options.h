@@ -1,8 +1,8 @@
 // Consolidated process-wide configuration. Every FITREE_* environment knob
 // that tunes engine behavior is resolved HERE, exactly once, into one
-// immutable fitree::Options value (GlobalOptions()). Engine config structs
-// default their fields from it, so a knob's default, parse rule, and clamp
-// live in a single place.
+// immutable fitree::Options value (GlobalOptions()). Its readers take each
+// field from it directly, so a knob's default, parse rule, and clamp live
+// in a single place.
 //
 // Knobs resolved here, each with the caller that sets it:
 //   FITREE_TRACE          0 | 1 trace-ring capture              (0)
@@ -14,11 +14,10 @@
 // Everything else is a constant the code picks for itself: the latency
 // sampling period is 64 (telemetry_sample; bench/e2e reads it to restore the
 // period after a traced window, tests change it with
-// telemetry::SetSamplePeriodForTest); the batched-read engine is io_uring
-// when the kernel allows it, else a pread pool (storage/async_io.h); the
-// server's shard count and drain batch are ShardedIndex::Config defaults;
-// the trace ring holds 4096 records. Bench-harness knobs (FITREE_BENCH_*)
-// stay in bench/ — they size workloads, not the engines.
+// telemetry::SetSamplePeriodForTest); the server's shard count and drain
+// batch are ShardedIndex::Config defaults; the trace ring holds 4096
+// records. Bench-harness knobs (FITREE_BENCH_*) stay in bench/ — they size
+// workloads, not the engines.
 
 #ifndef FITREE_COMMON_OPTIONS_H_
 #define FITREE_COMMON_OPTIONS_H_
@@ -44,8 +43,7 @@ struct Options {
 };
 
 // The process-wide Options, resolved from the environment on first use and
-// immutable afterwards. Config structs capture its fields as defaults at
-// construction time, so per-instance overrides still work as before.
+// immutable afterwards.
 inline const Options& GlobalOptions() {
   static const Options options = Options::FromEnvironment();
   return options;

@@ -32,8 +32,7 @@
 // pins the two-argument form.
 //
 // The contract has no batched or prefetch form: each engine prefetches
-// inside its own Lookup, and the one batched read,
-// DiskFitingTree::LookupBatch, is a plain method of the disk tree.
+// inside its own Lookup, and no engine has a batched read.
 //
 // StaticFitingTree models IndexApi plus Update (payload override on a
 // read-only key set) but not Insert/Delete, so it deliberately fails

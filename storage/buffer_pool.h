@@ -3,11 +3,9 @@
 // knob the disk benches sweep — frames * page_bytes is the fraction of the
 // file allowed to stay resident, and IoStats turns that into pages-read/op.
 //
-// FetchBatch is the async entry point: it pins a whole batch's hits first,
-// claims a victim frame for every distinct miss, and hands all the misses
-// to PageSource::ReadPagesInto in one call — so with a batched source
-// (io_uring / pread threads) the faults overlap instead of serializing. A
-// miss enters the page table only after its read verifies, as in Fetch.
+// Every miss is one PageSource::ReadPageInto call into a victim frame; the
+// page enters the page table only after its read verifies, so a failed
+// read leaves no pin and a free frame behind.
 //
 // Resident pages are found through a flat page table: one uint32_t frame
 // index per file page id, 4 B per file page (16 KiB per GiB of 4 KiB
@@ -24,7 +22,6 @@
 #ifndef FITREE_STORAGE_BUFFER_POOL_H_
 #define FITREE_STORAGE_BUFFER_POOL_H_
 
-#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -107,109 +104,6 @@ class BufferPool {
     f.valid = true;
     Install(page_id, victim);
     return FrameData(victim);
-  }
-
-  // Pins every page of the batch, resolving all misses through ONE
-  // PageSource::ReadPagesInto call so a batched source overlaps the reads.
-  // out[i] receives the pinned frame (caller must Unpin page_ids[i]) or
-  // nullptr when that page could not be staged — read/verify failure, or
-  // more distinct misses than evictable frames. Duplicate ids in one batch
-  // share a frame and each take their own pin. Returns the number of
-  // non-null entries.
-  size_t FetchBatch(const uint32_t* page_ids, size_t n,
-                    const std::byte** out) {
-    // Hits pin first, so no miss below can pick one of them as its victim.
-    struct Miss {
-      uint32_t page_id;
-      uint32_t slot;  // index into page_ids / out
-    };
-    std::vector<Miss> pending;
-    size_t staged = 0;
-    for (size_t i = 0; i < n; ++i) {
-      const uint32_t frame = FrameOf(page_ids[i]);
-      if (frame == kNoFrame) {
-        out[i] = nullptr;
-        pending.push_back({page_ids[i], static_cast<uint32_t>(i)});
-        continue;
-      }
-      Frame& f = frames_[frame];
-      ++f.pins;
-      f.referenced = true;
-      ++stats_.cache_hits;
-      telemetry::CounterAdd(telemetry::CounterId::kIoCacheHits);
-      out[i] = FrameData(frame);
-      ++staged;
-    }
-    if (pending.empty()) return staged;
-
-    // In-batch duplicates sort next to their first occurrence: each run of
-    // one id claims one victim frame and one read; the rest count as hits
-    // on it, or as misses when the run got no frame. A claimed frame is
-    // pinned but not yet in the page table.
-    std::sort(pending.begin(), pending.end(), [](const Miss& a, const Miss& b) {
-      return a.page_id != b.page_id ? a.page_id < b.page_id : a.slot < b.slot;
-    });
-    std::vector<PageReadRequest> reqs;
-    struct Claim {
-      uint32_t frame;
-      uint32_t first;  // the run's first index into pending
-    };
-    std::vector<Claim> claims;  // parallel to reqs
-    bool claimed = false;       // the current run's first copy got a frame
-    for (size_t j = 0; j < pending.size(); ++j) {
-      const bool dup = j > 0 && pending[j].page_id == pending[j - 1].page_id;
-      if (dup && claimed) {
-        ++stats_.cache_hits;
-        telemetry::CounterAdd(telemetry::CounterId::kIoCacheHits);
-        continue;
-      }
-      ++stats_.cache_misses;
-      telemetry::CounterAdd(telemetry::CounterId::kIoCacheMisses);
-      if (dup) continue;  // its first copy found no frame; neither would it
-      const uint32_t victim = PickVictim();
-      claimed = victim != kNoFrame;
-      if (!claimed) continue;  // the staged part still proceeds
-      Frame& f = frames_[victim];
-      if (f.valid) table_[f.page_id] = kNoFrame;
-      f.valid = false;
-      f.pins = 1;  // claimed: later PickVictim calls skip it
-      reqs.push_back({pending[j].page_id, FrameData(victim), false});
-      claims.push_back({victim, static_cast<uint32_t>(j)});
-    }
-    if (reqs.empty()) return staged;
-
-    telemetry::ScopedPhase phase(telemetry::Engine::kDisk,
-                                 telemetry::Phase::kPageIoBatch);
-    telemetry::CounterAdd(telemetry::CounterId::kIoBatches);
-    telemetry::GaugeAdd(telemetry::GaugeId::kIoInflight,
-                        static_cast<int64_t>(reqs.size()));
-    source_->ReadPagesInto(reqs.data(), reqs.size());
-    telemetry::GaugeAdd(telemetry::GaugeId::kIoInflight,
-                        -static_cast<int64_t>(reqs.size()));
-    for (size_t r = 0; r < reqs.size(); ++r) {
-      Frame& f = frames_[claims[r].frame];
-      if (!reqs[r].ok) {
-        f.pins = 0;
-        f.referenced = false;
-        continue;
-      }
-      ++stats_.pages_read;
-      stats_.bytes_read += page_bytes_;
-      telemetry::CounterAdd(telemetry::CounterId::kIoPagesRead);
-      telemetry::CounterAdd(telemetry::CounterId::kIoBytesRead, page_bytes_);
-      f.page_id = reqs[r].page_id;
-      f.pins = 0;
-      f.referenced = true;
-      f.valid = true;
-      Install(f.page_id, claims[r].frame);
-      for (size_t j = claims[r].first;
-           j < pending.size() && pending[j].page_id == f.page_id; ++j) {
-        ++f.pins;
-        out[pending[j].slot] = reqs[r].out;
-        ++staged;
-      }
-    }
-    return staged;
   }
 
   // Drops one pin. Returns false — leaving all pool state untouched — when

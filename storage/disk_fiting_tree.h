@@ -70,7 +70,6 @@
 #include <vector>
 
 #include "common/io_stats.h"
-#include "common/options.h"
 #include "common/prefetch.h"
 #include "core/delta_buffer.h"
 #include "core/flat_directory.h"
@@ -124,11 +123,6 @@ class DiskFitingTree {
     size_t compact_threshold_pct = 0;
     // Test hook, fired after each named compaction step (crash points).
     std::function<void(CompactPoint)> compact_hook;
-    // Per-instance read-path override; defaults to the process-wide
-    // FITREE_IO_DIRECT knob. It lets a single tree attempt the O_DIRECT
-    // reopen (page-cache-free reads) while others stay buffered — the
-    // exp_disk multiget cells need both in one process.
-    bool io_direct = GlobalOptions().io_direct;
   };
 
   // Opens `path`, loads the meta page and segment table, and builds the
@@ -195,11 +189,6 @@ class DiskFitingTree {
   const IoStats& io() const { return pool_->stats(); }
   void ResetIoStats() { pool_->ResetStats(); }
 
-  // Batched-read engine ("uring" or "threads") serving this instance's
-  // page faults.
-  const char* BatchEngineName() const { return reader_.batch_engine_name(); }
-  bool DirectIo() const { return reader_.direct_io(); }
-
   // Rank of the first key >= `key` in the BASE FILE (insertion point over
   // the paged keys; the delta overlay has no ranks until a compaction
   // folds it in). Pages are faulted through the buffer pool.
@@ -231,26 +220,11 @@ class DiskFitingTree {
 
   bool Contains(const K& key) const { return Lookup(key).has_value(); }
 
-  // Multi-get, the tree's one batched read: resolves `n` independent
-  // lookups, overlapping each chunk's page faults in one batched read
-  // before the (now cache-hot) serial resolution. out[i] matches
-  // Lookup(keys[i]) exactly.
-  void LookupBatch(const K* keys, size_t n,
-                   std::optional<uint64_t>* out) const {
-    std::vector<uint32_t> staged;
-    size_t i = 0;
-    while (i < n) {
-      const size_t j = StageChunk(keys, i, n, &staged);
-      for (size_t k = i; k < j; ++k) out[k] = Lookup(keys[k]);
-      for (const uint32_t id : staged) (void)pool_->Unpin(id);
-      staged.clear();
-      i = j;
-    }
-  }
-
   // Inserts `key` -> `value` into the delta overlay. Returns true iff the
   // key was new (set semantics); inserting a key present in the base file
-  // or overlay returns false without touching anything.
+  // or overlay returns false without touching anything. So does every
+  // write below whose base-file read fails: a key the tree cannot read is
+  // not known to be absent.
   bool Insert(const K& key, const Payload& value) {
     telemetry::ScopedOp telem(telemetry::Engine::kDisk,
                               telemetry::Op::kInsert);
@@ -264,7 +238,8 @@ class DiskFitingTree {
       ++size_;
       return true;
     }
-    if (BaseLookup(key).has_value()) return false;
+    const BaseHit base = BaseLookup(key);
+    if (base.failed || base.value.has_value()) return false;
     delta.insert(it, DeltaEntry{key, value, false});
     ++delta_entries_;
     ++size_;
@@ -285,7 +260,8 @@ class DiskFitingTree {
       it->value = value;
       return true;
     }
-    if (!BaseLookup(key).has_value()) return false;
+    const BaseHit base = BaseLookup(key);
+    if (base.failed || !base.value.has_value()) return false;
     delta.insert(it, DeltaEntry{key, value, false});
     ++delta_entries_;
     MaybeCompact(slot);
@@ -302,7 +278,9 @@ class DiskFitingTree {
     const auto it = DeltaPos(delta, key);
     if (it != delta.end() && it->key == key) {
       if (it->tombstone) return false;
-      if (BaseLookup(key).has_value()) {
+      const BaseHit base = BaseLookup(key);
+      if (base.failed) return false;
+      if (base.value.has_value()) {
         *it = DeltaEntry{key, 0, true};  // hide the paged copy
       } else {
         delta.erase(it);
@@ -311,7 +289,8 @@ class DiskFitingTree {
       --size_;
       return true;
     }
-    if (!BaseLookup(key).has_value()) return false;
+    const BaseHit base = BaseLookup(key);
+    if (base.failed || !base.value.has_value()) return false;
     delta.insert(it, DeltaEntry{key, 0, true});
     ++delta_entries_;
     --size_;
@@ -682,9 +661,7 @@ class DiskFitingTree {
   // (Re)loads reader, pool, segment table, directory, and resets the
   // overlay. Compactions_ survives; everything else derives from the file.
   bool Load(const std::string& path) {
-    typename SegmentFileReader<K>::IoOptions io;
-    io.direct = options_.io_direct;
-    if (!reader_.Open(path, io)) return false;
+    if (!reader_.Open(path)) return false;
     if (!reader_.ReadSegmentTable(&segments_)) return false;
     pool_ = std::make_unique<BufferPool>(
         &reader_, reader_.page_bytes(),
@@ -777,57 +754,18 @@ class DiskFitingTree {
     }
   }
 
-  // Appends the page a Lookup(key) pins first — the predicted page — when
-  // the search would pin any page at all.
-  void AppendPredictedPage(const K& key, std::vector<uint32_t>* ids) const {
-    const size_t floor = FloorSlot(key);
-    if (floor == kNoSlot) return;
-    const SegmentRecord<K>& rec = segments_[floor];
-    const auto [begin, end] = fitree::ErrorWindow(
-        rec.seg.Predict(key), reader_.meta().error, SegStart(rec), SegEnd(rec));
-    if (begin >= end) return;
-    ids->push_back(PageForRank(rec, PredictedRank(rec, key)));
-  }
-
-  // Stages the predicted pages of keys [i, ...) — capped at half the pool
-  // so the staged pins never starve the resolution's own fetches — in one
-  // batched read. Returns the index of the first unstaged key; `staged`
-  // receives the successfully pinned ids (caller unpins).
-  size_t StageChunk(const K* keys, size_t i, size_t n,
-                    std::vector<uint32_t>* staged) const {
-    const size_t budget = std::max<size_t>(1, pool_->frame_count() / 2);
-    staged->clear();
-    size_t j = i;
-    while (j < n && (j == i || staged->size() < budget)) {
-      AppendPredictedPage(keys[j], staged);
-      ++j;
-    }
-    std::sort(staged->begin(), staged->end());
-    staged->erase(std::unique(staged->begin(), staged->end()),
-                  staged->end());
-    if (staged->empty()) return j;
-    std::vector<const std::byte*> outs(staged->size());
-    pool_->FetchBatch(staged->data(), staged->size(), outs.data());
-    // Keep only what actually pinned, so the unpin pass matches reality
-    // (a failed read inside the batch must not turn into pin underflow).
-    size_t kept = 0;
-    for (size_t k = 0; k < staged->size(); ++k) {
-      if (outs[k] != nullptr) (*staged)[kept++] = (*staged)[k];
-    }
-    staged->resize(kept);
-    return j;
-  }
-
   // Outcome of one paged search: the lower-bound rank over the base file,
   // and the payload when the entry at that rank is the probed key itself.
+  // `failed` means a page read failed: rank and value are then no answer.
   struct BaseHit {
     size_t rank = 0;
     std::optional<uint64_t> value;
+    bool failed = false;
   };
 
-  // Paged lookup, delta overlay excluded.
-  std::optional<uint64_t> BaseLookup(const K& key) const {
-    return SearchBase(FloorSlot(key), key).value;
+  // Paged search for `key`, delta overlay excluded.
+  BaseHit BaseLookup(const K& key) const {
+    return SearchBase(FloorSlot(key), key);
   }
 
   // The one paged search behind Lookup, LowerBound and BaseLookup, from an
@@ -861,7 +799,7 @@ class DiskFitingTree {
                      static_cast<uint32_t>(rec.first_leaf_page + leaf));
       if (!pin) {
         io_error_ = true;
-        return {end, std::nullopt};
+        return {end, std::nullopt, true};
       }
       // Branchless narrow over the slice, then a strided vector count over
       // the packed {key, payload} records. The slice never crosses the

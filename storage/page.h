@@ -382,14 +382,6 @@ inline bool VerifyPage(const std::byte* page, size_t page_bytes,
   return true;
 }
 
-// One entry of a batched page read: filled in by the caller (page id +
-// destination), answered by the source (ok).
-struct PageReadRequest {
-  uint32_t page_id = 0;
-  std::byte* out = nullptr;
-  bool ok = false;
-};
-
 // Source of verified page reads for the buffer pool: implemented by
 // SegmentFileReader (pread + VerifyPage) and by in-memory fakes in tests.
 class PageSource {
@@ -399,16 +391,6 @@ class PageSource {
   // Fills `out` (page_bytes() long) with page `page_id`. Returns false on
   // I/O failure or page verification failure; `out` is then unspecified.
   virtual bool ReadPageInto(uint32_t page_id, std::byte* out) = 0;
-
-  // Batched form: resolves all `n` requests, setting each request's `ok`.
-  // The base implementation reads serially; SegmentFileReader overrides it
-  // to submit every read before waiting on any (storage/async_io.h), which
-  // is what lets a batch of independent lookups overlap their page faults.
-  virtual void ReadPagesInto(PageReadRequest* reqs, size_t n) {
-    for (size_t i = 0; i < n; ++i) {
-      reqs[i].ok = ReadPageInto(reqs[i].page_id, reqs[i].out);
-    }
-  }
 };
 
 // Page-granular aligned allocation (kDirectIoAlignment) so pool frames and

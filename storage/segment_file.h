@@ -29,8 +29,8 @@
 // DiskFitingTree's incremental republish both seal pages with PageEncoder
 // and write them with FilePageSink, which fsyncs and checks close(), so
 // ENOSPC can't silently produce a torn index; every leaf read decodes
-// through LeafSlots. The reader serves pages with pread — batched through
-// storage/async_io.h when asked — and verifies each before exposing it.
+// through LeafSlots. The reader serves each page with one pread and
+// verifies it before exposing it.
 
 #ifndef FITREE_STORAGE_SEGMENT_FILE_H_
 #define FITREE_STORAGE_SEGMENT_FILE_H_
@@ -44,7 +44,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstdio>
-#include <memory>
 #include <span>
 #include <string>
 #include <utility>
@@ -52,7 +51,6 @@
 
 #include "common/options.h"
 #include "core/shrinking_cone.h"
-#include "storage/async_io.h"
 #include "storage/page.h"
 
 namespace fitree {
@@ -428,28 +426,21 @@ bool WriteIndexFile(const std::string& path, const StaticFitingTree<K>& tree,
 // pread-based reader. Open() picks the newest valid meta slot and
 // validates it; every subsequent page read re-verifies checksum, type, and
 // id, so a corrupted or misdirected page is rejected instead of served.
-// Batched reads go through a storage/async_io.h engine (io_uring, else
-// pread threads), created lazily on the first real batch.
+//
+// With FITREE_IO_DIRECT set (GlobalOptions().io_direct) and page_bytes a
+// kDirectIoAlignment multiple, pages are read with O_DIRECT, falling back
+// to buffered reads when the filesystem refuses. Direct reads need every
+// destination buffer kDirectIoAlignment-aligned: BufferPool frames and the
+// reader's own scratch are; other callers must use AlignedBytes.
 template <typename K>
 class SegmentFileReader final : public PageSource {
  public:
-  struct IoOptions {
-    // Attempt O_DIRECT (only when page_bytes is a kDirectIoAlignment
-    // multiple; falls back to buffered reads when the filesystem refuses).
-    // With direct reads in effect every destination buffer must be
-    // kDirectIoAlignment-aligned — BufferPool frames and the reader's own
-    // scratch are; hand-rolled callers must use AlignedBytes.
-    bool direct = GlobalOptions().io_direct;
-  };
-
   SegmentFileReader() = default;
   ~SegmentFileReader() override { Close(); }
   SegmentFileReader(const SegmentFileReader&) = delete;
   SegmentFileReader& operator=(const SegmentFileReader&) = delete;
 
-  bool Open(const std::string& path) { return Open(path, IoOptions{}); }
-
-  bool Open(const std::string& path, const IoOptions& io) {
+  bool Open(const std::string& path) {
     Close();
     fd_ = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
     if (fd_ < 0) return Fail("open() failed");
@@ -549,12 +540,11 @@ class SegmentFileReader final : public PageSource {
       return Fail("file size disagrees with meta page counts");
     }
 
-    if (io.direct && page_bytes % kDirectIoAlignment == 0) {
+    if (GlobalOptions().io_direct && page_bytes % kDirectIoAlignment == 0) {
       const int dfd = ::open(path.c_str(), O_RDONLY | O_DIRECT | O_CLOEXEC);
       if (dfd >= 0) {
         ::close(fd_);
         fd_ = dfd;
-        direct_ = true;
       }
     }
     return true;
@@ -564,8 +554,6 @@ class SegmentFileReader final : public PageSource {
     if (fd_ >= 0) ::close(fd_);
     fd_ = -1;
     meta_ = SegmentFileMeta{};
-    engine_.reset();
-    direct_ = false;
   }
 
   bool is_open() const { return fd_ >= 0; }
@@ -573,13 +561,6 @@ class SegmentFileReader final : public PageSource {
   const std::string& error_message() const { return error_; }
   size_t page_bytes() const { return meta_.page_bytes; }
   uint64_t page_count() const { return meta_.total_pages; }
-  bool direct_io() const { return direct_; }
-
-  // Engine in effect for batched reads ("none" until the first
-  // real batch instantiates the engine).
-  const char* batch_engine_name() const {
-    return engine_ == nullptr ? "none" : engine_->name();
-  }
 
   // File-global page id of the `leaf_index`-th leaf page OF THE BULK
   // LAYOUT (fresh files; after incremental republishes leaves scatter and
@@ -599,27 +580,6 @@ class SegmentFileReader final : public PageSource {
                                   static_cast<off_t>(meta_.page_bytes));
     if (n != static_cast<ssize_t>(meta_.page_bytes)) return false;
     return VerifyPage(out, meta_.page_bytes, ExpectedType(page_id), page_id);
-  }
-
-  // Batched reads: submit every page before waiting on any (async_io.h),
-  // then verify each completed page exactly as the serial path does.
-  void ReadPagesInto(PageReadRequest* reqs, size_t n) override {
-    if (n <= 1 || fd_ < 0) {
-      for (size_t i = 0; i < n; ++i) {
-        reqs[i].ok = ReadPageInto(reqs[i].page_id, reqs[i].out);
-      }
-      return;
-    }
-    if (engine_ == nullptr) engine_ = MakeBatchReadEngine();
-    engine_->ReadBatch(fd_, meta_.page_bytes, reqs, n);
-    // The bounds check comes after the read: an id past page_count() may
-    // still land on the full, CRC-valid page of an interrupted republish.
-    for (size_t i = 0; i < n; ++i) {
-      const uint32_t id = reqs[i].page_id;
-      reqs[i].ok = reqs[i].ok && id < page_count() &&
-                   VerifyPage(reqs[i].out, meta_.page_bytes, ExpectedType(id),
-                              id);
-    }
   }
 
   // Reads and validates the whole segment table (it lives in memory in the
@@ -687,8 +647,6 @@ class SegmentFileReader final : public PageSource {
 
   int fd_ = -1;
   SegmentFileMeta meta_{};
-  std::unique_ptr<BatchReadEngine> engine_;
-  bool direct_ = false;
   std::string error_;
 };
 

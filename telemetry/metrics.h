@@ -97,11 +97,10 @@ enum class CounterId : uint8_t {
   kServerBatches,        // batches drained by shard workers
   kServerBatchOps,       // ops inside those batches (avg fill = ops/batches)
   kServerEnqueueStalls,  // failed enqueue attempts (queue-full backpressure)
-  kIoBatches,            // batched page-read submissions (FetchBatch misses)
   kServerParks,          // idle shard waits that outlasted the poll and parked
   kArenaRelocations,     // sparse segment-arena chunks emptied by moving blocks
 };
-inline constexpr size_t kNumCounters = 15;
+inline constexpr size_t kNumCounters = 14;
 
 inline constexpr const char* CounterName(CounterId id) {
   switch (id) {
@@ -117,7 +116,6 @@ inline constexpr const char* CounterName(CounterId id) {
     case CounterId::kServerBatches: return "server.batches";
     case CounterId::kServerBatchOps: return "server.batch_ops";
     case CounterId::kServerEnqueueStalls: return "server.enqueue_stalls";
-    case CounterId::kIoBatches: return "io.batches";
     case CounterId::kServerParks: return "server.parks";
     case CounterId::kArenaRelocations: return "arena.relocations";
   }
@@ -130,15 +128,13 @@ inline constexpr const char* CounterName(CounterId id) {
 enum class GaugeId : uint8_t {
   kEpochPending,      // retired-but-unfreed objects across all managers
   kMergeQueueDepth,   // enqueued-but-unprocessed background merges
-  kIoInflight,        // page reads submitted but not yet completed
 };
-inline constexpr size_t kNumGauges = 3;
+inline constexpr size_t kNumGauges = 2;
 
 inline constexpr const char* GaugeName(GaugeId id) {
   switch (id) {
     case GaugeId::kEpochPending: return "epoch.pending";
     case GaugeId::kMergeQueueDepth: return "merge_worker.queue_depth";
-    case GaugeId::kIoInflight: return "io.inflight";
   }
   return "?";
 }

@@ -45,7 +45,7 @@ enum class Phase : uint8_t {
   kBufferProbe,       // per-segment insert-buffer probe (buffered/concurrent)
   kDeltaProbe,        // disk engine's in-memory delta-overlay probe
   kPageIo,            // buffer-pool miss: read + verify one page
-  kPageIoBatch,       // batched miss handling: submit all, then wait + verify
+  kPageIoBatch,       // never recorded; kept while bench/e2e sums it (0)
   kMergeResegment,    // buffer merge + shrinking-cone resegmentation
   kCompact,           // disk base-file rewrite absorbing the delta
   kEpochReclaim,      // epoch-based reclamation sweep

@@ -38,6 +38,7 @@ using fitree::storage::DiskFitingTree;
 using fitree::storage::LeafCapacity;
 using fitree::storage::MakeFixedSegments;
 using fitree::storage::SegmentFileOptions;
+using fitree::storage::SegmentFileReader;
 using fitree::testing::CrudOptions;
 using fitree::testing::MakeInitialLoad;
 using fitree::testing::PropertyOps;
@@ -835,95 +836,80 @@ TEST(DiskCrudProperty, DifferentialWithIncrementalCompaction) {
   }
 }
 
-// LookupBatch, the tree's one batched read, must answer every key exactly
-// as the serial Lookup does — across staged chunks, duplicates, absent
-// keys and the delta overlay — and release every page it staged.
-TEST(DiskFitingTree, LookupBatchMatchesSerialLookupAndReleasesPins) {
-  const auto keys = TestKeys(3000);
-  std::vector<uint64_t> values(keys.size());
-  for (size_t i = 0; i < keys.size(); ++i) values[i] = 7 * i + 3;
+// Flips one bit of the byte at `offset` in `path`; a second call undoes it.
+void FlipByteAt(const std::string& path, long offset) {
+  std::FILE* f = std::fopen(path.c_str(), "r+b");
+  ASSERT_NE(f, nullptr);
+  ASSERT_EQ(std::fseek(f, offset, SEEK_SET), 0);
+  const int byte = std::fgetc(f);
+  ASSERT_NE(byte, EOF);
+  ASSERT_EQ(std::fseek(f, offset, SEEK_SET), 0);
+  std::fputc(byte ^ 0x01, f);
+  ASSERT_EQ(std::fclose(f), 0);
+}
+
+// A write whose base-file read fails must not change the tree: a page that
+// cannot be read proves neither presence nor absence. One frame, so every
+// probe of the corrupted leaf faults it again; 4 KiB pages, so a run with
+// FITREE_IO_DIRECT=1 reads through the aligned O_DIRECT frames.
+TEST(DiskFitingTree, WriteWhoseBaseReadFailsChangesNothing) {
+  constexpr size_t kBigPage = 4096;
+  const size_t cap = LeafCapacity<int64_t>(kBigPage);
+  std::vector<int64_t> keys;
+  std::vector<uint64_t> values;
+  for (size_t i = 0; i < 3000; ++i) {
+    keys.push_back(static_cast<int64_t>(3 * i));
+    values.push_back(7 * i + 3);
+  }
+  ASSERT_GT(keys.size(), 2 * cap);
   std::string path;
-  // 4 frames against ~200 leaf pages: StageChunk's frame_count()/2 budget
-  // splits every 64-key batch into many chunks.
-  auto disk = OpenWritable(keys, values, 16.0, /*cache_pages=*/4,
-                           "lookup_batch", &path);
+  auto disk = OpenWritable(keys, values, 16.0, /*cache_pages=*/1,
+                           "failed_base_read", &path, 0, kBigPage);
   ASSERT_NE(disk, nullptr);
-  std::map<int64_t, uint64_t> oracle;
-  for (size_t i = 0; i < keys.size(); ++i) oracle[keys[i]] = values[i];
+  // Linear keys make one segment with exact predictions, so rank r lives
+  // on leaf r / cap and a mid-page key's window stays on its page.
+  ASSERT_EQ(disk->SegmentCount(), 1u);
+  const size_t mid = cap + cap / 2;  // leaf 1
+  const int64_t paged = keys[mid];
+  const int64_t other = keys[mid + 3];
+  const int64_t gap = keys[mid + 6] + 1;  // absent from the file
+  ASSERT_TRUE(disk->Insert(gap, 5));      // overlay entry over leaf 1
+  ASSERT_EQ(disk->Lookup(keys[0]), std::optional<uint64_t>(values[0]));
 
-  // Overlay: inserts into gaps, overrides and tombstones of paged keys.
-  std::vector<int64_t> inserted;
-  std::vector<int64_t> overridden;
-  std::vector<int64_t> tombstoned;
-  for (size_t i = 0; i + 62 < keys.size(); i += 97) {
-    if (keys[i] + 1 < keys[i + 1]) {
-      ASSERT_TRUE(disk->Insert(keys[i] + 1, i));
-      oracle[keys[i] + 1] = i;
-      inserted.push_back(keys[i] + 1);
-    }
-    ASSERT_TRUE(disk->Update(keys[i + 31], 1'000'000 + i));
-    oracle[keys[i + 31]] = 1'000'000 + i;
-    overridden.push_back(keys[i + 31]);
-    ASSERT_TRUE(disk->Delete(keys[i + 62]));
-    oracle.erase(keys[i + 62]);
-    tombstoned.push_back(keys[i + 62]);
-  }
-  ASSERT_FALSE(inserted.empty());
-  const auto want = [&](int64_t key) -> std::optional<uint64_t> {
-    const auto it = oracle.find(key);
-    if (it == oracle.end()) return std::nullopt;
-    return it->second;
-  };
+  // Leaf 1 is no longer resident (the one frame holds leaf 0): corrupt it.
+  SegmentFileReader<int64_t> reader;
+  ASSERT_TRUE(reader.Open(path)) << reader.error_message();
+  const long offset =
+      static_cast<long>(reader.LeafPageId(1) * kBigPage + kBigPage / 2);
+  reader.Close();
+  ASSERT_NO_FATAL_FAILURE(FlipByteAt(path, offset));
 
-  std::mt19937_64 rng(23);
-  const auto pick = [&](const std::vector<int64_t>& from) {
-    return from[rng() % from.size()];
-  };
-  constexpr size_t kBatch = 64;
-  constexpr uint64_t kSentinel = ~uint64_t{0};
-  for (int round = 0; round < 20; ++round) {
-    std::vector<int64_t> batch{
-        keys.front() - 5 - round,  // below every segment
-        keys.back() + 5 + round,   // above every segment
-        pick(inserted), pick(overridden), pick(tombstoned)};
-    while (batch.size() < kBatch - 16) {
-      switch (rng() % 3) {
-        case 0: batch.push_back(keys[rng() % keys.size()]); break;
-        case 1:  // between segments' keys
-          batch.push_back(fitree::workloads::detail::AbsentKey(keys, rng));
-          break;
-        default: batch.push_back(pick(tombstoned)); break;
-      }
-    }
-    // Duplicates, adjacent and far apart.
-    while (batch.size() < kBatch) {
-      batch.push_back(batch[rng() % batch.size()]);
-    }
-    std::vector<std::optional<uint64_t>> out(batch.size(), kSentinel);
-    disk->LookupBatch(batch.data(), batch.size(), out.data());
-    for (size_t i = 0; i < batch.size(); ++i) {
-      ASSERT_EQ(out[i], disk->Lookup(batch[i]))
-          << "round " << round << " slot " << i << " key " << batch[i];
-      ASSERT_EQ(out[i], want(batch[i])) << "key " << batch[i];
-    }
-  }
+  EXPECT_FALSE(disk->Insert(paged, 777));
+  EXPECT_FALSE(disk->Insert(gap + 1, 6));
+  EXPECT_FALSE(disk->Update(paged, 778));
+  EXPECT_FALSE(disk->Delete(other));
+  EXPECT_FALSE(disk->Delete(gap));  // overlay-only or paged: unknowable
+  EXPECT_TRUE(disk->io_error());
+  EXPECT_EQ(disk->size(), keys.size() + 1);
+  EXPECT_EQ(disk->DeltaEntries(), 1u);
+  EXPECT_NE(disk->Lookup(paged), std::optional<uint64_t>(777));
+  EXPECT_EQ(disk->Lookup(gap), std::optional<uint64_t>(5));
 
-  // n == 0 touches neither the output nor the pool.
-  std::optional<uint64_t> untouched = kSentinel;
-  const IoStats before = disk->io();
-  disk->LookupBatch(keys.data(), 0, &untouched);
-  EXPECT_EQ(untouched, std::optional<uint64_t>(kSentinel));
-  EXPECT_EQ(disk->io(), before);
-
-  // No staged pin leaked: reads over every leaf page (far more pages than
-  // the pool has frames) still fault, serially and batched.
-  for (const int64_t key : keys) ASSERT_EQ(disk->Lookup(key), want(key));
-  std::vector<std::optional<uint64_t>> all(keys.size());
-  disk->LookupBatch(keys.data(), keys.size(), all.data());
+  // Repaired, the page is read again (a failed read caches nothing) and
+  // the tree holds exactly what it held before the failed writes.
+  ASSERT_NO_FATAL_FAILURE(FlipByteAt(path, offset));
+  std::vector<std::pair<int64_t, uint64_t>> want;
   for (size_t i = 0; i < keys.size(); ++i) {
-    ASSERT_EQ(all[i], want(keys[i])) << "key rank " << i;
+    want.emplace_back(keys[i], values[i]);
+    if (keys[i] + 1 == gap) want.emplace_back(gap, 5);
   }
-  EXPECT_FALSE(disk->io_error());
+  std::vector<std::pair<int64_t, uint64_t>> got;
+  disk->ScanRange(std::numeric_limits<int64_t>::lowest(),
+                  std::numeric_limits<int64_t>::max(),
+                  [&](int64_t k, uint64_t v) { got.emplace_back(k, v); });
+  EXPECT_EQ(got, want);
+  EXPECT_EQ(disk->Lookup(paged), std::optional<uint64_t>(values[mid]));
+  EXPECT_FALSE(disk->Contains(gap + 1));
   std::remove(path.c_str());
 }
 

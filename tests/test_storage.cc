@@ -3,9 +3,7 @@
 // semantics, and segment-file write/reopen round-trips down to the raw
 // page level.
 
-#include <fcntl.h>
 #include <gtest/gtest.h>
-#include <unistd.h>
 
 #include <algorithm>
 #include <array>
@@ -21,7 +19,6 @@
 
 #include "common/io_stats.h"
 #include "core/static_fiting_tree.h"
-#include "storage/async_io.h"
 #include "storage/buffer_pool.h"
 #include "storage/disk_fiting_tree.h"
 #include "storage/page.h"
@@ -32,7 +29,6 @@ namespace {
 using fitree::IoStats;
 using fitree::PackedSegment;
 using fitree::StaticFitingTree;
-using fitree::storage::BatchReadEngine;
 using fitree::storage::BufferPool;
 using fitree::storage::CompactPoint;
 using fitree::storage::Crc32c;
@@ -43,7 +39,6 @@ using fitree::storage::LeafEntry;
 using fitree::storage::LoadAs;
 using fitree::storage::MakeFixedSegments;
 using fitree::storage::PageHeader;
-using fitree::storage::PageReadRequest;
 using fitree::storage::PageSource;
 using fitree::storage::PageType;
 using fitree::storage::PinnedPage;
@@ -53,7 +48,6 @@ using fitree::storage::SegmentFileOptions;
 using fitree::storage::SegmentFileReader;
 using fitree::storage::SegmentRecord;
 using fitree::storage::StoreAs;
-using fitree::storage::ThreadPoolReadEngine;
 using fitree::storage::VerifyPage;
 
 constexpr size_t kPageBytes = 256;  // small pages force multi-page files
@@ -360,17 +354,30 @@ TEST(BufferPool, AllFramesPinnedFailsCleanly) {
   EXPECT_TRUE(pool.Unpin(0));
 }
 
+// One frame: a failed read takes no pin, and the frame it was read into
+// serves the next fetch.
 TEST(BufferPool, FailedReadReturnsNullAndStaysUncached) {
   FakeSource source(4);
   source.FailPage(2);
-  BufferPool pool(&source, kPageBytes, 2);
+  BufferPool pool(&source, kPageBytes, 1);
   EXPECT_EQ(pool.Fetch(2), nullptr);
   EXPECT_FALSE(pool.Contains(2));
+  EXPECT_FALSE(pool.Unpin(2));
   EXPECT_EQ(pool.stats().cache_misses, 1u);
   EXPECT_EQ(pool.stats().pages_read, 0u);
-  // The pool still works for healthy pages afterwards.
-  ASSERT_NE(pool.Fetch(1), nullptr);
-  EXPECT_TRUE(pool.Unpin(1));
+  // The pool still works for healthy pages afterwards, and a failed read
+  // evicts the resident page it replaces.
+  for (const uint32_t id : {1u, 3u}) {
+    const std::byte* page = pool.Fetch(id);
+    ASSERT_NE(page, nullptr) << id;
+    EXPECT_EQ(LoadAs<unsigned char>(page + kPageHeaderBytes), id);
+    EXPECT_TRUE(pool.Unpin(id));
+    EXPECT_EQ(pool.Fetch(2), nullptr);
+    EXPECT_FALSE(pool.Contains(id));
+    EXPECT_FALSE(pool.Unpin(2));
+  }
+  EXPECT_EQ(pool.stats().cache_misses, 5u);
+  EXPECT_EQ(pool.stats().pages_read, 2u);
 }
 
 TEST(BufferPool, UnpinMisuseReturnsFalseWithoutStateDamage) {
@@ -386,79 +393,6 @@ TEST(BufferPool, UnpinMisuseReturnsFalseWithoutStateDamage) {
   ASSERT_NE(pool.Fetch(0), nullptr);
   EXPECT_TRUE(pool.Unpin(0));
   EXPECT_EQ(pool.stats().pages_read, 1u);
-}
-
-TEST(BufferPool, FetchBatchStagesHitsAndMissesInOnePass) {
-  FakeSource source(8);
-  BufferPool pool(&source, kPageBytes, 4);
-  ASSERT_NE(pool.Fetch(1), nullptr);  // pre-resident page -> batch hit
-  EXPECT_TRUE(pool.Unpin(1));
-  const uint32_t ids[] = {1, 3, 5};
-  const std::byte* out[3] = {};
-  EXPECT_EQ(pool.FetchBatch(ids, 3, out), 3u);
-  for (size_t i = 0; i < 3; ++i) {
-    ASSERT_NE(out[i], nullptr);
-    EXPECT_EQ(LoadAs<unsigned char>(out[i] + kPageHeaderBytes), ids[i]);
-    EXPECT_TRUE(pool.Unpin(ids[i]));
-  }
-  EXPECT_EQ(pool.stats().cache_hits, 1u);  // the batch's hit on resident page 1
-  EXPECT_EQ(pool.stats().cache_misses, 1u + 2u);
-  EXPECT_EQ(source.reads(), 3u);  // each distinct page read exactly once
-}
-
-TEST(BufferPool, FetchBatchDuplicatesShareOneFrameAndRead) {
-  FakeSource source(8);
-  BufferPool pool(&source, kPageBytes, 4);
-  const uint32_t ids[] = {2, 2, 2};
-  const std::byte* out[3] = {};
-  EXPECT_EQ(pool.FetchBatch(ids, 3, out), 3u);
-  EXPECT_EQ(out[0], out[1]);
-  EXPECT_EQ(out[1], out[2]);
-  EXPECT_EQ(source.reads(), 1u);
-  for (int i = 0; i < 3; ++i) EXPECT_TRUE(pool.Unpin(2));
-  EXPECT_FALSE(pool.Unpin(2));  // exactly three pins were taken
-}
-
-TEST(BufferPool, FetchBatchFailedReadRollsBackItsFrame) {
-  FakeSource source(8);
-  source.FailPage(5);
-  BufferPool pool(&source, kPageBytes, 4);
-  const uint32_t ids[] = {4, 5, 5, 6};
-  const std::byte* out[4] = {};
-  // The healthy pages stage; both requests for the failed page are nulled
-  // (including the duplicate that pinned the pending frame).
-  EXPECT_EQ(pool.FetchBatch(ids, 4, out), 2u);
-  ASSERT_NE(out[0], nullptr);
-  EXPECT_EQ(out[1], nullptr);
-  EXPECT_EQ(out[2], nullptr);
-  ASSERT_NE(out[3], nullptr);
-  EXPECT_FALSE(pool.Contains(5));
-  EXPECT_FALSE(pool.Unpin(5));  // rollback left no pins behind
-  EXPECT_TRUE(pool.Unpin(4));
-  EXPECT_TRUE(pool.Unpin(6));
-  // The failed frame is reusable afterwards.
-  ASSERT_NE(pool.Fetch(7), nullptr);
-  EXPECT_TRUE(pool.Unpin(7));
-}
-
-TEST(BufferPool, FetchBatchMoreMissesThanFramesStagesWhatFits) {
-  FakeSource source(8);
-  BufferPool pool(&source, kPageBytes, 2);
-  const uint32_t ids[] = {0, 1, 2, 3, 2};
-  const std::byte* out[5] = {};
-  // Two frames, four distinct pages: the first two stage pinned, the rest
-  // report failure instead of evicting pinned frames. The duplicate of an
-  // unstaged page is unstaged too, and counts as a miss, not a hit.
-  EXPECT_EQ(pool.FetchBatch(ids, 5, out), 2u);
-  ASSERT_NE(out[0], nullptr);
-  ASSERT_NE(out[1], nullptr);
-  EXPECT_EQ(out[2], nullptr);
-  EXPECT_EQ(out[3], nullptr);
-  EXPECT_EQ(out[4], nullptr);
-  EXPECT_EQ(pool.stats().cache_hits, 0u);
-  EXPECT_EQ(pool.stats().cache_misses, 5u);
-  EXPECT_TRUE(pool.Unpin(0));
-  EXPECT_TRUE(pool.Unpin(1));
 }
 
 // Sparse, large page ids on a 2-frame pool: the page table is indexed by
@@ -508,22 +442,16 @@ TEST(BufferPool, SparseLargePageIdsUseThePageTableDirectly) {
   }
   EXPECT_EQ(pool.PageTableSize(), 1048580u);
 
-  // A failed read leaves its id unmapped and the table unchanged, in
-  // Fetch and in FetchBatch.
-  EXPECT_EQ(pool.Fetch(2000000), nullptr);
-  EXPECT_FALSE(pool.Contains(2000000));
-  EXPECT_EQ(pool.Peek(2000000), nullptr);
-  const uint32_t ids[] = {3000000, 7};
-  const std::byte* out[2] = {};
-  EXPECT_EQ(pool.FetchBatch(ids, 2, out), 1u);
-  EXPECT_EQ(out[0], nullptr);
-  ASSERT_NE(out[1], nullptr);
+  // A failed read leaves its id unmapped and the table unchanged.
+  for (const uint32_t failed : {2000000u, 3000000u}) {
+    EXPECT_EQ(pool.Fetch(failed), nullptr) << failed;
+    EXPECT_EQ(pool.PageTableSize(), 1048580u) << failed;
+    EXPECT_FALSE(pool.Contains(failed)) << failed;
+    EXPECT_EQ(pool.Peek(failed), nullptr) << failed;
+    EXPECT_FALSE(pool.Unpin(failed)) << failed;
+  }
+  touch(7);
   EXPECT_EQ(pool.PageTableSize(), 1048580u);
-  EXPECT_FALSE(pool.Contains(3000000));
-  EXPECT_EQ(pool.Peek(3000000), nullptr);
-  EXPECT_FALSE(pool.Unpin(3000000));
-  EXPECT_TRUE(pool.Contains(7));
-  EXPECT_TRUE(pool.Unpin(7));
   EXPECT_EQ(pool.stats().pages_read, 5u);
 }
 
@@ -648,11 +576,12 @@ TEST(SegmentFile, CorruptedPageIsRejectedByReaderAndPool) {
   std::remove(path.c_str());
 }
 
-// One batch mixes good leaves, a corrupted leaf, and an id past
-// page_count() that lands on a CRC-valid leaf appended by a republish
-// interrupted before its meta write. Only the good ids come back ok: the
-// stray page passes VerifyPage, so the bounds check alone rejects it.
-TEST(SegmentFile, ReadPagesIntoRejectsCorruptAndOutOfRangePages) {
+// Good leaves, a corrupted leaf, and an id past page_count() that lands on
+// a CRC-valid leaf appended by a republish interrupted before its meta
+// write, read through the reader and through a pool over it. Only the good
+// ids come back: the stray page passes VerifyPage, so the bounds check
+// alone rejects it.
+TEST(SegmentFile, ReadPageIntoRejectsCorruptAndOutOfRangePages) {
   const auto keys = EveryThird(3000);
   const auto tree = StaticFitingTree<int64_t>::Create(keys, 8.0);
   const std::string path = TempPath("torn_batch.fit");
@@ -700,85 +629,22 @@ TEST(SegmentFile, ReadPagesIntoRejectsCorruptAndOutOfRangePages) {
                           reader.LeafPageId(2), reader.LeafPageId(3)};
   const bool want_ok[] = {true, false, false, true, true};
   constexpr size_t kN = sizeof(ids) / sizeof(ids[0]);
-  std::vector<std::vector<std::byte>> bytes(
-      kN, std::vector<std::byte>(kPageBytes));
-  PageReadRequest reqs[kN];
-  for (size_t i = 0; i < kN; ++i) reqs[i] = {ids[i], bytes[i].data(), false};
-  reader.ReadPagesInto(reqs, kN);
+  BufferPool pool(&reader, kPageBytes, kN);
   for (size_t i = 0; i < kN; ++i) {
-    EXPECT_EQ(reqs[i].ok, want_ok[i]) << "page " << ids[i];
-    if (!want_ok[i]) continue;
-    ASSERT_TRUE(reader.ReadPageInto(ids[i], page.data()));
-    EXPECT_EQ(bytes[i], page) << "page " << ids[i];
+    EXPECT_EQ(reader.ReadPageInto(ids[i], page.data()), want_ok[i])
+        << "page " << ids[i];
+    const std::byte* frame = pool.Fetch(ids[i]);
+    EXPECT_EQ(frame != nullptr, want_ok[i]) << "page " << ids[i];
+    if (frame == nullptr) {
+      EXPECT_FALSE(pool.Contains(ids[i])) << "page " << ids[i];
+      continue;
+    }
+    EXPECT_TRUE(std::equal(page.begin(), page.end(), frame))
+        << "page " << ids[i];
+    EXPECT_TRUE(pool.Unpin(ids[i]));
   }
   std::remove(path.c_str());
   std::remove(torn.c_str());
-}
-
-// Both batch engines return what a serial pread returns, byte for byte and
-// flag for flag: a one-page batch, kIoDepth + 3 pages (two io_uring
-// waves), and a batch holding one id past the end of the file.
-void ExpectEngineMatchesPread(BatchReadEngine& engine, int fd,
-                              const std::vector<uint32_t>& ids) {
-  std::vector<std::vector<std::byte>> got(
-      ids.size(), std::vector<std::byte>(kPageBytes));
-  std::vector<PageReadRequest> reqs(ids.size());
-  // ok starts true, so a request the engine never resolves shows up.
-  for (size_t i = 0; i < ids.size(); ++i) {
-    reqs[i] = {ids[i], got[i].data(), true};
-  }
-  engine.ReadBatch(fd, kPageBytes, reqs.data(), reqs.size());
-  std::vector<std::byte> want(kPageBytes);
-  for (size_t i = 0; i < ids.size(); ++i) {
-    const bool want_ok =
-        ::pread(fd, want.data(), kPageBytes,
-                static_cast<off_t>(ids[i]) * kPageBytes) ==
-        static_cast<ssize_t>(kPageBytes);
-    EXPECT_EQ(reqs[i].ok, want_ok) << engine.name() << " page " << ids[i];
-    if (want_ok) {
-      EXPECT_EQ(got[i], want) << engine.name() << " page " << ids[i];
-    }
-  }
-}
-
-void ExpectEngineMatchesPreadOnAllBatches(BatchReadEngine& engine) {
-  const auto tree = StaticFitingTree<int64_t>::Create(EveryThird(3000), 8.0);
-  const std::string path = TempPath(engine.name());
-  ASSERT_TRUE(fitree::storage::WriteIndexFile(path, *tree,
-                                              SegmentFileOptions{kPageBytes}));
-  const auto file_pages =
-      static_cast<uint32_t>(std::filesystem::file_size(path) / kPageBytes);
-  const size_t waves = fitree::storage::kIoDepth + 3;
-  ASSERT_GE(file_pages, waves);
-  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
-  ASSERT_GE(fd, 0);
-
-  ExpectEngineMatchesPread(engine, fd, {file_pages / 2});
-  std::vector<uint32_t> ids;
-  for (size_t i = 0; i < waves; ++i) {
-    ids.push_back(static_cast<uint32_t>((i * 37) % file_pages));
-  }
-  ExpectEngineMatchesPread(engine, fd, ids);
-  ExpectEngineMatchesPread(engine, fd, {2, file_pages + 5, file_pages - 1});
-  ::close(fd);
-  std::remove(path.c_str());
-}
-
-TEST(AsyncIo, ThreadPoolEngineMatchesPread) {
-  ThreadPoolReadEngine engine;
-  ExpectEngineMatchesPreadOnAllBatches(engine);
-}
-
-TEST(AsyncIo, UringEngineMatchesPread) {
-  // The factory takes io_uring whenever UringReadEngine::TryCreate()
-  // succeeds, so a pool here means the kernel or sandbox refused it.
-  const auto engine = fitree::storage::MakeBatchReadEngine();
-  if (std::string(engine->name()) != "uring") {
-    GTEST_SKIP() << "io_uring_setup is refused here (kernel without "
-                    "io_uring, or a seccomp sandbox); the probe fell back "
-                    "to the pread pool";
-  }
-  ExpectEngineMatchesPreadOnAllBatches(*engine);
 }
 
 TEST(SegmentFile, CorruptedMetaFailsOpenOnlyWhenBothSlotsDie) {

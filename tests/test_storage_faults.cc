@@ -29,7 +29,6 @@ using fitree::StaticFitingTree;
 using fitree::storage::CompactPoint;
 using fitree::storage::DiskFitingTree;
 using fitree::storage::FilePageSink;
-using fitree::storage::PageReadRequest;
 using fitree::storage::PageSink;
 using fitree::storage::SegmentFileOptions;
 using fitree::storage::SegmentFileReader;
@@ -215,16 +214,9 @@ TEST_F(TornFile, BadCrcMidFileFailsThatPageOnly) {
 
   SegmentFileReader<int64_t> reader;
   ASSERT_TRUE(reader.Open(path_)) << reader.error_message();  // meta is fine
-  std::vector<std::byte> buf(kPageBytes * 2);
+  std::vector<std::byte> buf(kPageBytes);
   EXPECT_FALSE(reader.ReadPageInto(bad, buf.data()));
   EXPECT_TRUE(reader.ReadPageInto(good, buf.data()));
-
-  // A batch containing the torn page fails only that request.
-  PageReadRequest reqs[2] = {{bad, buf.data(), false},
-                             {good, buf.data() + kPageBytes, false}};
-  reader.ReadPagesInto(reqs, 2);
-  EXPECT_FALSE(reqs[0].ok);
-  EXPECT_TRUE(reqs[1].ok);
 }
 
 TEST_F(TornFile, OutOfRangePageReadFails) {
