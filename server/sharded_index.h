@@ -19,9 +19,11 @@
 // bounded time before it parks (server/op_queue.h), so a request that
 // arrives while traffic flows finds it awake and pays no futex wake-up;
 // Stats() reports how the idle waits ended (`poll_wakeups` vs `parks`).
-// The batch drain is where the design earns its throughput: one pass
-// through the wait, one batch of queue loads, and one telemetry update
-// cover up to `batch` requests. Each request then runs as one ordinary
+// A drain takes every ready request, up to `batch`, and runs them at once;
+// it never waits for more to arrive. So a request that arrives alone runs
+// alone, and batches fill only from a backlog, where one pass through the
+// wait, one batch of queue loads and one telemetry update then cover up
+// to `batch` requests. Each request then runs as one ordinary
 // engine call; the predicted-leaf prefetch lives inside each engine's own
 // lookup, not in a pass across the batch.
 //
@@ -429,17 +431,8 @@ class ShardedIndex {
         }
         continue;
       }
-      // Bounded linger (batched mode only): an under-full drain yields one
-      // scheduling slot so in-flight producers can top the batch up, then
-      // takes whatever arrived. This is the batching analogue of interrupt
-      // coalescing — it trades at most one yield of latency for batch fill,
-      // which amortizes the per-drain costs (the wait, the queue loads, the
-      // telemetry update) over more requests. Unbatched dispatch
-      // (batch == 1) resolves immediately, by definition.
-      if (config_.batch > 1 && n < config_.batch) {
-        std::this_thread::yield();
-        n += shard.queue->PopBatch(batch.data() + n, config_.batch - n);
-      }
+      // The drain runs what PopBatch found, at once: a lone request never
+      // waits for company, and a backlog still fills the batch.
       shard.batches.fetch_add(1, std::memory_order_relaxed);
       shard.batched_ops.fetch_add(n, std::memory_order_relaxed);
       telemetry::CounterAdd(telemetry::CounterId::kServerBatches);

@@ -307,46 +307,8 @@ class DiskFitingTree {
   // each register one scan — they are real paged scans).
   template <typename Fn>
   size_t ScanRange(const K& lo, const K& hi, Fn fn) const {
-    telemetry::ScopedOp telem(telemetry::Engine::kDisk,
-                              telemetry::Op::kScan);
-    if (hi < lo) return 0;
-    const size_t first = DeltaSlot(lo);
-    const size_t cap = reader_.meta().leaf_capacity;
-    size_t rank = LowerBound(lo);
-    std::vector<K> keys(cap);
-    std::vector<uint64_t> values(cap);
     size_t emitted = 0;
-    for (size_t s = first; s < deltas_.size(); ++s) {
-      if (s > first && hi < segments_[s].seg.first_key) break;
-      const std::span<const DeltaEntry> delta(deltas_[s]);
-      auto b = delta.begin();
-      if (s < segments_.size()) {
-        const SegmentRecord<K>& rec = segments_[s];
-        rank = std::max(rank, SegStart(rec));
-        while (rank < SegEnd(rec)) {
-          PinnedPage pin(pool_.get(), PageForRank(rec, rank));
-          if (!pin) {
-            io_error_ = true;
-            return emitted;
-          }
-          const size_t slot = (rank - SegStart(rec)) % cap;
-          const size_t n = std::min(SegEnd(rec) - rank, cap - slot);
-          LeafSlots<K>(pin.data(), slot).CopyOut(n, keys.data(),
-                                                 values.data());
-          rank += n;
-          const K last = keys[n - 1];
-          const auto e = std::upper_bound(
-              b, delta.end(), last,
-              [](const K& k, const DeltaEntry& d) { return k < d.key; });
-          emitted += fitree::detail::EmitMergedRange<K, uint64_t>(
-              keys.data(), values.data(), n, {b, e}, lo, hi, fn);
-          if (!(last < hi)) return emitted;
-          b = e;
-        }
-      }
-      emitted += fitree::detail::EmitMergedRange<K, uint64_t>(
-          nullptr, nullptr, 0, {b, delta.end()}, lo, hi, fn);
-    }
+    (void)Scan(lo, hi, fn, emitted);
     return emitted;
   }
 
@@ -360,7 +322,7 @@ class DiskFitingTree {
   // error bound, writes a temp file in the same page layout, fsyncs it,
   // atomically renames it over the original, fsyncs the directory entry,
   // and reopens. Returns false (leaving the original file and overlay
-  // untouched) if the rewrite fails.
+  // untouched) if this scan cannot read every page or the rewrite fails.
   bool Compact() {
     // Compaction reporting: the ScopedDuration feeds the registry's
     // disk/compact count + histogram + trace record, cancelled on the
@@ -377,12 +339,13 @@ class DiskFitingTree {
     std::vector<uint64_t> values;
     keys.reserve(size_);
     values.reserve(size_);
-    ScanRange(std::numeric_limits<K>::min(), std::numeric_limits<K>::max(),
-              [&](const K& k, uint64_t v) {
-                keys.push_back(k);
-                values.push_back(v);
-              });
-    if (io_error_) {
+    auto collect = [&](const K& k, uint64_t v) {
+      keys.push_back(k);
+      values.push_back(v);
+    };
+    size_t scanned = 0;
+    if (!Scan(std::numeric_limits<K>::min(), std::numeric_limits<K>::max(),
+              collect, scanned)) {
       telem.Cancel();
       return false;
     }
@@ -719,6 +682,54 @@ class DiskFitingTree {
   static auto DeltaPos(Buffer& delta, const K& key) {
     return std::lower_bound(delta.begin(), delta.end(), key,
                             fitree::detail::BufferKeyLess{});
+  }
+
+  // The body of ScanRange: adds the entries it emits to `emitted` and
+  // returns false when a page read failed, which ends the scan there.
+  // Compact() decides on this outcome, not on the sticky io_error_, so a
+  // read that failed once and later succeeds does not block a rewrite.
+  template <typename Fn>
+  bool Scan(const K& lo, const K& hi, Fn& fn, size_t& emitted) const {
+    telemetry::ScopedOp telem(telemetry::Engine::kDisk,
+                              telemetry::Op::kScan);
+    if (hi < lo) return true;
+    const size_t first = DeltaSlot(lo);
+    const size_t cap = reader_.meta().leaf_capacity;
+    size_t rank = LowerBound(lo);
+    std::vector<K> keys(cap);
+    std::vector<uint64_t> values(cap);
+    for (size_t s = first; s < deltas_.size(); ++s) {
+      if (s > first && hi < segments_[s].seg.first_key) break;
+      const std::span<const DeltaEntry> delta(deltas_[s]);
+      auto b = delta.begin();
+      if (s < segments_.size()) {
+        const SegmentRecord<K>& rec = segments_[s];
+        rank = std::max(rank, SegStart(rec));
+        while (rank < SegEnd(rec)) {
+          PinnedPage pin(pool_.get(), PageForRank(rec, rank));
+          if (!pin) {
+            io_error_ = true;
+            return false;
+          }
+          const size_t slot = (rank - SegStart(rec)) % cap;
+          const size_t n = std::min(SegEnd(rec) - rank, cap - slot);
+          LeafSlots<K>(pin.data(), slot).CopyOut(n, keys.data(),
+                                                 values.data());
+          rank += n;
+          const K last = keys[n - 1];
+          const auto e = std::upper_bound(
+              b, delta.end(), last,
+              [](const K& k, const DeltaEntry& d) { return k < d.key; });
+          emitted += fitree::detail::EmitMergedRange<K, uint64_t>(
+              keys.data(), values.data(), n, {b, e}, lo, hi, fn);
+          if (!(last < hi)) return true;
+          b = e;
+        }
+      }
+      emitted += fitree::detail::EmitMergedRange<K, uint64_t>(
+          nullptr, nullptr, 0, {b, delta.end()}, lo, hi, fn);
+    }
+    return true;
   }
 
   // Compacts `slot` once its overlay reaches the threshold. Republishes

@@ -913,6 +913,73 @@ TEST(DiskFitingTree, WriteWhoseBaseReadFailsChangesNothing) {
   std::remove(path.c_str());
 }
 
+std::vector<char> FileBytes(const std::string& path) {
+  std::vector<char> bytes;
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  if (f == nullptr) return bytes;
+  char chunk[4096];
+  for (size_t n; (n = std::fread(chunk, 1, sizeof(chunk), f)) != 0;) {
+    bytes.insert(bytes.end(), chunk, chunk + n);
+  }
+  std::fclose(f);
+  return bytes;
+}
+
+// Compact() decides on whether its own scan read every page. While a leaf
+// is corrupt it refuses and leaves the file as it was; once the page reads
+// again, a rewrite succeeds even though an earlier read failed.
+TEST(DiskFitingTree, CompactAfterTransientReadFailureSucceeds) {
+  constexpr size_t kBigPage = 4096;
+  const size_t cap = LeafCapacity<int64_t>(kBigPage);
+  std::vector<int64_t> keys;
+  std::vector<uint64_t> values;
+  std::map<int64_t, uint64_t> oracle;
+  for (size_t i = 0; i < 3000; ++i) {
+    keys.push_back(static_cast<int64_t>(3 * i));
+    values.push_back(7 * i + 3);
+    oracle[keys.back()] = values.back();
+  }
+  ASSERT_GT(keys.size(), 2 * cap);
+  std::string path;
+  auto disk = OpenWritable(keys, values, 16.0, /*cache_pages=*/1,
+                           "transient_read", &path, 0, kBigPage);
+  ASSERT_NE(disk, nullptr);
+  ASSERT_EQ(disk->SegmentCount(), 1u);  // rank r lives on leaf r / cap
+  const int64_t paged = keys[cap + cap / 2];  // leaf 1
+  ASSERT_EQ(disk->Lookup(keys[0]), std::optional<uint64_t>(values[0]));
+
+  SegmentFileReader<int64_t> reader;
+  ASSERT_TRUE(reader.Open(path)) << reader.error_message();
+  const long offset =
+      static_cast<long>(reader.LeafPageId(1) * kBigPage + kBigPage / 2);
+  reader.Close();
+  ASSERT_NO_FATAL_FAILURE(FlipByteAt(path, offset));
+  EXPECT_EQ(disk->Lookup(paged), std::nullopt);
+  EXPECT_TRUE(disk->io_error());
+
+  const std::vector<char> corrupt = FileBytes(path);
+  EXPECT_FALSE(disk->Compact());
+  EXPECT_EQ(FileBytes(path), corrupt);
+  EXPECT_EQ(disk->Compactions(), 0u);
+
+  ASSERT_NO_FATAL_FAILURE(FlipByteAt(path, offset));
+  const int64_t gap = paged + 1;
+  ASSERT_TRUE(disk->Insert(gap, 5));
+  oracle[gap] = 5;
+  ASSERT_TRUE(disk->Compact());
+  EXPECT_EQ(disk->Compactions(), 1u);
+  EXPECT_EQ(disk->DeltaEntries(), 0u);
+  EXPECT_EQ(disk->base_size(), oracle.size());
+  std::vector<std::pair<int64_t, uint64_t>> got;
+  disk->ScanRange(std::numeric_limits<int64_t>::lowest(),
+                  std::numeric_limits<int64_t>::max(),
+                  [&](int64_t k, uint64_t v) { got.emplace_back(k, v); });
+  const std::vector<std::pair<int64_t, uint64_t>> want(oracle.begin(),
+                                                       oracle.end());
+  EXPECT_EQ(got, want);
+  std::remove(path.c_str());
+}
+
 TEST(DiskFitingTree, ZipfianProbesRaiseHitRateOverUniform) {
   // ~200 leaf pages; 64 frames hold the Zipfian hot set (each hot key
   // needs its 2-3 window pages resident) but only a third of the file.

@@ -411,6 +411,88 @@ TEST(ShardedIndexTest, IdleWorkersParkAndCountIt) {
   }
 }
 
+// Its first Lookup sets `entered` and then blocks until `release` is set,
+// holding the shard worker so a backlog builds behind it.
+class LatchedEngine : public MapEngine {
+ public:
+  static std::unique_ptr<LatchedEngine> Create(
+      const std::vector<int64_t>& keys, const std::vector<uint64_t>& values,
+      std::atomic<bool>* entered, std::atomic<bool>* release) {
+    auto engine = std::make_unique<LatchedEngine>();
+    for (size_t i = 0; i < keys.size(); ++i) {
+      engine->Insert(keys[i], values.empty() ? 0 : values[i]);
+    }
+    engine->entered_ = entered;
+    engine->release_ = release;
+    return engine;
+  }
+
+  std::optional<uint64_t> Lookup(const int64_t& key) const {
+    if (!first_done_) {
+      first_done_ = true;
+      entered_->store(true);
+      entered_->notify_all();
+      release_->wait(false);
+    }
+    return MapEngine::Lookup(key);
+  }
+
+ private:
+  std::atomic<bool>* entered_ = nullptr;
+  std::atomic<bool>* release_ = nullptr;
+  mutable bool first_done_ = false;  // touched by the worker thread only
+};
+
+// The worker never waits for a batch to fill, so batching must come from
+// the backlog alone: 40 lookups queued behind a blocked request drain in
+// full batches once it returns.
+TEST(ShardedIndexTest, BacklogFillsBatchesWithoutLinger) {
+  using Latched = ShardedIndex<LatchedEngine>;
+  std::vector<int64_t> keys;
+  std::vector<uint64_t> values;
+  for (int64_t i = 0; i < 128; ++i) {
+    keys.push_back(2 * i);
+    values.push_back(static_cast<uint64_t>(i) + 7);
+  }
+  std::atomic<bool> entered{false};
+  std::atomic<bool> release{false};
+  Latched::Config config;
+  config.shards = 1;
+  config.batch = 32;
+  auto server = Latched::Create(
+      keys, values,
+      [&](const std::vector<int64_t>& k, const std::vector<uint64_t>& v) {
+        return LatchedEngine::Create(k, v, &entered, &release);
+      },
+      config);
+  ASSERT_NE(server, nullptr);
+
+  constexpr size_t kBacklog = 40;
+  std::vector<Latched::Slot> slots(kBacklog + 1);
+  auto submit = [&](size_t i) {
+    Latched::Req req;
+    req.op = fitree::server::ReqOp::kLookup;
+    req.key = static_cast<int64_t>(i);  // odd keys are absent
+    req.slot = &slots[i];
+    server->SubmitAsync(req);
+  };
+  submit(0);
+  entered.wait(false);
+  for (size_t i = 1; i <= kBacklog; ++i) submit(i);
+  release.store(true);
+  release.notify_all();
+  for (size_t i = 0; i <= kBacklog; ++i) {
+    slots[i].Wait();
+    EXPECT_EQ(slots[i].found, i % 2 == 0) << "key " << i;
+    if (i % 2 == 0) {
+      EXPECT_EQ(slots[i].value, i / 2 + 7) << "key " << i;
+    }
+  }
+  const auto stats = server->Stats();
+  EXPECT_LE(stats.Get("batches"), 3.0);
+  EXPECT_EQ(stats.Get("batched_ops"), static_cast<double>(kBacklog + 1));
+}
+
 #if defined(__linux__)
 // Records the affinity mask of the thread that serves each lookup.
 class AffinityProbeEngine : public MapEngine {
