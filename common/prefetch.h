@@ -1,8 +1,11 @@
-// Software prefetch helpers for the lookup hot path: once the directory
-// has resolved a segment, the model's predicted rank names the cache line
-// the bounded search will touch first, so the engines ask for it while the
-// intervening work (buffer/delta probes) is still executing. Prefetches
-// are hints — issuing one for a stale or evicted address is always safe.
+// Software prefetch helpers for the lookup hot path. Once the directory
+// has resolved a segment, the model's predicted rank names the lines a
+// lookup will probably need, so the engines ask for them together before
+// depending on any: the in-memory tree requests the key and payload lines
+// around the prediction while its buffer probe runs, then the payload
+// lines of the search's gallop bracket while the final count runs.
+// Prefetches are hints — issuing one for a stale or evicted address is
+// always safe.
 
 #ifndef FITREE_COMMON_PREFETCH_H_
 #define FITREE_COMMON_PREFETCH_H_
@@ -17,6 +20,11 @@ inline constexpr size_t kCacheLineBytes = 64;
 inline void PrefetchRead(const void* p) {
 #if defined(__GNUC__) || defined(__clang__)
   __builtin_prefetch(p, /*rw=*/0, /*locality=*/3);
+  // GCC counts a prefetch as no side effect, so a function that does
+  // nothing else (FitingTree::PrefetchPredicted) is pure to it, and it
+  // deletes every call, prefetches and all. This empty volatile asm is an
+  // effect it must keep; it emits no instruction.
+  asm volatile("" : : "r"(p));
 #else
   (void)p;
 #endif

@@ -249,18 +249,21 @@ class FitingTree {
   // Replaces the payload of a present key. Returns false when absent.
   bool Update(const K& key, const V& value) {
     telemetry::ScopedOp telem(Sync::kEngine, telemetry::Op::kUpdate);
-    return Write(key, nullptr, [&](SegmentData& seg, size_t i, auto pos) {
-      if (pos != seg.buffer.end() && pos->key == key) {
-        if (pos->tombstone) return WriteResult{};
-        pos->value = value;
-      } else if (i != kNotFound) {
-        Sync::StorePayload(PageValues(seg)[i], value);
-      } else {
-        return WriteResult{};
-      }
-      ++counts_.updates;
-      return WriteResult{true, false};
-    });
+    return Write(
+        key, nullptr,
+        [&](SegmentData& seg, size_t i, auto pos) {
+          if (pos != seg.buffer.end() && pos->key == key) {
+            if (pos->tombstone) return WriteResult{};
+            pos->value = value;
+          } else if (i != kNotFound) {
+            Sync::StorePayload(PageValues(seg)[i], value);
+          } else {
+            return WriteResult{};
+          }
+          ++counts_.updates;
+          return WriteResult{true, false};
+        },
+        PrefetchPayloads{});
   }
 
   // Removes `key`. Returns false when absent. A paged key gets a tombstone
@@ -580,17 +583,26 @@ class FitingTree {
     return dir.value_at(i == Directory::kNone ? 0 : i);
   }
 
-  // Prefetch the predicted in-page position (keys and payloads) so the
-  // lines arrive while the buffer probe between descent and page search is
-  // still executing.
+  // Cache lines on each side of the predicted one that a lookup prefetches.
+  // On 16M Weblogs keys at error 64, 69% of keys sit within 2 lines (16
+  // 8-byte keys) of the prediction and 89% within 4, against 20% on the
+  // predicted line itself (EXPERIMENTS.md, "Lookup prefetch").
+  static constexpr size_t kNeighbourhoodLines = 2;
+  static constexpr size_t kNeighbourhoodKeys =
+      std::max<size_t>(1, kNeighbourhoodLines * kCacheLineBytes / sizeof(K));
+
+  // Prefetch the key and payload lines within kNeighbourhoodLines of the
+  // predicted in-page position, so the lines the search and the payload
+  // load most likely touch arrive together, while the buffer probe between
+  // descent and page search is still executing.
   void PrefetchPredicted(const SegmentData& seg, const K& key) const {
     K* keys = seg.keys;
     const size_t n = seg.n;
-    const double pred = seg.Predict(key);
-    const size_t hint =
-        pred <= 0.0 ? 0 : std::min(n - 1, static_cast<size_t>(pred));
-    PrefetchRead(keys + hint);
-    PrefetchRead(BlockValues(keys, n) + hint);
+    const size_t hint = ClampRank(seg.Predict(key), 0, n - 1);
+    const size_t lo = hint - std::min(hint, kNeighbourhoodKeys);
+    const size_t len = std::min(n, hint + kNeighbourhoodKeys + 1) - lo;
+    PrefetchReadRange(keys + lo, len * sizeof(K));
+    PrefetchReadRange(BlockValues(keys, n) + lo, len * sizeof(V));
   }
 
   // The payloads of `seg`'s page. A reader loads them after its buffer
@@ -600,11 +612,37 @@ class FitingTree {
     return BlockValues(seg.keys, seg.n);
   }
 
+  // The widest gallop bracket whose payload lines a lookup prefetches. A
+  // wider bracket means the model missed by more than four lines; then the
+  // requests cost more than the one miss they hide (at error 16384,
+  // prefetching every bracket made `ablation_search` 5x slower;
+  // EXPERIMENTS.md, "Lookup prefetch").
+  static constexpr size_t kBracketPrefetchLines = 8;
+
+  // Bracket callbacks for SearchSegment, called with the segment and the
+  // gallop bracket (detail::BoundedLowerBound). PrefetchPayloads starts
+  // the bracket's payload lines travelling, for a caller that loads the
+  // payload of the index the search finds; a hint only, so a compaction
+  // moving the page before that load is harmless.
+  struct NoPrefetch {
+    void operator()(const SegmentData&, size_t, size_t) const {}
+  };
+  struct PrefetchPayloads {
+    void operator()(const SegmentData& seg, size_t lo, size_t hi) const {
+      const size_t bytes = (hi - lo) * sizeof(V);
+      if (bytes <= kBracketPrefetchLines * kCacheLineBytes) {
+        PrefetchReadRange(PageValues(seg) + lo, bytes);
+      }
+    }
+  };
+
   // Error-bounded search of the segment page for an exact match, through
   // the same ErrorWindow as the disk-resident lookup path. The keys never
   // change while a segment is live, so writers search before latching.
   // Returns the in-page index of `key`, or kNotFound.
-  size_t SearchSegment(const SegmentData& seg, const K& key) const {
+  template <typename OnBracket = NoPrefetch>
+  size_t SearchSegment(const SegmentData& seg, const K& key,
+                       OnBracket on_bracket = {}) const {
     telemetry::ScopedPhase phase(Sync::kEngine,
                                  telemetry::Phase::kWindowSearch);
     const K* keys = seg.keys;
@@ -614,9 +652,9 @@ class FitingTree {
     // negative; a present key always predicts a window overlapping [0, n).
     if (pred + config_.error + 2.0 < 0.0) return kNotFound;
     const auto [begin, end] = ErrorWindow(pred, config_.error, 0, n);
-    const size_t hint = static_cast<size_t>(std::max(0.0, pred));
-    const size_t i = detail::BoundedLowerBound(keys, begin, end, hint, key,
-                                               config_.search_policy);
+    const size_t i = detail::BoundedLowerBound(
+        keys, begin, end, ClampRank(pred, 0, n), key, config_.search_policy,
+        [&](size_t lo, size_t hi) { on_bracket(seg, lo, hi); });
     return i < n && keys[i] == key ? i : kNotFound;
   }
 
@@ -641,7 +679,7 @@ class FitingTree {
         }
       }
     }
-    const size_t i = SearchSegment(seg, key);
+    const size_t i = SearchSegment(seg, key, PrefetchPayloads{});
     if (i == kNotFound) return std::nullopt;
     return Sync::LoadPayload(PageValues(seg)[i]);
   }
@@ -650,8 +688,10 @@ class FitingTree {
   // latch, given `key`'s page index `i` (or kNotFound) and buffer position
   // `pos`. A segment frozen by a merge sends the write back to a fresh
   // directory; an empty tree takes `*first`, if given, as its first key.
-  template <typename Edit>
-  bool Write(const K& key, const V* first, Edit edit) {
+  // `on_bracket` goes to the search (SearchSegment).
+  template <typename Edit, typename OnBracket = NoPrefetch>
+  bool Write(const K& key, const V* first, Edit edit,
+             OnBracket on_bracket = {}) {
     ReadGuard guard(sync_);
     for (;;) {
       SegmentData* seg = LocateSegment(key);
@@ -660,7 +700,7 @@ class FitingTree {
         if (InsertIntoEmpty(key, *first)) return true;
         continue;  // another writer published the first segment
       }
-      const size_t i = SearchSegment(*seg, key);
+      const size_t i = SearchSegment(*seg, key, on_bracket);
       if (!seg->sync.LockLive()) continue;
       const WriteResult result = edit(*seg, i, BufferPos(*seg, key));
       seg->sync.Unlock(seg->buffer.size());

@@ -368,13 +368,25 @@ inline void GallopBracket(const K* data, size_t begin, size_t end, size_t h,
   }
 }
 
+// The default bracket callback of BoundedLowerBound: does nothing.
+struct NoBracket {
+  void operator()(size_t /*lo*/, size_t /*hi*/) const {}
+};
+
 // Lower-bound (first index whose key is >= `key`) over sorted
 // data[begin, end), given that the answer is guaranteed to lie in
 // [begin, end] and that `hint` (the model's predicted rank) approximates
 // it. See the header comment for each policy's use of the hint.
-template <typename K>
+//
+// The gallop policies (kExponential, kSimd) call `on_bracket(lo, hi)` once
+// the gallop has bracketed the answer, before the final count: an index in
+// [begin, end) holding `key` lies in [lo, hi). A caller that will load
+// something per index (the page's payload) can start those lines
+// travelling while the count runs.
+template <typename K, typename OnBracket = NoBracket>
 size_t BoundedLowerBound(const K* data, size_t begin, size_t end, size_t hint,
-                         const K& key, SearchPolicy policy) {
+                         const K& key, SearchPolicy policy,
+                         OnBracket on_bracket = {}) {
   if (begin >= end) return begin;
   switch (policy) {
     case SearchPolicy::kBinary:
@@ -398,6 +410,7 @@ size_t BoundedLowerBound(const K* data, size_t begin, size_t end, size_t hint,
       const size_t h = std::clamp(hint, begin, end - 1);
       size_t lo, hi;
       GallopBracket(data, begin, end, h, key, &lo, &hi);
+      on_bracket(lo, std::min(hi + 1, end));
       return static_cast<size_t>(
           std::lower_bound(data + lo, data + hi, key) - data);
     }
@@ -408,6 +421,7 @@ size_t BoundedLowerBound(const K* data, size_t begin, size_t end, size_t hint,
       const size_t h = std::clamp(hint, begin, end - 1);
       size_t lo, hi;
       GallopBracket(data, begin, end, h, key, &lo, &hi);
+      on_bracket(lo, std::min(hi + 1, end));
       size_t n = hi - lo;
       BranchlessNarrow(data, key, simd::kSimdWindowKeys, &lo, &n);
       return lo + simd::CountLess(data + lo, n, key);

@@ -78,6 +78,16 @@ struct Segment {
   }
 };
 
+// A predicted position truncated to a rank in [lo, hi]. The clamp comes
+// before the cast: a prediction for a key near the key type's extremes can
+// pass 2^64 (or fall below 0), where casting a double to size_t is
+// undefined.
+inline size_t ClampRank(double pos, size_t lo, size_t hi) {
+  if (!(pos > static_cast<double>(lo))) return lo;
+  if (pos >= static_cast<double>(hi)) return hi;
+  return std::min(hi, static_cast<size_t>(pos));
+}
+
 // Rank window [begin, end) guaranteed to contain the key's insertion point
 // given its segment's prediction: the model is error-bounded on the
 // segment's keys and monotone between them, so the true rank is within
@@ -87,14 +97,9 @@ struct Segment {
 inline std::pair<size_t, size_t> ErrorWindow(double pred, double error,
                                              size_t seg_start,
                                              size_t seg_end) {
-  const double wlo = pred - error - 2.0;
-  const double whi = pred + error + 2.0;
-  const size_t begin = wlo <= static_cast<double>(seg_start)
-                           ? seg_start
-                           : std::min(seg_end, static_cast<size_t>(wlo));
-  const size_t end = whi >= static_cast<double>(seg_end)
-                         ? seg_end
-                         : std::max(begin, static_cast<size_t>(whi));
+  const size_t begin = ClampRank(pred - error - 2.0, seg_start, seg_end);
+  const size_t end =
+      std::max(begin, ClampRank(pred + error + 2.0, seg_start, seg_end));
   return {begin, end};
 }
 

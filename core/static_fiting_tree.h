@@ -222,9 +222,9 @@ class StaticFitingTree {
     const size_t seg_end = seg.start + seg.length;
     const double pred = seg.Predict(key);
     const auto [begin, end] = ErrorWindow(pred, error_, seg.start, seg_end);
-    const size_t hint = static_cast<size_t>(std::max(0.0, pred));
+    const size_t hint = ClampRank(pred, 0, data_.size() - 1);
     // Pull the predicted line in while the window bounds resolve.
-    PrefetchRead(data_.data() + std::min(hint, data_.size() - 1));
+    PrefetchRead(data_.data() + hint);
     size_t i = detail::BoundedLowerBound(data_.data(), begin, end, hint, key,
                                          policy_);
     if (upper) {

@@ -58,16 +58,6 @@ class BufferPool {
   // (diagnostic; lookups of ids past it never grow it).
   size_t PageTableSize() const { return table_.size(); }
 
-  // Resident frame data for `page_id` without pinning or counting, or
-  // nullptr on a miss. For prefetch hints only: the frame may be evicted
-  // at any later point, so callers must not dereference the pointer —
-  // issuing a software prefetch for it is always safe.
-  const std::byte* Peek(uint32_t page_id) const {
-    const uint32_t frame = FrameOf(page_id);
-    if (frame == kNoFrame) return nullptr;
-    return arena_.data() + size_t{frame} * page_bytes_;
-  }
-
   // Returns the resident page, pinned (caller must Unpin), or nullptr when
   // the read fails verification or every frame is pinned.
   const std::byte* Fetch(uint32_t page_id) {

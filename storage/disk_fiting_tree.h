@@ -70,7 +70,6 @@
 #include <vector>
 
 #include "common/io_stats.h"
-#include "common/prefetch.h"
 #include "core/delta_buffer.h"
 #include "core/flat_directory.h"
 #include "core/search_policy.h"
@@ -204,7 +203,6 @@ class DiskFitingTree {
     telemetry::ScopedOp telem(telemetry::Engine::kDisk,
                               telemetry::Op::kLookup);
     const size_t floor = FloorSlot(key);
-    PrefetchPredictedFrame(floor, key);
     {
       telemetry::ScopedPhase probe(telemetry::Engine::kDisk,
                                    telemetry::Phase::kDeltaProbe);
@@ -657,10 +655,8 @@ class DiskFitingTree {
   // The segment's prediction for `key`, clamped into the segment's ranks:
   // the rank whose page a lookup pins first.
   static size_t PredictedRank(const SegmentRecord<K>& rec, const K& key) {
-    const double pred = rec.seg.Predict(key);
-    return pred <= static_cast<double>(SegStart(rec))
-               ? SegStart(rec)
-               : std::min(SegEnd(rec) - 1, static_cast<size_t>(pred));
+    return fitree::ClampRank(rec.seg.Predict(key), SegStart(rec),
+                             SegEnd(rec) - 1);
   }
 
   // File-global leaf page holding base rank `rank` (v2 addressing).
@@ -749,19 +745,6 @@ class DiskFitingTree {
       (void)Compact();
     } else {
       (void)CompactSegment(slot);
-    }
-  }
-
-  // Prefetch the predicted rank's position in its resident pool frame (if
-  // cached) so the line travels while the delta probe runs. A miss is left
-  // alone — faulting a page is the buffer pool's decision, not a hint's.
-  void PrefetchPredictedFrame(size_t floor, const K& key) const {
-    if (floor == kNoSlot || base_size() == 0) return;
-    const SegmentRecord<K>& rec = segments_[floor];
-    const size_t rank = PredictedRank(rec, key);
-    const size_t cap = reader_.meta().leaf_capacity;
-    if (const std::byte* frame = pool_->Peek(PageForRank(rec, rank))) {
-      PrefetchRead(LeafSlots<K>(frame, (rank - SegStart(rec)) % cap).at(0));
     }
   }
 

@@ -262,7 +262,7 @@ class LeafSlots {
   LeafSlots(const std::byte* page, size_t first)
       : base_(page + kPageHeaderBytes + first * kStride) {}
 
-  // Address of entry i, for strided search kernels and prefetches.
+  // Address of entry i, for the strided search kernels.
   const std::byte* at(size_t i) const { return base_ + i * kStride; }
   K key(size_t i) const { return LoadAs<K>(at(i)); }
   LeafEntry<K> entry(size_t i) const { return LoadAs<LeafEntry<K>>(at(i)); }

@@ -216,6 +216,23 @@ TEST(ConcurrentFitingTree, SequentialMatchesOracle) {
                          oracle.end()));
 }
 
+TEST(ConcurrentFitingTree, ExtremeUnsignedKeysClampPredictionBeforeCast) {
+  // UINT64_MAX predicts a position past 2^64, where a bare double->size_t
+  // cast is undefined.
+  std::vector<uint64_t> keys(1000);
+  for (uint64_t i = 0; i < keys.size(); ++i) keys[i] = i;
+  ConcurrentFitingTreeConfig config;
+  config.error = 16.0;
+  auto tree = ConcurrentFitingTree<uint64_t>::Create(keys, keys, config);
+  EXPECT_EQ(tree->Lookup(UINT64_MAX), std::nullopt);
+  EXPECT_FALSE(tree->Contains(UINT64_MAX));
+  EXPECT_FALSE(tree->Update(UINT64_MAX, 1));
+  EXPECT_FALSE(tree->Delete(UINT64_MAX));
+  EXPECT_EQ(tree->Lookup(0), 0u);
+  EXPECT_TRUE(tree->Contains(0));
+  EXPECT_EQ(tree->Lookup(999), 999u);
+}
+
 TEST(ConcurrentFitingTree, EmptyTreeBootstrap) {
   ConcurrentFitingTreeConfig config;
   config.error = 16.0;

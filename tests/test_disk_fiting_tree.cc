@@ -540,6 +540,27 @@ TEST(DiskFitingTree, TinyTreesRoundTrip) {
   }
 }
 
+TEST(DiskFitingTree, ExtremeUnsignedKeysClampPredictionBeforeCast) {
+  // UINT64_MAX predicts a position past 2^64, where a bare double->size_t
+  // cast is undefined.
+  std::vector<uint64_t> keys(1000);
+  for (uint64_t i = 0; i < keys.size(); ++i) keys[i] = i;
+  const auto oracle = StaticFitingTree<uint64_t>::Create(keys, 16.0);
+  const std::string path = TempPath("extreme_u64.fit");
+  ASSERT_TRUE(fitree::storage::WriteIndexFile(
+      path, *oracle, SegmentFileOptions{kPageBytes}));
+  auto disk = DiskFitingTree<uint64_t>::Open(path);
+  ASSERT_NE(disk, nullptr);
+  EXPECT_EQ(disk->LowerBound(UINT64_MAX), keys.size());
+  EXPECT_FALSE(disk->Contains(UINT64_MAX));
+  EXPECT_EQ(disk->Lookup(UINT64_MAX), std::nullopt);
+  EXPECT_EQ(disk->LowerBound(0), 0u);
+  EXPECT_TRUE(disk->Contains(0));
+  EXPECT_EQ(disk->Lookup(0), 0u);
+  EXPECT_FALSE(disk->io_error());
+  std::remove(path.c_str());
+}
+
 TEST(DiskFitingTree, ReopenIsDeterministic) {
   Fixture fx(1500, 8.0, /*cache_pages=*/16, "reopen");
   auto second = DiskFitingTree<int64_t>::Open(fx.path);

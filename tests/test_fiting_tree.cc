@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <optional>
 #include <random>
@@ -11,6 +12,7 @@
 #include <utility>
 #include <vector>
 
+#include "concurrency/concurrent_fiting_tree.h"
 #include "core/delta_buffer.h"
 #include "core/fiting_tree.h"
 #include "datasets/datasets.h"
@@ -206,6 +208,100 @@ TEST(FitingTree, ProbesFarOutsideKeyRange) {
   EXPECT_FALSE(tree->Contains(keys.back() + 1'000'000));
   tree->Insert(keys.front() - 1'000'000);
   EXPECT_TRUE(tree->Contains(keys.front() - 1'000'000));
+}
+
+TEST(FitingTree, ExtremeUnsignedKeysClampPredictionBeforeCast) {
+  // A probe of UINT64_MAX predicts a position past 2^64; casting that to
+  // size_t is undefined (the sanitizer build traps on it), so every site
+  // clamps first.
+  std::vector<uint64_t> keys(1000);
+  for (uint64_t i = 0; i < keys.size(); ++i) keys[i] = i;
+  FitingTreeConfig config;
+  config.error = 16.0;
+  auto tree = FitingTree<uint64_t>::Create(keys, keys, config);
+  EXPECT_EQ(tree->Lookup(UINT64_MAX), std::nullopt);
+  EXPECT_FALSE(tree->Contains(UINT64_MAX));
+  EXPECT_FALSE(tree->Update(UINT64_MAX, 1));
+  EXPECT_FALSE(tree->Delete(UINT64_MAX));
+  EXPECT_EQ(tree->Lookup(0), 0u);
+  EXPECT_TRUE(tree->Contains(0));
+  EXPECT_EQ(tree->Lookup(999), 999u);
+  EXPECT_TRUE(tree->Insert(UINT64_MAX, 7));
+  EXPECT_EQ(tree->Lookup(UINT64_MAX), 7u);
+}
+
+// The lookup prefetches lines around the prediction and the payloads of
+// the gallop bracket; neither may change an answer. Lookups and updates
+// under both sync policies and every search policy, against a std::map,
+// over pages of every size down to one key: every key, the first and last
+// key of every page, the gaps beside them, and keys outside the range.
+template <typename Tree>
+void CheckPrefetchKeepsAnswers() {
+  const auto keys = fitree::datasets::Iot(6000, 41);
+  for (const double error : {1.0, 4.0, 64.0, 1024.0}) {
+    for (const auto policy :
+         {SearchPolicy::kBinary, SearchPolicy::kLinear,
+          SearchPolicy::kExponential, SearchPolicy::kSimd}) {
+      SCOPED_TRACE(::testing::Message()
+                   << "error " << error << " policy "
+                   << fitree::SearchPolicyName(policy));
+      std::vector<uint64_t> values(keys.size());
+      std::map<int64_t, uint64_t> oracle;
+      for (size_t i = 0; i < keys.size(); ++i) {
+        values[i] = i * 3 + 1;
+        oracle[keys[i]] = values[i];
+      }
+      typename Tree::Config config;
+      config.error = error;
+      config.search_policy = policy;
+      auto tree = Tree::Create(keys, values, config);
+
+      std::vector<int64_t> probes(keys.begin(), keys.end());
+      size_t small_pages = 0;
+      for (size_t s = 0; s < tree->SegmentCount(); ++s) {
+        const auto page = tree->PageKeys(s);
+        small_pages += page.size() < 8 ? 1 : 0;
+        for (const int64_t edge : {page.front(), page.back()}) {
+          probes.insert(probes.end(), {edge - 1, edge, edge + 1});
+        }
+      }
+      if (error == 1.0) {
+        EXPECT_GT(small_pages, 0u);
+      }
+      for (const int64_t far :
+           {keys.front() - 1'000'000, keys.back() + 1'000'000,
+            std::numeric_limits<int64_t>::min(),
+            std::numeric_limits<int64_t>::max()}) {
+        probes.push_back(far);
+      }
+
+      const auto check = [&] {
+        for (const int64_t probe : probes) {
+          const auto it = oracle.find(probe);
+          ASSERT_EQ(tree->Lookup(probe),
+                    it == oracle.end() ? std::nullopt
+                                       : std::optional<uint64_t>(it->second))
+              << "probe " << probe;
+        }
+      };
+      check();
+      for (size_t i = 0; i < probes.size(); i += 3) {
+        const auto it = oracle.find(probes[i]);
+        ASSERT_EQ(tree->Update(probes[i], i), it != oracle.end())
+            << "update " << probes[i];
+        if (it != oracle.end()) it->second = i;
+      }
+      check();
+    }
+  }
+}
+
+TEST(FitingTree, PrefetchNeverChangesAnAnswer) {
+  CheckPrefetchKeepsAnswers<FitingTree<int64_t>>();
+}
+
+TEST(FitingTree, PrefetchNeverChangesAnAnswerConcurrentPolicy) {
+  CheckPrefetchKeepsAnswers<fitree::ConcurrentFitingTree<int64_t>>();
 }
 
 // ---- CRUD: payloads, updates, deletes ----

@@ -85,13 +85,36 @@ void CheckWindow(const std::vector<K>& window, size_t begin) {
     // Hints sweep the whole window plus both clamping directions.
     const size_t hints[] = {begin, end > 0 ? end - 1 : 0, (begin + end) / 2,
                             expected, expected + 3, 0, end + 100};
+    const bool match = expected < end && data[expected] == key;
     for (const SearchPolicy policy : kAllPolicies) {
       for (const size_t hint : hints) {
-        ASSERT_EQ(fitree::detail::BoundedLowerBound(data.get(), begin, end,
-                                                    hint, key, policy),
+        // The gallop policies report their bracket once, within the
+        // window, and a matching index lies inside it.
+        int calls = 0;
+        size_t lo = 0, hi = 0;
+        ASSERT_EQ(fitree::detail::BoundedLowerBound(
+                      data.get(), begin, end, hint, key, policy,
+                      [&](size_t l, size_t h) {
+                        ++calls;
+                        lo = l;
+                        hi = h;
+                      }),
                   expected)
             << fitree::SearchPolicyName(policy) << " n=" << n
             << " begin=" << begin << " hint=" << hint;
+        const bool gallops = policy == SearchPolicy::kExponential ||
+                             policy == SearchPolicy::kSimd;
+        ASSERT_EQ(calls, gallops && begin < end ? 1 : 0)
+            << fitree::SearchPolicyName(policy);
+        if (calls == 0) continue;
+        ASSERT_TRUE(begin <= lo && lo <= hi && hi <= end)
+            << fitree::SearchPolicyName(policy) << " [" << lo << ", " << hi
+            << ")";
+        if (match) {
+          ASSERT_TRUE(lo <= expected && expected < hi)
+              << fitree::SearchPolicyName(policy) << " [" << lo << ", " << hi
+              << ") misses " << expected << " hint=" << hint;
+        }
       }
     }
   }

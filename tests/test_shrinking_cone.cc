@@ -6,6 +6,7 @@
 #include <limits>
 #include <random>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "core/non_linearity.h"
@@ -215,6 +216,25 @@ TEST(ShrinkingCone, ConeModeMatchesBruteForceFeasibility) {
       }
     }
   }
+}
+
+TEST(ErrorWindow, ClampRankClampsBeforeCasting) {
+  using fitree::ClampRank;
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_EQ(ClampRank(5.7, 3, 9), 5u);
+  EXPECT_EQ(ClampRank(3.0, 3, 9), 3u);
+  EXPECT_EQ(ClampRank(9.0, 3, 9), 9u);
+  EXPECT_EQ(ClampRank(-1e30, 3, 9), 3u);
+  EXPECT_EQ(ClampRank(-inf, 3, 9), 3u);
+  EXPECT_EQ(ClampRank(std::nan(""), 3, 9), 3u);
+  // Past 2^64, where a bare cast to size_t is undefined.
+  EXPECT_EQ(ClampRank(1.9e19, 3, 9), 9u);
+  EXPECT_EQ(ClampRank(inf, 3, 9), 9u);
+  // A prediction past the page leaves an empty window at its end.
+  EXPECT_EQ(fitree::ErrorWindow(1.9e19, 16.0, 0, 1000),
+            (std::pair<size_t, size_t>{1000, 1000}));
+  EXPECT_EQ(fitree::ErrorWindow(-1.9e19, 16.0, 0, 1000),
+            (std::pair<size_t, size_t>{0, 0}));
 }
 
 TEST(OptimalSegmentation, NeverWorseThanGreedy) {

@@ -98,6 +98,20 @@ TEST(StaticFitingTree, BoundaryProbes) {
   EXPECT_FALSE(tree->Contains(keys.back() + 100));
 }
 
+TEST(StaticFitingTree, ExtremeUnsignedKeysClampPredictionBeforeCast) {
+  // UINT64_MAX predicts a position past 2^64, where a bare double->size_t
+  // cast is undefined.
+  std::vector<uint64_t> keys(1000);
+  for (uint64_t i = 0; i < keys.size(); ++i) keys[i] = i;
+  auto tree = StaticFitingTree<uint64_t>::Create(keys, 16.0);
+  EXPECT_EQ(tree->LowerBound(UINT64_MAX), keys.size());
+  EXPECT_FALSE(tree->Contains(UINT64_MAX));
+  EXPECT_EQ(tree->Lookup(UINT64_MAX), std::nullopt);
+  EXPECT_EQ(tree->LowerBound(0), 0u);
+  EXPECT_TRUE(tree->Contains(0));
+  EXPECT_EQ(tree->Lookup(0), 0u);
+}
+
 TEST(StaticFitingTree, PayloadsDefaultToRankAndUpdateInPlace) {
   const auto keys = fitree::datasets::Iot(3000, 7);
   auto tree = StaticFitingTree<int64_t>::Create(keys, 16.0);
