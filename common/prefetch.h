@@ -1,9 +1,10 @@
 // Software prefetch helpers for the lookup hot path. Once the directory
 // has resolved a segment, the model's predicted rank names the lines a
 // lookup will probably need, so the engines ask for them together before
-// depending on any: the in-memory tree requests the key and payload lines
-// around the prediction while its buffer probe runs, then the payload
-// lines of the search's gallop bracket while the final count runs.
+// depending on any: the in-memory tree requests the key lines around the
+// prediction and the predicted payload line while its buffer probe runs,
+// then the payload lines of the search's gallop bracket while the final
+// count runs.
 // Prefetches are hints — issuing one for a stale or evicted address is
 // always safe.
 

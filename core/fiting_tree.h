@@ -214,9 +214,11 @@ class FitingTree {
     ReadGuard guard(sync_);
     Timer timer;
     const SegmentData* seg = LocateSegment(key);
-    if (seg != nullptr) PrefetchPredicted(*seg, key);
     *tree_ns += timer.ElapsedNs();
     timer.Reset();
+    // The prefetch is page work. Timed with the descent, the latency of
+    // the lines it requests showed up as tree time.
+    if (seg != nullptr) PrefetchPredicted(*seg, key);
     const bool found = seg != nullptr && Find(*seg, key).has_value();
     *page_ns += timer.ElapsedNs();
     return found;
@@ -263,7 +265,7 @@ class FitingTree {
           ++counts_.updates;
           return WriteResult{true, false};
         },
-        PrefetchPayloads{});
+        /*prefetch_payloads=*/true);
   }
 
   // Removes `key`. Returns false when absent. A paged key gets a tombstone
@@ -583,7 +585,7 @@ class FitingTree {
     return dir.value_at(i == Directory::kNone ? 0 : i);
   }
 
-  // Cache lines on each side of the predicted one that a lookup prefetches.
+  // Key lines on each side of the predicted one that a lookup prefetches.
   // On 16M Weblogs keys at error 64, 69% of keys sit within 2 lines (16
   // 8-byte keys) of the prediction and 89% within 4, against 20% on the
   // predicted line itself (EXPERIMENTS.md, "Lookup prefetch").
@@ -591,10 +593,14 @@ class FitingTree {
   static constexpr size_t kNeighbourhoodKeys =
       std::max<size_t>(1, kNeighbourhoodLines * kCacheLineBytes / sizeof(K));
 
-  // Prefetch the key and payload lines within kNeighbourhoodLines of the
-  // predicted in-page position, so the lines the search and the payload
-  // load most likely touch arrive together, while the buffer probe between
-  // descent and page search is still executing.
+  // Prefetch the key lines within kNeighbourhoodLines of the predicted
+  // in-page position, and the predicted payload line, so the lines the
+  // search most likely touches arrive together while the buffer probe
+  // between descent and page search is still executing. Payloads further
+  // out wait for the gallop bracket (SearchSegment): requesting their
+  // neighbourhood too won ~5% more on lookups timed one at a time, but
+  // made lookups run back to back 15-40% slower (EXPERIMENTS.md, "Lookup
+  // prefetch").
   void PrefetchPredicted(const SegmentData& seg, const K& key) const {
     K* keys = seg.keys;
     const size_t n = seg.n;
@@ -602,7 +608,7 @@ class FitingTree {
     const size_t lo = hint - std::min(hint, kNeighbourhoodKeys);
     const size_t len = std::min(n, hint + kNeighbourhoodKeys + 1) - lo;
     PrefetchReadRange(keys + lo, len * sizeof(K));
-    PrefetchReadRange(BlockValues(keys, n) + lo, len * sizeof(V));
+    PrefetchRead(BlockValues(keys, n) + hint);
   }
 
   // The payloads of `seg`'s page. A reader loads them after its buffer
@@ -612,37 +618,25 @@ class FitingTree {
     return BlockValues(seg.keys, seg.n);
   }
 
-  // The widest gallop bracket whose payload lines a lookup prefetches. A
-  // wider bracket means the model missed by more than four lines; then the
-  // requests cost more than the one miss they hide (at error 16384,
-  // prefetching every bracket made `ablation_search` 5x slower;
-  // EXPERIMENTS.md, "Lookup prefetch").
-  static constexpr size_t kBracketPrefetchLines = 8;
-
-  // Bracket callbacks for SearchSegment, called with the segment and the
-  // gallop bracket (detail::BoundedLowerBound). PrefetchPayloads starts
-  // the bracket's payload lines travelling, for a caller that loads the
-  // payload of the index the search finds; a hint only, so a compaction
-  // moving the page before that load is harmless.
-  struct NoPrefetch {
-    void operator()(const SegmentData&, size_t, size_t) const {}
-  };
-  struct PrefetchPayloads {
-    void operator()(const SegmentData& seg, size_t lo, size_t hi) const {
-      const size_t bytes = (hi - lo) * sizeof(V);
-      if (bytes <= kBracketPrefetchLines * kCacheLineBytes) {
-        PrefetchReadRange(PageValues(seg) + lo, bytes);
-      }
-    }
-  };
+  // The widest gallop bracket, in payload lines, whose payloads a lookup
+  // prefetches. A bracket w keys wide holds an answer w to 2w keys from the
+  // prediction, so with 8-byte payloads the 4-line cap (w <= 32) covers
+  // answers within 64 keys: all of an error-64 window. A wider bracket
+  // means a model miss whose requests cost more than the one miss they
+  // hide (at error 16384, prefetching every bracket made `ablation_search`
+  // 5x slower; EXPERIMENTS.md, "Lookup prefetch").
+  static constexpr size_t kBracketPrefetchLines = 4;
 
   // Error-bounded search of the segment page for an exact match, through
   // the same ErrorWindow as the disk-resident lookup path. The keys never
   // change while a segment is live, so writers search before latching.
-  // Returns the in-page index of `key`, or kNotFound.
-  template <typename OnBracket = NoPrefetch>
+  // Returns the in-page index of `key`, or kNotFound. A caller that loads
+  // the found index's payload passes `prefetch_payloads`: the payload
+  // lines of the gallop bracket then start travelling before the final
+  // count. That is a hint only, so a compaction moving the page before
+  // the load is harmless.
   size_t SearchSegment(const SegmentData& seg, const K& key,
-                       OnBracket on_bracket = {}) const {
+                       bool prefetch_payloads) const {
     telemetry::ScopedPhase phase(Sync::kEngine,
                                  telemetry::Phase::kWindowSearch);
     const K* keys = seg.keys;
@@ -654,7 +648,15 @@ class FitingTree {
     const auto [begin, end] = ErrorWindow(pred, config_.error, 0, n);
     const size_t i = detail::BoundedLowerBound(
         keys, begin, end, ClampRank(pred, 0, n), key, config_.search_policy,
-        [&](size_t lo, size_t hi) { on_bracket(seg, lo, hi); });
+        [&](size_t lo, size_t hi) {
+          const size_t width = hi - lo;
+          if (prefetch_payloads &&
+              width * sizeof(V) <= kBracketPrefetchLines * kCacheLineBytes) {
+            // The answer lies in [lo, hi], and hi may be n.
+            PrefetchReadRange(PageValues(seg) + lo,
+                              (std::min(hi + 1, n) - lo) * sizeof(V));
+          }
+        });
     return i < n && keys[i] == key ? i : kNotFound;
   }
 
@@ -679,7 +681,7 @@ class FitingTree {
         }
       }
     }
-    const size_t i = SearchSegment(seg, key, PrefetchPayloads{});
+    const size_t i = SearchSegment(seg, key, /*prefetch_payloads=*/true);
     if (i == kNotFound) return std::nullopt;
     return Sync::LoadPayload(PageValues(seg)[i]);
   }
@@ -688,10 +690,10 @@ class FitingTree {
   // latch, given `key`'s page index `i` (or kNotFound) and buffer position
   // `pos`. A segment frozen by a merge sends the write back to a fresh
   // directory; an empty tree takes `*first`, if given, as its first key.
-  // `on_bracket` goes to the search (SearchSegment).
-  template <typename Edit, typename OnBracket = NoPrefetch>
+  // `prefetch_payloads` goes to the search (SearchSegment).
+  template <typename Edit>
   bool Write(const K& key, const V* first, Edit edit,
-             OnBracket on_bracket = {}) {
+             bool prefetch_payloads = false) {
     ReadGuard guard(sync_);
     for (;;) {
       SegmentData* seg = LocateSegment(key);
@@ -700,7 +702,7 @@ class FitingTree {
         if (InsertIntoEmpty(key, *first)) return true;
         continue;  // another writer published the first segment
       }
-      const size_t i = SearchSegment(*seg, key, on_bracket);
+      const size_t i = SearchSegment(*seg, key, prefetch_payloads);
       if (!seg->sync.LockLive()) continue;
       const WriteResult result = edit(*seg, i, BufferPos(*seg, key));
       seg->sync.Unlock(seg->buffer.size());

@@ -378,11 +378,11 @@ struct NoBracket {
 // [begin, end] and that `hint` (the model's predicted rank) approximates
 // it. See the header comment for each policy's use of the hint.
 //
-// The gallop policies (kExponential, kSimd) call `on_bracket(lo, hi)` once
-// the gallop has bracketed the answer, before the final count: an index in
-// [begin, end) holding `key` lies in [lo, hi). A caller that will load
-// something per index (the page's payload) can start those lines
-// travelling while the count runs.
+// The gallop policies (kExponential, kSimd) call `on_bracket(lo, hi)` with
+// GallopBracket's [lo, hi) once the gallop has bracketed the answer, before
+// the final count: the lower bound lies in [lo, hi], so an index holding
+// `key` does too. A caller that will load something per index (the page's
+// payload) can start those lines travelling while the count runs.
 template <typename K, typename OnBracket = NoBracket>
 size_t BoundedLowerBound(const K* data, size_t begin, size_t end, size_t hint,
                          const K& key, SearchPolicy policy,
@@ -410,7 +410,7 @@ size_t BoundedLowerBound(const K* data, size_t begin, size_t end, size_t hint,
       const size_t h = std::clamp(hint, begin, end - 1);
       size_t lo, hi;
       GallopBracket(data, begin, end, h, key, &lo, &hi);
-      on_bracket(lo, std::min(hi + 1, end));
+      on_bracket(lo, hi);
       return static_cast<size_t>(
           std::lower_bound(data + lo, data + hi, key) - data);
     }
@@ -421,7 +421,7 @@ size_t BoundedLowerBound(const K* data, size_t begin, size_t end, size_t hint,
       const size_t h = std::clamp(hint, begin, end - 1);
       size_t lo, hi;
       GallopBracket(data, begin, end, h, key, &lo, &hi);
-      on_bracket(lo, std::min(hi + 1, end));
+      on_bracket(lo, hi);
       size_t n = hi - lo;
       BranchlessNarrow(data, key, simd::kSimdWindowKeys, &lo, &n);
       return lo + simd::CountLess(data + lo, n, key);

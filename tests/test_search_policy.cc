@@ -89,7 +89,7 @@ void CheckWindow(const std::vector<K>& window, size_t begin) {
     for (const SearchPolicy policy : kAllPolicies) {
       for (const size_t hint : hints) {
         // The gallop policies report their bracket once, within the
-        // window, and a matching index lies inside it.
+        // window, and a matching index lies in [lo, hi].
         int calls = 0;
         size_t lo = 0, hi = 0;
         ASSERT_EQ(fitree::detail::BoundedLowerBound(
@@ -111,9 +111,9 @@ void CheckWindow(const std::vector<K>& window, size_t begin) {
             << fitree::SearchPolicyName(policy) << " [" << lo << ", " << hi
             << ")";
         if (match) {
-          ASSERT_TRUE(lo <= expected && expected < hi)
+          ASSERT_TRUE(lo <= expected && expected <= hi)
               << fitree::SearchPolicyName(policy) << " [" << lo << ", " << hi
-              << ") misses " << expected << " hint=" << hint;
+              << "] misses " << expected << " hint=" << hint;
         }
       }
     }
