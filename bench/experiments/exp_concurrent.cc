@@ -182,7 +182,6 @@ IssuedOps ConcurrentOpCounts() {
 // probes would land on the same counters. Any mismatch aborts the bench.
 void ValidateTelemetryCounts(const IssuedOps& before, const IssuedOps& after,
                              const IssuedOps& issued) {
-  if (!fitree::telemetry::kEnabled) return;
   const auto check = [](const char* op, uint64_t got, uint64_t want) {
     if (got != want) {
       Die(std::string("concurrent: telemetry ") + op + " count " +

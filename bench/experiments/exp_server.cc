@@ -25,7 +25,7 @@
 // Every rep is validated: the quiesced server must match a std::set
 // reference (size, sampled membership, cross-shard range scans), and the
 // server's registry op rows must equal the issued totals exactly.
-// profile_report.py decomposes the same runs into the kShardRoute /
+// tools/stats_dump.py decomposes the same runs into the kShardRoute /
 // kShardQueueWait / kShardExec phases.
 //
 // Env knobs (see EXPERIMENTS.md): FITREE_BENCH_SCALE / FITREE_BENCH_N /
@@ -220,7 +220,6 @@ IssuedOps ServerOpCounts() {
 // on the same rows.
 void ValidateTelemetryCounts(const IssuedOps& before, const IssuedOps& after,
                              const IssuedOps& issued) {
-  if (!fitree::telemetry::kEnabled) return;
   const auto check = [](const char* op, uint64_t got, uint64_t want) {
     if (got != want) {
       Die(std::string("server: telemetry ") + op + " count " +

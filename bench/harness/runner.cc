@@ -16,7 +16,6 @@
 #include "common/table_printer.h"
 #include "telemetry/perf_counters.h"
 #include "telemetry/registry.h"
-#include "telemetry/trace.h"
 
 extern "C" char** environ;
 
@@ -469,11 +468,7 @@ Json CaptureEnvironment() {
 Json TelemetryToJson() {
   namespace tm = fitree::telemetry;
   Json telem = Json::Object();
-  telem.Set("enabled", Json(tm::kEnabled));
-  if (!tm::kEnabled) return telem;
-#ifndef FITREE_NO_TELEMETRY
   telem.Set("sample_period", Json(tm::SamplePeriod()));
-#endif
 
   const tm::RegistrySnapshot snap = tm::Registry::Get().Snapshot();
 
@@ -527,21 +522,6 @@ Json TelemetryToJson() {
   }
   telem.Set("phases", std::move(phases));
 
-  // Monotonic-to-wallclock anchor: trace t_ns and phase timestamps are
-  // steady-clock ns; wall time of any t_ns is
-  // unix_now_ns - (steady_now_ns - t_ns). Both clocks read back-to-back.
-  {
-    Json anchor = Json::Object();
-    anchor.Set("steady_now_ns", Json(tm::NowNs()));
-    anchor.Set("unix_now_ns",
-               Json(static_cast<uint64_t>(
-                   std::chrono::duration_cast<std::chrono::nanoseconds>(
-                       std::chrono::system_clock::now().time_since_epoch())
-                       .count())));
-    anchor.Set("utc", Json(UtcTimestamp()));
-    telem.Set("clock_anchor", std::move(anchor));
-  }
-
   // All named counters and gauges, zero or not: a fixed-shape section is
   // what tools/stats_dump.py and diffing scripts key on.
   Json counters = Json::Object();
@@ -557,36 +537,6 @@ Json TelemetryToJson() {
   }
   telem.Set("gauges", std::move(gauges));
 
-  // The dump-to-JSON path for the FITREE_TRACE ring buffers: merged,
-  // time-ordered binary records rendered as objects. Only materialized
-  // when tracing is on (rings are bounded, so this stays small).
-  const tm::TraceDump dump = tm::trace::Collect();
-  Json trace = Json::Object();
-  trace.Set("enabled", Json(dump.enabled));
-  if (dump.enabled) {
-    trace.Set("threads", Json(static_cast<uint64_t>(dump.threads)));
-    trace.Set("emitted", Json(dump.emitted));
-    trace.Set("dropped", Json(dump.dropped));
-    Json records = Json::Array();
-    for (const tm::TraceRecord& r : dump.records) {
-      Json rec = Json::Object();
-      rec.Set("t_ns", Json(r.t_ns));
-      rec.Set("tid", Json(static_cast<uint64_t>(r.tid)));
-      rec.Set("engine",
-              Json(tm::EngineName(static_cast<tm::Engine>(r.engine))));
-      rec.Set("op", Json(tm::OpName(static_cast<tm::Op>(r.op))));
-      // phase == 0 marks an op-level record; phase-tagged records carry
-      // the span's name (index is 1 + Phase, see TraceRecord).
-      if (r.phase != 0) {
-        rec.Set("phase",
-                Json(tm::PhaseName(static_cast<tm::Phase>(r.phase - 1))));
-      }
-      rec.Set("arg_ns", Json(r.arg));
-      records.Push(std::move(rec));
-    }
-    trace.Set("records", std::move(records));
-  }
-  telem.Set("trace", std::move(trace));
   return telem;
 }
 
@@ -600,8 +550,7 @@ Json MakeResultsDocument(const Json& environment, int reps,
   for (const ResultRecord& r : records) results.Push(ResultRecordToJson(r));
   doc.Set("results", std::move(results));
   // Cumulative registry snapshot for the whole run: per-op counts and
-  // latency percentiles across every experiment executed by this process,
-  // plus the trace dump when FITREE_TRACE was on.
+  // latency percentiles across every experiment executed by this process.
   doc.Set("telemetry", TelemetryToJson());
   return doc;
 }

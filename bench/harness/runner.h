@@ -214,9 +214,8 @@ Json CaptureEnvironment();
 
 // Snapshot of the process-wide telemetry registry as one JSON object (the
 // "telemetry" member of BENCH_results.json; schema in EXPERIMENTS.md):
-// per-(engine, op) counts + sampled latency percentiles, the named
-// counters and gauges, and — when FITREE_TRACE is on — the merged trace
-// ring dump. {"enabled": false} under -DFITREE_NO_TELEMETRY.
+// per-(engine, op) counts + sampled latency percentiles, the
+// per-(engine, phase) span grid, and the named counters and gauges.
 Json TelemetryToJson();
 
 // Assembles the top-level BENCH_results.json document.
@@ -226,9 +225,8 @@ Json MakeResultsDocument(const Json& environment, int reps,
 // Assembles the slim committed-baseline document: only what the
 // tools/bench_diff.py gate pairs and compares — experiment, params, and
 // the ns_per_op statistics — plus the environment header for provenance.
-// No metrics, no perf block, no telemetry snapshot: those made the
-// committed baseline balloon by three orders of magnitude (a full trace
-// dump alone is tens of MB) while never participating in the diff.
+// No metrics, no perf block, no telemetry snapshot: those would balloon
+// the committed baseline while never participating in the diff.
 Json MakeBaselineDocument(const Json& environment, int reps,
                           const std::vector<ResultRecord>& records);
 

@@ -27,7 +27,6 @@ struct IoStats {
   uint64_t cache_misses = 0;  // page requests that went to the source
   uint64_t pages_read = 0;    // physical page reads (<= misses: failed
                               // reads count as a miss but not a read)
-  uint64_t bytes_read = 0;    // pages_read * page_bytes
 
   uint64_t accesses() const { return cache_hits + cache_misses; }
 
@@ -40,14 +39,13 @@ struct IoStats {
 
   IoStats operator-(const IoStats& o) const {
     return {cache_hits - o.cache_hits, cache_misses - o.cache_misses,
-            pages_read - o.pages_read, bytes_read - o.bytes_read};
+            pages_read - o.pages_read};
   }
 
   IoStats& operator+=(const IoStats& o) {
     cache_hits += o.cache_hits;
     cache_misses += o.cache_misses;
     pages_read += o.pages_read;
-    bytes_read += o.bytes_read;
     return *this;
   }
 

@@ -4,10 +4,7 @@
 // field from it directly, so a knob's default, parse rule, and clamp live
 // in a single place.
 //
-// Knobs resolved here, each with the caller that sets it:
-//   FITREE_TRACE          0 | 1 trace-ring capture              (0)
-//                         CI's trace leg (the ring dump that
-//                         tools/profile_report.py reads)
+// The one knob resolved here, with the caller that sets it:
 //   FITREE_IO_DIRECT      0 | 1 attempt O_DIRECT reads          (0)
 //                         CI's O_DIRECT disk leg
 //
@@ -15,9 +12,8 @@
 // sampling period is 64 (telemetry_sample; bench/e2e reads it to restore the
 // period after a traced window, tests change it with
 // telemetry::SetSamplePeriodForTest); the server's shard count and drain
-// batch are ShardedIndex::Config defaults; the trace ring holds 4096
-// records. Bench-harness knobs (FITREE_BENCH_*) stay in bench/ — they size
-// workloads, not the engines.
+// batch are ShardedIndex::Config defaults. Bench-harness knobs
+// (FITREE_BENCH_*) stay in bench/ — they size workloads, not the engines.
 
 #ifndef FITREE_COMMON_OPTIONS_H_
 #define FITREE_COMMON_OPTIONS_H_
@@ -30,13 +26,11 @@ namespace fitree {
 
 struct Options {
   uint64_t telemetry_sample = 64;  // 1-in-N latency sampling
-  bool trace = false;              // trace-ring capture on/off
   bool io_direct = false;          // attempt O_DIRECT page reads
 
   // Reads the environment knobs; other fields keep their defaults.
   static Options FromEnvironment() {
     Options o;
-    o.trace = GetEnvInt64("FITREE_TRACE", 0) != 0;
     o.io_direct = GetEnvInt64("FITREE_IO_DIRECT", 0) != 0;
     return o;
   }

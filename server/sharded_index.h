@@ -92,9 +92,8 @@ inline telemetry::Op OpFor(ReqOp op) {
 // Cross-thread phase record for sampled requests: one count + one latency
 // sample in the server's phase grid. Bypasses ScopedPhase (whose nesting
 // state is thread-local) because route/wait/exec spans live on different
-// threads. Compiles away with the rest of the instrumentation.
+// threads.
 inline void RecordServerPhase(telemetry::Phase phase, uint64_t ns) {
-  if (!telemetry::kEnabled) return;
   auto& reg = telemetry::Registry::Get();
   reg.phase_count(telemetry::Engine::kServer, phase).Add();
   reg.phase_latency(telemetry::Engine::kServer, phase).Record(ns);
@@ -381,7 +380,7 @@ class ShardedIndex {
   // turns into queue-wait / whole-request latencies.
   void Submit(Req& req) const {
     telemetry::CountOp(telemetry::Engine::kServer, detail::OpFor(req.op));
-    if (telemetry::kEnabled && telemetry::detail::ShouldSample()) {
+    if (telemetry::detail::ShouldSample()) {
       const uint64_t t0 = telemetry::NowNs();
       const size_t shard = router_.ShardOf(req.key);
       const uint64_t t1 = telemetry::NowNs();
@@ -397,7 +396,7 @@ class ShardedIndex {
   // knows the target). Still counts the op — and samples like Submit.
   void SubmitTo(size_t shard, Req& req) const {
     telemetry::CountOp(telemetry::Engine::kServer, detail::OpFor(req.op));
-    if (telemetry::kEnabled && telemetry::detail::ShouldSample()) {
+    if (telemetry::detail::ShouldSample()) {
       req.enqueue_ns = telemetry::NowNs();
     }
     Enqueue(shard, req);

@@ -85,9 +85,7 @@ class BufferPool {
     }
     if (!source_->ReadPageInto(page_id, FrameData(victim))) return nullptr;
     ++stats_.pages_read;
-    stats_.bytes_read += page_bytes_;
     telemetry::CounterAdd(telemetry::CounterId::kIoPagesRead);
-    telemetry::CounterAdd(telemetry::CounterId::kIoBytesRead, page_bytes_);
     f.page_id = page_id;
     f.pins = 1;
     f.referenced = true;

@@ -79,7 +79,6 @@
 #include "telemetry/phase.h"
 #include "telemetry/registry.h"
 #include "telemetry/structural.h"
-#include "telemetry/trace.h"
 
 namespace fitree::storage {
 
@@ -323,16 +322,14 @@ class DiskFitingTree {
   // untouched) if this scan cannot read every page or the rewrite fails.
   bool Compact() {
     // Compaction reporting: the ScopedDuration feeds the registry's
-    // disk/compact count + histogram + trace record, cancelled on the
-    // failure paths so they don't register as completed compactions, and
-    // arms phase spans so the rewrite is attributed under the compact
-    // phase. Wall time is also hand-timed into last_compact_ns_, which
-    // must stay live in both telemetry builds (NowNs never compiles out).
+    // disk/compact count + histogram and last_compact_ns_, is cancelled on
+    // the failure paths so they don't register as completed compactions,
+    // and arms phase spans so the rewrite is attributed under the compact
+    // phase.
     telemetry::ScopedDuration telem(telemetry::Engine::kDisk,
                                     telemetry::Op::kCompact);
     telemetry::ScopedPhase phase(telemetry::Engine::kDisk,
                                  telemetry::Phase::kCompact);
-    const uint64_t t0 = telemetry::NowNs();
     std::vector<K> keys;
     std::vector<uint64_t> values;
     keys.reserve(size_);
@@ -387,7 +384,7 @@ class DiskFitingTree {
       return false;
     }
     ++compactions_;
-    last_compact_ns_ = telemetry::NowNs() - t0;
+    last_compact_ns_ = telem.ElapsedNs();
     // Every page of the new file was written by the rewrite (meta +
     // segment-table + leaves), so the post-reload page count is the
     // rewritten-page figure.

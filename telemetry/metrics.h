@@ -8,11 +8,6 @@
 // of per-thread monotonic values, so a concurrent Load() sees some valid
 // point-in-time total (exact once writers quiesce — what the bench
 // validation relies on).
-//
-// Everything here stays defined under FITREE_NO_TELEMETRY (the unit tests
-// exercise the types directly in both builds); only the *instrumentation
-// helpers* in registry.h compile to no-ops, so the escape hatch removes
-// every hot-path cost without forking the metric types.
 
 #ifndef FITREE_TELEMETRY_METRICS_H_
 #define FITREE_TELEMETRY_METRICS_H_
@@ -23,15 +18,6 @@
 #include <cstdint>
 
 namespace fitree::telemetry {
-
-// Compile-time escape hatch: -DFITREE_NO_TELEMETRY turns every
-// instrumentation helper (registry.h, trace.h) into a no-op.
-inline constexpr bool kEnabled =
-#ifdef FITREE_NO_TELEMETRY
-    false;
-#else
-    true;
-#endif
 
 // The four engines the instrumentation distinguishes, plus the sharded
 // server front-end (server/sharded_index.h), whose rows measure the
@@ -88,7 +74,6 @@ enum class CounterId : uint8_t {
   kIoCacheHits,
   kIoCacheMisses,
   kIoPagesRead,
-  kIoBytesRead,
   kEpochRetired,
   kEpochFreed,
   kMergesEnqueued,
@@ -100,14 +85,13 @@ enum class CounterId : uint8_t {
   kServerParks,          // idle shard waits that outlasted the poll and parked
   kArenaRelocations,     // sparse segment-arena chunks emptied by moving blocks
 };
-inline constexpr size_t kNumCounters = 14;
+inline constexpr size_t kNumCounters = 13;
 
 inline constexpr const char* CounterName(CounterId id) {
   switch (id) {
     case CounterId::kIoCacheHits: return "io.cache_hits";
     case CounterId::kIoCacheMisses: return "io.cache_misses";
     case CounterId::kIoPagesRead: return "io.pages_read";
-    case CounterId::kIoBytesRead: return "io.bytes_read";
     case CounterId::kEpochRetired: return "epoch.retired";
     case CounterId::kEpochFreed: return "epoch.freed";
     case CounterId::kMergesEnqueued: return "merge_worker.enqueued";

@@ -21,10 +21,6 @@
 // >= 3, ENOENT/ENODEV for unsupported events, ENOSYS under seccomp). A
 // PerfRegion that cannot open its events stays inert and Stop() returns a
 // sample whose status says why — the export records it, nothing crashes.
-//
-// This stays fully functional under -DFITREE_NO_TELEMETRY (it is cold-path
-// bench machinery, not hot-path instrumentation), matching the metrics.h
-// convention that only instrumentation helpers are stubbed.
 
 #ifndef FITREE_TELEMETRY_PERF_COUNTERS_H_
 #define FITREE_TELEMETRY_PERF_COUNTERS_H_

@@ -5,7 +5,7 @@
 // (on disk) page I/O. Phase is the closed vocabulary of those stages and
 // ScopedPhase is a nestable RAII span the engines drop around each one,
 // feeding a per-(engine, phase) count + latency-histogram grid in the
-// registry and, when FITREE_TRACE is on, phase-tagged trace records.
+// registry.
 //
 // Cost model: phases piggyback on the op sampling countdown. A ScopedOp
 // that wins the 1-in-SamplePeriod() draw (or a ScopedDuration, which
@@ -23,9 +23,15 @@
 // additive. The disk engine's window search, for example, records compute
 // time only, while the page faults it triggers land under page_io.
 //
-// ScopedPhase compiles to a true no-op under -DFITREE_NO_TELEMETRY; the
-// Phase enum and names stay real in both builds (tools and tests use
-// them), matching the metrics.h convention.
+// Limit of the split: a prefetch's latency is charged to whichever span
+// closes after it, not to the phase that later reads the line, presumably
+// because the closing steady_clock read waits for loads still in flight.
+// A scratch build that put a kDirectoryDescent span around
+// FitingTree::PrefetchPredicted raised bench/e2e's traced
+// core.directory_descent_ns on lookup_mem from ~180 to 420-580 ns, while
+// the untraced lookup was unchanged. Read the core.*_ns split as "where
+// the clock stalled", and compare it only between builds that issue the
+// same prefetches at the same places.
 
 #ifndef FITREE_TELEMETRY_PHASE_H_
 #define FITREE_TELEMETRY_PHASE_H_
@@ -77,36 +83,23 @@ inline constexpr const char* PhaseName(Phase p) {
   return "?";
 }
 
-#ifdef FITREE_NO_TELEMETRY
-
-class ScopedPhase {
- public:
-  ScopedPhase(Engine, Phase) {}
-};
-
-#else  // !FITREE_NO_TELEMETRY
-
 class ScopedPhase;
 
 namespace detail {
 
 // Per-thread phase state. `timing` is armed by a ScopedOp that sampled
-// (or by a ScopedDuration, which always times) and `op` is that op's id,
-// so phase records can carry their enclosing op without ScopedPhase
-// taking an Op parameter at every call site. Trivial + constinit keeps
+// (or by a ScopedDuration, which always times). Trivial + constinit keeps
 // the TLS access direct — no __tls_init wrapper on the fast path (same
 // reasoning as ThreadSlot() in metrics.h).
 struct PhaseContext {
   ScopedPhase* innermost = nullptr;
   bool timing = false;
-  uint8_t op = 0;
 };
 inline constinit thread_local PhaseContext g_phase_ctx;
 
 // Cold path (runs 1-in-SamplePeriod() ops per span): folds one
-// finished span into the registry's phase grid and, when tracing is on,
-// the calling thread's trace ring. Defined in telemetry.cc.
-void RecordPhaseSample(Engine engine, Phase phase, Op op, uint64_t self_ns);
+// finished span into the registry's phase grid. Defined in telemetry.cc.
+void RecordPhaseSample(Engine engine, Phase phase, uint64_t self_ns);
 
 }  // namespace detail
 
@@ -136,7 +129,7 @@ class ScopedPhase {
     ctx.innermost = parent_;
     if (parent_ != nullptr) parent_->child_ns_ += inclusive;
     const uint64_t self = inclusive > child_ns_ ? inclusive - child_ns_ : 0;
-    detail::RecordPhaseSample(engine_, phase_, static_cast<Op>(ctx.op), self);
+    detail::RecordPhaseSample(engine_, phase_, self);
   }
 
  private:
@@ -146,8 +139,6 @@ class ScopedPhase {
   Engine engine_{};
   Phase phase_{};
 };
-
-#endif  // FITREE_NO_TELEMETRY
 
 }  // namespace fitree::telemetry
 

@@ -1,14 +1,11 @@
 // Process-wide telemetry registry and the instrumentation helpers the
 // engines call.
 //
-// One Registry singleton (leaked heap object, Registry::Get) owns a
-// [engine][op] grid of sharded Counters and latency histograms plus the
-// named counters/gauges from metrics.h. Engines never talk to the
-// singleton directly — they use the helpers at the bottom of this file
-// (CountOp / ScopedOp / ScopedDuration / CounterAdd / GaugeAdd), which are
-// the only things stubbed out under -DFITREE_NO_TELEMETRY. That keeps the
-// escape hatch a pure hot-path question: the Registry, snapshot, and
-// metric types stay fully functional in both builds.
+// One process-wide Registry (a constinit global behind Registry::Get)
+// owns a [engine][op] grid of sharded Counters and latency histograms plus
+// the named counters/gauges from metrics.h. Engines never talk to the
+// registry directly — they use the helpers at the bottom of this file
+// (CountOp / ScopedOp / ScopedDuration / CounterAdd / GaugeAdd).
 //
 // Cost model (measured in EXPERIMENTS.md "Telemetry"):
 //   - op *counts* are exact: every call does one sharded relaxed
@@ -19,8 +16,6 @@
 //     nanosecond per op,
 //   - merges and compactions (rare, long) are always timed via
 //     ScopedDuration.
-// Sampled ops also emit a trace record when FITREE_TRACE is on, so the
-// trace and the histograms describe the same sample population.
 
 #ifndef FITREE_TELEMETRY_REGISTRY_H_
 #define FITREE_TELEMETRY_REGISTRY_H_
@@ -32,7 +27,6 @@
 #include "telemetry/histogram.h"
 #include "telemetry/metrics.h"
 #include "telemetry/phase.h"
-#include "telemetry/trace.h"
 
 namespace fitree::telemetry {
 
@@ -161,37 +155,6 @@ inline constinit Registry g_registry;
 
 inline Registry& Registry::Get() { return detail::g_registry; }
 
-#ifdef FITREE_NO_TELEMETRY
-
-// ---- Escape hatch: every instrumentation helper is a no-op. ----
-
-inline void CountOp(Engine, Op, uint64_t = 1) {}
-inline void CounterAdd(CounterId, uint64_t = 1) {}
-inline void GaugeAdd(GaugeId, int64_t) {}
-inline void RecordDuration(Engine, Op, uint64_t) {}
-inline uint64_t SamplePeriod() { return 0; }
-inline void SetSamplePeriodForTest(uint64_t) {}
-
-namespace detail {
-// Never samples: callers that gate explicit timing on the sampling
-// countdown (the server's cross-thread request stamps) compile their
-// timed branch away with the rest of the instrumentation.
-inline bool ShouldSample() { return false; }
-}  // namespace detail
-
-class ScopedOp {
- public:
-  ScopedOp(Engine, Op) {}
-};
-
-class ScopedDuration {
- public:
-  ScopedDuration(Engine, Op) {}
-  void Cancel() {}
-};
-
-#else  // !FITREE_NO_TELEMETRY
-
 // Exact call count for (engine, op) — the per-op hot-path cost.
 inline void CountOp(Engine e, Op o, uint64_t n = 1) {
   Registry::Get().op_count(e, o).Add(n);
@@ -231,8 +194,8 @@ inline bool ShouldSample() {
 }  // namespace detail
 
 // Counts one (engine, op) call always; on sampled calls also times it into
-// the latency histogram, arms phase spans (phase.h) for the op's duration,
-// and, when tracing is on, emits a trace record.
+// the latency histogram and arms phase spans (phase.h) for the op's
+// duration.
 class ScopedOp {
  public:
   ScopedOp(Engine e, Op o) : engine_(e), op_(o) {
@@ -241,7 +204,6 @@ class ScopedOp {
       detail::PhaseContext& ctx = detail::g_phase_ctx;
       saved_ctx_ = ctx;
       ctx.timing = true;
-      ctx.op = static_cast<uint8_t>(o);
       start_ns_ = NowNs();
     }
   }
@@ -257,7 +219,6 @@ class ScopedOp {
     // (nested-op case: an op issued from inside another sampled op).
     detail::g_phase_ctx = saved_ctx_;
     RecordDuration(engine_, op_, elapsed);
-    trace::Emit(engine_, op_, elapsed);
   }
 
  private:
@@ -278,7 +239,6 @@ class ScopedDuration {
     detail::PhaseContext& ctx = detail::g_phase_ctx;
     saved_ctx_ = ctx;
     ctx.timing = true;  // structural work always gets phase attribution
-    ctx.op = static_cast<uint8_t>(o);
     start_ns_ = NowNs();
   }
 
@@ -296,7 +256,6 @@ class ScopedDuration {
     const uint64_t elapsed = NowNs() - start_ns_;
     CountOp(engine_, op_);
     RecordDuration(engine_, op_, elapsed);
-    trace::Emit(engine_, op_, elapsed);
   }
 
  private:
@@ -306,8 +265,6 @@ class ScopedDuration {
   bool cancelled_ = false;
   detail::PhaseContext saved_ctx_;
 };
-
-#endif  // FITREE_NO_TELEMETRY
 
 }  // namespace fitree::telemetry
 

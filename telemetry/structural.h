@@ -8,9 +8,8 @@
 // engines can report different fields through one API and one JSON
 // emitter, and adding a field never breaks a caller.
 //
-// Always real (never stubbed): Stats() reads existing per-instance state,
-// costs nothing until called, and the bench/tools layers depend on it in
-// both telemetry builds.
+// Stats() reads existing per-instance state and costs nothing until
+// called.
 
 #ifndef FITREE_TELEMETRY_STRUCTURAL_H_
 #define FITREE_TELEMETRY_STRUCTURAL_H_

@@ -9,6 +9,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -379,9 +380,9 @@ TEST(Json, EveryRecordExportsAPerfBlockWithStatus) {
   EXPECT_EQ(parsed->perf.status, "not measured");
 }
 
-// --- profile_report.py / stats_dump.py ------------------------------------
+// --- stats_dump.py ---------------------------------------------------------
 
-class ProfileReportTest : public ::testing::Test {
+class StatsDumpTest : public ::testing::Test {
  protected:
   void SetUp() override {
     if (std::system("python3 --version > /dev/null 2>&1") != 0) {
@@ -389,74 +390,105 @@ class ProfileReportTest : public ::testing::Test {
     }
   }
 
+  std::string TempPath(const std::string& name) {
+    return ::testing::TempDir() + "fitree_stats_dump_" + name;
+  }
+
   // Full results document as fitree_bench writes it (schema_version,
-  // telemetry section included).
+  // telemetry section included), with one record whose hardware counters
+  // counted: 3e9 cycles over 1e6 ops.
   std::string WriteDoc(const std::string& name) {
     ResultRecord record;
-    record.experiment = "micro_phase_breakdown";
-    record.params = {{"engine", "static"}, {"mode", "full"}};
+    record.experiment = "micro_lookup";
+    record.params = {{"engine", "static"}};
     record.ns_per_op = Stats::From({100.0, 101.0, 102.0});
-    record.metrics = {{"window_search_ns_op", 60.0},
-                      {"window_search_pct", 100.0}};
+    record.perf.ok = true;
+    record.perf.status = "ok";
+    record.perf.cycles = 3e9;
+    record.perf.instructions = 6e9;
+    record.perf_ops = 1e6;
     Json env = Json::Object();
     const Json doc = MakeResultsDocument(env, 3, {record});
-    const std::string path =
-        ::testing::TempDir() + "fitree_profile_" + name + ".json";
+    const std::string path = TempPath(name + ".json");
     std::ofstream(path) << doc.Dump(2);
     return path;
   }
 
-  int RunTool(const std::string& tool, const std::string& args) {
-    const std::string cmd = "python3 '" FITREE_SOURCE_DIR "/tools/" + tool +
-                            "' " + args + " > /dev/null 2>&1";
+  std::string WriteText(const std::string& name, const std::string& text) {
+    const std::string path = TempPath(name);
+    std::ofstream(path) << text;
+    return path;
+  }
+
+  // Runs tools/stats_dump.py with `args`; its stdout lands in *out.
+  int RunTool(const std::string& args, std::string* out = nullptr) {
+    const std::string stdout_path = TempPath("stdout.txt");
+    const std::string cmd = "python3 '" FITREE_SOURCE_DIR
+                            "/tools/stats_dump.py' " + args + " > '" +
+                            stdout_path + "' 2>/dev/null";
     const int status = std::system(cmd.c_str());
+    if (out != nullptr) *out = ReadFile(stdout_path);
     return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+  }
+
+  static std::string ReadFile(const std::string& path) {
+    std::ifstream in(path);
+    return std::string(std::istreambuf_iterator<char>(in),
+                       std::istreambuf_iterator<char>());
   }
 };
 
-TEST_F(ProfileReportTest, RendersARealDocument) {
+TEST_F(StatsDumpTest, RendersARealDocumentWithThePmuTable) {
   const auto doc = WriteDoc("ok");
-  EXPECT_EQ(RunTool("profile_report.py", "'" + doc + "'"), 0);
+  std::string out;
+  ASSERT_EQ(RunTool("'" + doc + "'", &out), 0);
+  EXPECT_NE(out.find("per-(engine, op) latency grid"), std::string::npos);
+  EXPECT_NE(out.find("hardware counters per result record"),
+            std::string::npos);
+  EXPECT_NE(out.find("1 record(s) with status: ok"), std::string::npos);
+  // The record's row: IPC 6e9/3e9 and cycles/op 3e9/1e6.
+  EXPECT_NE(out.find("micro_lookup"), std::string::npos);
+  EXPECT_NE(out.find("2.00"), std::string::npos);
+  EXPECT_NE(out.find("3,000.00"), std::string::npos);
 }
 
-TEST_F(ProfileReportTest, WritesFoldedStacks) {
-  const auto doc = WriteDoc("folded");
-  const std::string folded = ::testing::TempDir() + "fitree_stacks.folded";
-  ASSERT_EQ(RunTool("profile_report.py",
-                    "'" + doc + "' --folded '" + folded + "'"),
-            0);
-  std::ifstream in(folded);
-  EXPECT_TRUE(in.good());
+TEST_F(StatsDumpTest, WritesFoldedStacks) {
+  // One known phase cell: 4 sampled spans at a mean self time of 250.5 ns
+  // fold to one two-frame stack weighing 4 x 250.5 = 1002 ns.
+  const auto doc = WriteText("one_phase.json", R"({
+      "schema_version": 1, "results": [],
+      "telemetry": {"sample_period": 64, "ops": [],
+        "phases": [{"engine": "disk", "phase": "page_io", "samples": 4,
+                    "p50_ns": 240, "p95_ns": 260, "p99_ns": 260,
+                    "max_ns": 260, "mean_ns": 250.5}],
+        "counters": {}, "gauges": {}}})");
+  const std::string folded = TempPath("stacks.folded");
+  std::remove(folded.c_str());
+  ASSERT_EQ(RunTool("'" + doc + "' --folded '" + folded + "'"), 0);
+  EXPECT_EQ(ReadFile(folded), "disk;page_io 1002\n");
 }
 
-TEST_F(ProfileReportTest, SchemaMismatchExitsTwo) {
-  const std::string wrong =
-      ::testing::TempDir() + "fitree_profile_wrong_schema.json";
-  std::ofstream(wrong) << R"({"schema_version": 99, "results": [],
-                             "telemetry": {"enabled": false}})";
-  EXPECT_EQ(RunTool("profile_report.py", "'" + wrong + "'"), 2);
+TEST_F(StatsDumpTest, SchemaMismatchExitsTwo) {
+  const auto wrong = WriteText("wrong_schema.json",
+                               R"({"schema_version": 99, "results": [],
+                                   "telemetry": {"ops": []}})");
+  EXPECT_EQ(RunTool("'" + wrong + "'"), 2);
 
-  const std::string bad = ::testing::TempDir() + "fitree_profile_bad.json";
-  std::ofstream(bad) << "not json";
-  EXPECT_EQ(RunTool("profile_report.py", "'" + bad + "'"), 2);
+  const auto bad = WriteText("bad.json", "not json");
+  EXPECT_EQ(RunTool("'" + bad + "'"), 2);
 
-  const std::string no_telem =
-      ::testing::TempDir() + "fitree_profile_no_telem.json";
-  std::ofstream(no_telem) << R"({"schema_version": 1, "results": []})";
-  EXPECT_EQ(RunTool("profile_report.py", "'" + no_telem + "'"), 2);
+  const auto no_telem = WriteText("no_telem.json",
+                                  R"({"schema_version": 1, "results": []})");
+  EXPECT_EQ(RunTool("'" + no_telem + "'"), 2);
 }
 
-TEST_F(ProfileReportTest, StatsDumpDeltaMode) {
+TEST_F(StatsDumpTest, DeltaMode) {
   const auto before = WriteDoc("delta_a");
   const auto after = WriteDoc("delta_b");
-  EXPECT_EQ(RunTool("stats_dump.py",
-                    "--delta '" + before + "' '" + after + "'"),
-            0);
+  EXPECT_EQ(RunTool("--delta '" + before + "' '" + after + "'"), 0);
   // Malformed inputs keep the schema-error contract in delta mode too.
-  const std::string bad = ::testing::TempDir() + "fitree_delta_bad.json";
-  std::ofstream(bad) << "{}";
-  EXPECT_EQ(RunTool("stats_dump.py", "--delta '" + bad + "' '" + after + "'"),
-            2);
+  const auto bad = WriteText("delta_bad.json", "{}");
+  EXPECT_EQ(RunTool("--delta '" + bad + "' '" + after + "'"), 2);
 }
 
 }  // namespace

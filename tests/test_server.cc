@@ -404,11 +404,9 @@ TEST(ShardedIndexTest, IdleWorkersParkAndCountIt) {
   }
   EXPECT_EQ(parks, 1.0);
   EXPECT_EQ(server->Stats().Get("pin_failures"), 0.0);
-  if (tm::kEnabled) {
-    EXPECT_GT(
-        tm::Registry::Get().Snapshot().counter(tm::CounterId::kServerParks),
-        parks_before);
-  }
+  EXPECT_GT(
+      tm::Registry::Get().Snapshot().counter(tm::CounterId::kServerParks),
+      parks_before);
 }
 
 // Its first Lookup sets `entered` and then blocks until `release` is set,

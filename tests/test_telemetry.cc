@@ -1,13 +1,8 @@
 // Tests for the telemetry subsystem (telemetry/): histogram percentile
 // accuracy against a sorted-sample oracle, multi-threaded counter folding
-// (run under TSan in CI), trace ring wraparound, registry snapshot
-// isolation, and the Stats() structural snapshots of all four engines.
-//
-// The metric types (Counter, Gauge, LatencyHistogram, TraceRing, Registry,
-// StructuralStats) are real even under -DFITREE_NO_TELEMETRY — only the
-// instrumentation helpers are stubbed — so most of this file runs in both
-// builds; tests that depend on engines actually emitting telemetry skip
-// themselves when the escape hatch is on.
+// (run under TSan in CI), registry snapshot isolation, the
+// instrumentation helpers and phase spans against the process-wide
+// registry, and the Stats() structural snapshots of all four engines.
 
 #include <gtest/gtest.h>
 
@@ -31,7 +26,6 @@
 #include "telemetry/phase.h"
 #include "telemetry/registry.h"
 #include "telemetry/structural.h"
-#include "telemetry/trace.h"
 
 namespace {
 
@@ -203,104 +197,6 @@ TEST(Histogram, ConcurrentRecordsAllLand) {
             static_cast<uint64_t>(kThreads) * kPerThread);
 }
 
-// --- trace ring -----------------------------------------------------------
-
-TEST(TraceRing, HoldsAllRecordsBeforeWraparound) {
-  TraceRing ring(8, /*tid=*/3);
-  for (uint64_t i = 0; i < 5; ++i) {
-    ring.Emit(Engine::kStatic, Op::kLookup, /*t_ns=*/100 + i, /*arg=*/i);
-  }
-  EXPECT_EQ(ring.emitted(), 5u);
-  EXPECT_EQ(ring.dropped(), 0u);
-  const auto records = ring.Collect();
-  ASSERT_EQ(records.size(), 5u);
-  for (uint64_t i = 0; i < 5; ++i) {
-    EXPECT_EQ(records[i].t_ns, 100 + i);
-    EXPECT_EQ(records[i].tid, 3u);
-    EXPECT_EQ(records[i].engine, static_cast<uint8_t>(Engine::kStatic));
-    EXPECT_EQ(records[i].op, static_cast<uint8_t>(Op::kLookup));
-    EXPECT_EQ(records[i].arg, i);
-  }
-}
-
-TEST(TraceRing, WrapsKeepingNewestOldestFirst) {
-  constexpr size_t kCapacity = 8;
-  TraceRing ring(kCapacity, /*tid=*/0);
-  constexpr uint64_t kEmits = 27;  // 27 = 3*8 + 3: wraps mid-ring
-  for (uint64_t i = 0; i < kEmits; ++i) {
-    ring.Emit(Engine::kDisk, Op::kCompact, /*t_ns=*/i, /*arg=*/i * 2);
-  }
-  EXPECT_EQ(ring.emitted(), kEmits);
-  EXPECT_EQ(ring.dropped(), kEmits - kCapacity);
-  const auto records = ring.Collect();
-  ASSERT_EQ(records.size(), kCapacity);
-  // The newest kCapacity records, oldest first: t_ns 19..26.
-  for (size_t i = 0; i < kCapacity; ++i) {
-    EXPECT_EQ(records[i].t_ns, kEmits - kCapacity + i);
-    EXPECT_EQ(records[i].arg, (kEmits - kCapacity + i) * 2);
-  }
-}
-
-TEST(TraceRing, ZeroCapacityClampsToOne) {
-  TraceRing ring(0, /*tid=*/1);
-  ring.Emit(Engine::kBuffered, Op::kMerge, 1, 10);
-  ring.Emit(Engine::kBuffered, Op::kMerge, 2, 20);
-  const auto records = ring.Collect();
-  ASSERT_EQ(records.size(), 1u);
-  EXPECT_EQ(records[0].t_ns, 2u);
-  EXPECT_EQ(ring.dropped(), 1u);
-}
-
-TEST(TraceGlobal, OverrideCollectAndWraparound) {
-  if (!kEnabled) GTEST_SKIP() << "built with FITREE_NO_TELEMETRY";
-  // Small rings so wraparound happens fast; ConfigOverride drops rings
-  // registered by other tests/threads, isolating this one.
-  trace::ConfigOverride(/*enabled=*/true, /*ring_capacity=*/16);
-  ASSERT_TRUE(trace::Enabled());
-  for (uint64_t i = 0; i < 40; ++i) {
-    trace::Emit(Engine::kConcurrent, Op::kInsert, /*arg=*/i);
-  }
-  const TraceDump dump = trace::Collect();
-  EXPECT_TRUE(dump.enabled);
-  EXPECT_EQ(dump.threads, 1u);
-  EXPECT_EQ(dump.emitted, 40u);
-  EXPECT_EQ(dump.dropped, 24u);
-  ASSERT_EQ(dump.records.size(), 16u);
-  // Newest 16 survive, time-sorted.
-  for (size_t i = 1; i < dump.records.size(); ++i) {
-    EXPECT_GE(dump.records[i].t_ns, dump.records[i - 1].t_ns);
-  }
-  EXPECT_EQ(dump.records.back().arg, 39u);
-  EXPECT_EQ(dump.records.front().arg, 24u);
-
-  // Disabled again: emits are dropped, Collect reports disabled.
-  trace::ConfigOverride(/*enabled=*/false, /*ring_capacity=*/16);
-  trace::Emit(Engine::kConcurrent, Op::kInsert, 0);
-  EXPECT_FALSE(trace::Collect().enabled);
-}
-
-TEST(TraceGlobal, MergesRingsFromMultipleThreads) {
-  if (!kEnabled) GTEST_SKIP() << "built with FITREE_NO_TELEMETRY";
-  trace::ConfigOverride(/*enabled=*/true, /*ring_capacity=*/64);
-  constexpr int kThreads = 3;
-  constexpr int kPerThread = 10;
-  std::vector<std::thread> workers;
-  for (int t = 0; t < kThreads; ++t) {
-    workers.emplace_back([] {
-      for (int i = 0; i < kPerThread; ++i) {
-        trace::Emit(Engine::kStatic, Op::kScan, static_cast<uint64_t>(i));
-      }
-    });
-  }
-  for (auto& w : workers) w.join();
-  const TraceDump dump = trace::Collect();
-  EXPECT_EQ(dump.threads, static_cast<size_t>(kThreads));
-  EXPECT_EQ(dump.emitted, static_cast<uint64_t>(kThreads) * kPerThread);
-  EXPECT_EQ(dump.dropped, 0u);
-  EXPECT_EQ(dump.records.size(), static_cast<size_t>(kThreads) * kPerThread);
-  trace::ConfigOverride(/*enabled=*/false, /*ring_capacity=*/64);
-}
-
 // --- registry snapshots ---------------------------------------------------
 
 TEST(Registry, SnapshotIsolationAndDelta) {
@@ -356,7 +252,6 @@ TEST(Registry, NamesCoverEveryId) {
 // --- instrumentation helpers against the singleton ------------------------
 
 TEST(Instrumentation, ScopedOpCountsEveryCallAndTimesSampled) {
-  if (!kEnabled) GTEST_SKIP() << "built with FITREE_NO_TELEMETRY";
   SetSamplePeriodForTest(1);  // time every op: deterministic histograms
   auto& reg = Registry::Get();
   const uint64_t count_before =
@@ -377,7 +272,6 @@ TEST(Instrumentation, ScopedOpCountsEveryCallAndTimesSampled) {
 }
 
 TEST(Instrumentation, ScopedDurationCancelSuppressesTheRecord) {
-  if (!kEnabled) GTEST_SKIP() << "built with FITREE_NO_TELEMETRY";
   auto& reg = Registry::Get();
   const uint64_t before = reg.op_count(Engine::kDisk, Op::kCompact).Load();
   {
@@ -402,10 +296,7 @@ void SpinFor(uint64_t ns) {
   }
 }
 
-TEST(Phase, NamesCoverEveryPhaseInBothBuilds) {
-  // Phase and PhaseName stay real under FITREE_NO_TELEMETRY (same
-  // convention as the metric types): exporters and tools compile either
-  // way.
+TEST(Phase, NamesCoverEveryPhase) {
   for (size_t p = 0; p < kNumPhases; ++p) {
     EXPECT_NE(PhaseName(static_cast<Phase>(p))[0], '\0');
   }
@@ -414,7 +305,6 @@ TEST(Phase, NamesCoverEveryPhaseInBothBuilds) {
 }
 
 TEST(Phase, RegistryStorageSnapshotsAndDeltas) {
-  // Registry phase storage is plain metric plumbing, live in both builds.
   Registry reg;
   reg.phase_count(Engine::kDisk, Phase::kPageIo).Add(3);
   reg.phase_latency(Engine::kDisk, Phase::kPageIo).Record(1000);
@@ -429,7 +319,6 @@ TEST(Phase, RegistryStorageSnapshotsAndDeltas) {
 }
 
 TEST(Phase, SpansShareTheScopedOpSampleCountdown) {
-  if (!kEnabled) GTEST_SKIP() << "built with FITREE_NO_TELEMETRY";
   auto& reg = Registry::Get();
   // Flush this thread's countdown to a known state: at period 1 the next
   // op samples and reloads the countdown to 1.
@@ -457,7 +346,6 @@ TEST(Phase, SpansShareTheScopedOpSampleCountdown) {
 }
 
 TEST(Phase, InertOutsideAnyArmedOperation) {
-  if (!kEnabled) GTEST_SKIP() << "built with FITREE_NO_TELEMETRY";
   auto& reg = Registry::Get();
   SetSamplePeriodForTest(1);
   const uint64_t before =
@@ -470,7 +358,6 @@ TEST(Phase, InertOutsideAnyArmedOperation) {
 }
 
 TEST(Phase, NestedSpansRecordSelfTimeChildrenExcluded) {
-  if (!kEnabled) GTEST_SKIP() << "built with FITREE_NO_TELEMETRY";
   auto& reg = Registry::Get();
   SetSamplePeriodForTest(1);
   // Static engine never emits compact/epoch_reclaim phases, so these two
@@ -519,7 +406,6 @@ TEST(Phase, NestedSpansRecordSelfTimeChildrenExcluded) {
 }
 
 TEST(Phase, ScopedDurationAlwaysArmsSpans) {
-  if (!kEnabled) GTEST_SKIP() << "built with FITREE_NO_TELEMETRY";
   auto& reg = Registry::Get();
   SetSamplePeriodForTest(64);  // structural scopes ignore the period
   const uint64_t before =
@@ -533,39 +419,10 @@ TEST(Phase, ScopedDurationAlwaysArmsSpans) {
       1u);
 }
 
-TEST(Phase, TraceRecordsCarryThePhaseTag) {
-  if (!kEnabled) GTEST_SKIP() << "built with FITREE_NO_TELEMETRY";
-  trace::ConfigOverride(/*enabled=*/true, /*ring_capacity=*/16);
-  SetSamplePeriodForTest(1);
-  {
-    ScopedOp op(Engine::kConcurrent, Op::kLookup);
-    ScopedPhase phase(Engine::kConcurrent, Phase::kBufferProbe);
-  }
-  const TraceDump dump = trace::Collect();
-  bool found_phase = false, found_op = false;
-  for (const TraceRecord& r : dump.records) {
-    if (r.phase ==
-        static_cast<uint16_t>(Phase::kBufferProbe) + 1) {
-      found_phase = true;
-      EXPECT_EQ(r.engine, static_cast<uint8_t>(Engine::kConcurrent));
-      EXPECT_EQ(r.op, static_cast<uint8_t>(Op::kLookup));
-    }
-    if (r.phase == 0 && r.op == static_cast<uint8_t>(Op::kLookup) &&
-        r.engine == static_cast<uint8_t>(Engine::kConcurrent)) {
-      found_op = true;
-    }
-  }
-  EXPECT_TRUE(found_phase) << "no phase-tagged trace record emitted";
-  EXPECT_TRUE(found_op) << "op-level record lost its phase==0 tag";
-  trace::ConfigOverride(/*enabled=*/false, /*ring_capacity=*/16);
-  SetSamplePeriodForTest(64);
-}
-
 // --- hardware counters ----------------------------------------------------
 
 TEST(PerfCounters, RegionDegradesGracefullyEverywhere) {
-  // Must never crash, whatever the kernel/container allows. Both builds:
-  // PerfRegion is bench machinery, live under FITREE_NO_TELEMETRY too.
+  // Must never crash, whatever the kernel/container allows.
   PerfRegion region;
   EXPECT_FALSE(region.status().empty());
   region.Start();
@@ -680,7 +537,6 @@ TEST(StructuralStats, DiskEngineReportsIoAndCompaction) {
 // --- driver-count exactness (the acceptance criterion, unit-sized) --------
 
 TEST(Instrumentation, ConcurrentOpCountsMatchIssuedOps) {
-  if (!kEnabled) GTEST_SKIP() << "built with FITREE_NO_TELEMETRY";
   const auto keys = TestKeys(20000);
   fitree::ConcurrentFitingTreeConfig config;
   config.error = 64.0;

@@ -1,11 +1,10 @@
 """Shared reading and rendering for the fitree_bench result tools.
 
-bench_diff.py, stats_dump.py and profile_report.py all read the
-BENCH_results.json document the bench harness exports (schema in
-EXPERIMENTS.md) and print column-aligned tables. This module holds what
-they share: the malformed-input exit, the JSON loader, the table renderer
-and the phase-grid rows. Every tool exits 2 on malformed input, so CI can
-use each one as a schema check.
+bench_diff.py and stats_dump.py both read the BENCH_results.json document
+the bench harness exports (schema in EXPERIMENTS.md). This module holds
+the malformed-input exit and the JSON loaders they share, and the
+column-aligned table renderer. Both tools exit 2 on malformed input, so CI
+can use each one as a schema check.
 """
 
 import json
@@ -54,33 +53,3 @@ def render_table(rows, header):
         lines.append(
             "  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip())
     return "\n".join(lines)
-
-
-PHASE_HEADER = ["engine", "phase", "samples", "p50_ns", "p95_ns", "p99_ns",
-                "max_ns", "mean_ns"]
-
-
-def phase_rows(phases):
-    """Table rows (PHASE_HEADER columns) for telemetry.phases; dies on a
-    malformed grid."""
-    if not isinstance(phases, list):
-        die('"phases" is not an array')
-    rows = []
-    for cell in phases:
-        if not isinstance(cell, dict):
-            die('"phases" entry is not an object')
-        for key in ("engine", "phase", "samples"):
-            if key not in cell:
-                die(f'"phases" entry missing "{key}"')
-        timed = "mean_ns" in cell
-        rows.append([
-            str(cell["engine"]),
-            str(cell["phase"]),
-            fmt_count(cell["samples"]),
-            fmt_count(cell["p50_ns"]) if timed else "-",
-            fmt_count(cell["p95_ns"]) if timed else "-",
-            fmt_count(cell["p99_ns"]) if timed else "-",
-            fmt_count(cell["max_ns"]) if timed else "-",
-            f"{cell['mean_ns']:.1f}" if timed else "-",
-        ])
-    return rows

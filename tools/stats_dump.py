@@ -1,15 +1,28 @@
 #!/usr/bin/env python3
-"""Pretty-print the telemetry section of a fitree_bench BENCH_results.json.
+"""Render the telemetry and PMU view of a fitree_bench BENCH_results.json.
 
-Renders the process-wide telemetry snapshot captured at the end of a bench
-run (schema in EXPERIMENTS.md, "Telemetry"): the per-(engine, op) count +
-sampled-latency grid, the named counters and gauges, and — when the run had
-FITREE_TRACE=1 — a summary of the merged trace ring dump (per-thread and
-per-op breakdowns, plus the first/last records with --trace).
+Prints, from one document (schema in EXPERIMENTS.md, "Telemetry" and
+"Profiling"):
 
-Exit status: 0 on success, 2 on malformed input (missing file, invalid
-JSON, or a document without a "telemetry" member) — CI uses this as a
-smoke check that the exporter and this parser agree on the schema.
+  1. the per-(engine, op) count + sampled-latency grid;
+  2. the per-(engine, phase) span grid — sampled span counts and self-time
+     latency percentiles (children excluded, so one op's phases sum to
+     roughly its inclusive latency);
+  3. the named counters and gauges;
+  4. the PMU table: every result record's "perf" block — status plus the
+     derived per-op rates (IPC, cycles/op, LLC-misses/op, ...). Records
+     whose counters were unavailable print their status verbatim; that is
+     the expected rendering on CI containers without perf access.
+
+--folded FILE additionally writes collapsed stacks ("engine;phase N", one
+per line, N = mean self ns x sampled spans) from the phase grid for
+flamegraph tooling (https://github.com/brendangregg/FlameGraph:
+flamegraph.pl FILE).
+
+Exit status: 0 on success, 2 on malformed input — missing file, invalid
+JSON, wrong schema_version, or a document without results/telemetry — so
+CI uses this as a smoke check that the exporter and this parser agree on
+the schema.
 
 --delta A.json B.json compares two runs' cumulative snapshots the way
 RegistrySnapshot::DeltaSince does: op/phase counts, sample counts, and
@@ -21,23 +34,26 @@ interval percentiles are not derivable and are labeled cumulative.
 Typical use:
 
   tools/stats_dump.py BENCH_results.json
-  tools/stats_dump.py BENCH_results.json --trace --trace-limit 20
+  tools/stats_dump.py BENCH_results.json --folded stacks.folded
   tools/stats_dump.py --delta before.json after.json
 """
 
 import argparse
 import sys
 
-from fitree_results import (PHASE_HEADER, die, fmt_count, load_object,
-                            phase_rows, render_table)
+from fitree_results import die, fmt_count, load_object, render_table
 
 
-def load_telemetry(path):
-    telemetry = load_object(path).get("telemetry")
-    if not isinstance(telemetry, dict) or "enabled" not in telemetry:
-        die(f"{path}: no telemetry section (document predates the "
-            "telemetry exporter, or the schema changed)")
-    return telemetry
+def load_doc(path):
+    doc = load_object(path)
+    if doc.get("schema_version") != 1:
+        die(f"{path}: unsupported schema_version "
+            f"{doc.get('schema_version')!r} (this tool understands 1)")
+    if not isinstance(doc.get("results"), list):
+        die(f"{path}: no results array")
+    if not isinstance(doc.get("telemetry"), dict):
+        die(f"{path}: no telemetry section")
+    return doc
 
 
 def print_ops(telemetry):
@@ -72,11 +88,38 @@ def print_ops(telemetry):
                               "p99_ns", "p999_ns", "max_ns", "mean_ns"]))
 
 
+PHASE_HEADER = ["engine", "phase", "samples", "p50_ns", "p95_ns", "p99_ns",
+                "max_ns", "mean_ns"]
+
+
+def phase_rows(phases):
+    """Table rows (PHASE_HEADER columns) for telemetry.phases; dies on a
+    malformed grid."""
+    if not isinstance(phases, list):
+        die('"phases" is not an array')
+    rows = []
+    for cell in phases:
+        if not isinstance(cell, dict):
+            die('"phases" entry is not an object')
+        for key in ("engine", "phase", "samples"):
+            if key not in cell:
+                die(f'"phases" entry missing "{key}"')
+        timed = "mean_ns" in cell
+        rows.append([
+            str(cell["engine"]),
+            str(cell["phase"]),
+            fmt_count(cell["samples"]),
+            fmt_count(cell["p50_ns"]) if timed else "-",
+            fmt_count(cell["p95_ns"]) if timed else "-",
+            fmt_count(cell["p99_ns"]) if timed else "-",
+            fmt_count(cell["max_ns"]) if timed else "-",
+            f"{cell['mean_ns']:.1f}" if timed else "-",
+        ])
+    return rows
+
+
 def print_phases(telemetry):
-    phases = telemetry.get("phases")
-    if phases is None:
-        return  # document predates phase spans
-    rows = phase_rows(phases)
+    rows = phase_rows(telemetry.get("phases", []))
     print("\n== per-(engine, phase) span grid (self time, sampled) ==")
     if not rows:
         print("(no phase spans recorded)")
@@ -98,40 +141,68 @@ def print_scalars(telemetry):
             print(f"{name.ljust(width)}  {fmt_count(value)}")
 
 
-def print_trace(telemetry, show_records, record_limit):
-    trace = telemetry.get("trace")
-    if not isinstance(trace, dict):
-        die('"trace" is missing or not an object')
-    print("\n== trace ==")
-    if not trace.get("enabled"):
-        print("tracing was off (set FITREE_TRACE=1 to capture)")
-        return
-    records = trace.get("records", [])
-    if not isinstance(records, list):
-        die('"trace.records" is not an array')
-    print(f"threads={trace.get('threads', 0)} "
-          f"emitted={fmt_count(trace.get('emitted', 0))} "
-          f"dropped={fmt_count(trace.get('dropped', 0))} "
-          f"retained={fmt_count(len(records))}")
+def fmt_params(params):
+    if not isinstance(params, dict) or not params:
+        return "-"
+    return ",".join(f"{k}={v}" for k, v in params.items())
 
-    by_op = {}
-    for record in records:
-        if not isinstance(record, dict) or "op" not in record:
-            die("trace record missing \"op\"")
-        key = (record.get("engine", "?"), record["op"])
-        by_op[key] = by_op.get(key, 0) + 1
-    if by_op:
-        print("retained records by (engine, op):")
-        for (engine, op), n in sorted(by_op.items()):
-            print(f"  {engine}/{op}: {fmt_count(n)}")
 
-    if show_records and records:
-        shown = records[:record_limit]
-        rows = [[fmt_count(r.get("t_ns", 0)), str(r.get("tid", "?")),
-                 str(r.get("engine", "?")), str(r.get("op", "?")),
-                 fmt_count(r.get("arg_ns", 0))] for r in shown]
-        print(f"first {len(shown)} record(s):")
-        print(render_table(rows, ["t_ns", "tid", "engine", "op", "arg_ns"]))
+def print_pmu(results):
+    print("\n== hardware counters per result record ==")
+    rows = []
+    statuses = {}
+    for record in results:
+        if not isinstance(record, dict):
+            die("results entry is not an object")
+        perf = record.get("perf")
+        if not isinstance(perf, dict):
+            die(f"record {record.get('experiment', '?')} has no perf block")
+        status = str(perf.get("status", "?"))
+        statuses[status] = statuses.get(status, 0) + 1
+        derived = perf.get("derived", {})
+        if not derived:
+            continue  # nothing counted; summarized by status below
+
+        def rate(key):
+            value = derived.get(key)
+            return f"{value:,.2f}" if isinstance(value, (int, float)) else "-"
+
+        rows.append([
+            str(record.get("experiment", "?")),
+            fmt_params(record.get("params")),
+            rate("ipc"),
+            rate("cycles_per_op"),
+            rate("instructions_per_op"),
+            rate("llc_load_misses_per_op"),
+            rate("branch_misses_per_op"),
+            rate("dtlb_load_misses_per_op"),
+        ])
+    for status, n in sorted(statuses.items()):
+        print(f"{n} record(s) with status: {status}")
+    if rows:
+        print(render_table(rows, ["experiment", "params", "ipc", "cyc/op",
+                                  "ins/op", "llc/op", "br/op", "dtlb/op"]))
+    else:
+        print("(no counter data in any record — see statuses above)")
+
+
+def write_folded(telemetry, path):
+    """Two-frame collapsed stacks ("engine;phase N") from the phase grid,
+    N = sample-weighted mean self time."""
+    phases = telemetry.get("phases", [])
+    phase_rows(phases)  # dies on a malformed grid
+    stacks = {}
+    for cell in phases:
+        key = f"{cell['engine']};{cell['phase']}"
+        total = cell.get("mean_ns", 0) * cell["samples"]
+        stacks[key] = stacks.get(key, 0) + int(total)
+    try:
+        with open(path, "w", encoding="utf-8") as f:
+            for key in sorted(stacks):
+                f.write(f"{key} {stacks[key]}\n")
+    except OSError as e:
+        die(f"cannot write {path}: {e}")
+    print(f"\nwrote {len(stacks)} folded stack(s) to {path}")
 
 
 def grid_by_key(telemetry, section, key_fields):
@@ -213,40 +284,36 @@ def print_delta(before, after):
 
 def main():
     parser = argparse.ArgumentParser(
-        description="pretty-print BENCH_results.json telemetry")
+        description="render telemetry, phase spans and PMU counters from "
+                    "BENCH_results.json")
     parser.add_argument("results", nargs="?",
                         help="path to BENCH_results.json")
-    parser.add_argument("--trace", action="store_true",
-                        help="also print individual trace records")
-    parser.add_argument("--trace-limit", type=int, default=10,
-                        help="max trace records to print (default 10)")
+    parser.add_argument("--folded", metavar="FILE",
+                        help="also write collapsed stacks for flamegraph "
+                             "tooling")
     parser.add_argument("--delta", nargs=2, metavar=("A", "B"),
                         help="print the telemetry difference of two runs "
                              "(A before, B after)")
     args = parser.parse_args()
 
     if args.delta:
-        if args.results:
-            die("--delta takes exactly two files; drop the positional one")
-        before = load_telemetry(args.delta[0])
-        after = load_telemetry(args.delta[1])
-        if not before["enabled"] or not after["enabled"]:
-            print("telemetry disabled in at least one input "
-                  "(built with -DFITREE_NO_TELEMETRY=ON)")
-            return
+        if args.results or args.folded:
+            die("--delta takes exactly two files and no other argument")
+        before = load_doc(args.delta[0])["telemetry"]
+        after = load_doc(args.delta[1])["telemetry"]
         print_delta(before, after)
         return
 
     if not args.results:
         die("missing results file (or use --delta A B)")
-    telemetry = load_telemetry(args.results)
-    if not telemetry["enabled"]:
-        print("telemetry disabled (built with -DFITREE_NO_TELEMETRY=ON)")
-        return
+    doc = load_doc(args.results)
+    telemetry = doc["telemetry"]
     print_ops(telemetry)
     print_phases(telemetry)
     print_scalars(telemetry)
-    print_trace(telemetry, args.trace, max(0, args.trace_limit))
+    print_pmu(doc["results"])
+    if args.folded:
+        write_folded(telemetry, args.folded)
 
 
 if __name__ == "__main__":
